@@ -11,10 +11,10 @@ from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, FrequencyValue,
                      IntensityModel, ParamError, ReadoutParams,
                      angular_to_mhz, mhz_to_angular, rabi_from_intensity,
                      to_angular, validate)
-from .wavepacket import (AlphaPair, ConvergenceError, SweepCurve,
-                         WavepacketCurve, alpha_pair, amplitude_B,
-                         detuning_spectrum, integrate_Pc, pc_at, pc_curve,
-                         pc_integral_fixed, saturation_curve)
+from .wavepacket import (AlphaPair, SweepCurve, WavepacketCurve, alpha_pair,
+                         amplitude_B, detuning_spectrum, integrate_Pc, pc_at,
+                         pc_curve, pc_integral, pc_integral_fixed,
+                         saturation_curve)
 from .dynamics import (AmplitudeTrajectory, IntegrationError, evolve,
                        norm_decay_check, reconstruct_B)
 from .collective import (ChiEstimate, EnsembleGeometry, QuadratureError,

@@ -230,8 +230,6 @@ def cmd_chi(cfg, run, seed):
         geom = EnsembleGeometry(**geo)
     except ParamError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
-    if seed is None:
-        raise ConfigError("seed: required for the Monte-Carlo estimate")
     n_samples = int(cfg.get("n_samples", 1_000_000))
     n_batches = int(cfg.get("n_batches", 30))
 

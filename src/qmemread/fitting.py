@@ -12,6 +12,10 @@ objective is non-increasing across accepted steps; iteration stops when the
 relative objective change falls below ``ftol`` (default 1e-8) or after
 ``max_iter`` (default 200) iterations.
 
+The saturation and spectrum models are exact: each dataset is one array
+call of the closed-form P_c (``wavepacket.pc_integral``), with no
+quadrature, so they carry no discretisation error into the fit.
+
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
 """
@@ -26,7 +30,7 @@ import numpy as np
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
                      rabi_from_intensity)
-from .wavepacket import pc_at, pc_integral_fixed
+from .wavepacket import pc_at, pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
 
@@ -133,17 +137,10 @@ def model_eval(theta: dict, dataset: Dataset, gamma_nat, tau) -> np.ndarray:
     if dataset.kind == "wavepacket":
         return pc_at(dataset.x * 1e-3, base) / 1e3
     if dataset.kind == "saturation":
-        out = np.empty_like(dataset.x)
-        for i, i_r in enumerate(dataset.x):
-            omega = rabi_from_intensity(float(i_r), model)
-            out[i] = pc_integral_fixed(base.replace(omega=omega),
-                                       t_end=dataset.horizon_us)
-        return out
-    out = np.empty_like(dataset.x)
-    for i, dm in enumerate(dataset.x):
-        out[i] = pc_integral_fixed(base.replace(delta=mhz_to_angular(float(dm))),
-                                   t_end=dataset.horizon_us)
-    return out
+        return pc_integral(base, dataset.horizon_us,
+                           omega=rabi_from_intensity(dataset.x, model))
+    return pc_integral(base, dataset.horizon_us,
+                       delta=mhz_to_angular(dataset.x))
 
 
 def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ),

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qmemread import ParamError, RankDeficiencyError, mhz_to_angular
+from qmemread import (IntensityModel, ParamError, RankDeficiencyError,
+                      ReadoutParams, integrate_Pc, mhz_to_angular,
+                      rabi_from_intensity)
 from qmemread.fitting import (DEFAULT_INIT, Dataset, fit, model_eval,
                               profile, residuals)
 
@@ -63,6 +65,27 @@ class TestDataset:
             Dataset(kind="wavepacket", x=[1], y=[1], sigma=[1], i_r=10.0)
         with pytest.raises(ParamError):
             Dataset(kind="spectrum", x=[1], y=[1], sigma=[1])
+
+
+class TestModelEval:
+    @pytest.mark.parametrize("kind,x", [
+        ("saturation", [0.0, 10.0, 95.0, 200.0]),
+        ("spectrum", [-30.0, 0.0, 1.7, 25.7])])
+    def test_pc_kinds_equal_pointwise_integrate_pc(self, kind, x):
+        # one array call per dataset, in the units Dataset documents
+        sat = kind == "saturation"
+        ds = Dataset(kind=kind, x=x, y=np.zeros(4), sigma=np.ones(4),
+                     delta_mhz=1.7 if sat else None, i_r=None if sat else 95.0)
+        model = IntensityModel(i_sat=TRUTH["i_sat"], gamma_nat=GAMMA_NAT)
+        base = ReadoutParams(omega=rabi_from_intensity(95.0, model),
+                             delta=mhz_to_angular(1.7), gamma_nat=GAMMA_NAT,
+                             chi=TRUTH["chi"], gamma_deph=TRUTH["gamma_deph"],
+                             tau=TAU, scale_f=TRUTH["scale_f"])
+        for xi, got in zip(x, model_eval(TRUTH, ds, GAMMA_NAT, TAU)):
+            p = (base.replace(omega=rabi_from_intensity(xi, model)) if sat
+                 else base.replace(delta=mhz_to_angular(xi)))
+            assert got == pytest.approx(integrate_Pc(p, ds.horizon_us),
+                                        rel=1e-14, abs=0)
 
 
 class TestResiduals:

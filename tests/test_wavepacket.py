@@ -3,12 +3,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
-from qmemread import (ConvergenceError, IntensityModel, ParamError,
-                      ReadoutParams, alpha_pair, amplitude_B,
-                      detuning_spectrum, integrate_Pc, mhz_to_angular, pc_at,
-                      pc_curve, pc_integral_fixed, saturation_curve)
+from pc_oracle import adaptive_pc
+from qmemread import (IntensityModel, ParamError, ReadoutParams, alpha_pair,
+                      amplitude_B, detuning_spectrum, integrate_Pc,
+                      mhz_to_angular, pc_at, pc_curve, pc_integral,
+                      pc_integral_fixed, saturation_curve)
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -228,6 +230,10 @@ class TestPcCurve:
         assert np.allclose(data["pc_per_ns"], curve.pc_per_ns, rtol=1e-11)
 
 
+def rel_err(got, ref):
+    return abs(got - ref) / abs(ref)
+
+
 class TestIntegratePc:
     def test_zero_drive(self):
         assert integrate_Pc(PAPER_STYLE.replace(omega=0.0)) == 0.0
@@ -317,6 +323,160 @@ class TestIntegratePc:
             got = integrate_Pc(p, rel_tol=1e-10)
             ref = self.exact_no_dephasing(p)
             assert got == pytest.approx(ref, rel=1e-9)
+            # and at the 160 ns horizon, against the adaptive oracle
+            assert rel_err(integrate_Pc(p, 0.160),
+                           adaptive_pc(p, 0.160, 1e-12)) <= 1e-10
+
+
+def critical_cases(gamma_deph_mhz, tau):
+    """Delta = 0 and Omega = chi Gamma/2 (1 -+ eps): |z|/chi Gamma = sqrt(eps)
+    (to rounding) from 1e-1 down to 1e-8, and z = 0 exactly at eps = 0."""
+    for chi in (1.0, 2.7):
+        cg = chi * GAMMA
+        for eps in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 0.0):
+            for sign in (1.0, -1.0):
+                yield ReadoutParams(omega=cg / 2 * (1 + sign * eps), delta=0.0,
+                                    gamma_nat=GAMMA, chi=chi, scale_f=4.1,
+                                    gamma_deph=mhz_to_angular(gamma_deph_mhz),
+                                    tau=tau)
+
+
+class TestClosedFormPc:
+    """The Faddeeva closed form against the adaptive-quadrature oracle."""
+
+    HORIZONS = (0.160, math.inf)
+
+    def test_matches_adaptive_oracle_random(self):
+        rng = np.random.default_rng(2026)
+        worst = 0.0
+        for i in range(2000):
+            gd = 0.0 if i % 4 == 0 else mhz_to_angular(rng.uniform(0.0, 5.0))
+            p = ReadoutParams(omega=rng.uniform(0.005, 20.0) * GAMMA,
+                              delta=rng.uniform(-20.0, 20.0) * GAMMA,
+                              gamma_nat=GAMMA, chi=rng.uniform(1.0, 5.0),
+                              gamma_deph=gd, tau=rng.uniform(0.0, 0.2),
+                              scale_f=rng.uniform(0.1, 10.0))
+            for horizon in self.HORIZONS:
+                worst = max(worst, rel_err(integrate_Pc(p, horizon),
+                                           adaptive_pc(p, horizon, 1e-12)))
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("gamma_deph_mhz,tau,horizons", [
+        (0.0, 0.05, HORIZONS), (1.55, 0.05, HORIZONS),
+        # weight support set by a short horizon, or by gamma_deph at tau = 0:
+        # the contour then meets Gaussians centred inside or past the window
+        (0.0, 0.0, (0.01,)), (0.05, 0.0, (0.01,)), (30.0, 0.0, HORIZONS)])
+    def test_critical_neighbourhood(self, gamma_deph_mhz, tau, horizons):
+        for p in critical_cases(gamma_deph_mhz, tau):
+            for horizon in horizons:
+                assert rel_err(integrate_Pc(p, horizon),
+                               adaptive_pc(p, horizon, 1e-12)) <= 1e-10
+
+    @pytest.mark.parametrize("gamma_deph,horizon", [(0.0, 1e6),
+                                                    (1e-7, math.inf)])
+    def test_weak_far_detuned_drive(self, gamma_deph, horizon):
+        # chi Gamma/2 - alpha_+ = 1e-8 chi Gamma sets the slow decay; its
+        # digits must not be lost to the difference of the two rates
+        p = ReadoutParams(omega=0.003 * GAMMA, delta=15.0 * GAMMA,
+                          gamma_nat=GAMMA, chi=1.2, gamma_deph=gamma_deph,
+                          scale_f=4.1)
+        assert rel_err(integrate_Pc(p, horizon),
+                       adaptive_pc(p, horizon, 1e-12)) <= 1e-10
+
+    def test_zero_drive_inside_array(self):
+        omega = np.array([0.0, 0.3, 0.0, 2.0, 0.5]) * GAMMA
+        for gd_mhz in (0.0, 1.55):
+            p = PAPER_STYLE.replace(gamma_deph=mhz_to_angular(gd_mhz))
+            for horizon in self.HORIZONS:
+                got = pc_integral(p, horizon, omega=omega)
+                assert got[0] == 0.0 and got[2] == 0.0
+                for om, val in zip(omega[[1, 3, 4]], got[[1, 3, 4]]):
+                    ref = adaptive_pc(p.replace(omega=om), horizon, 1e-12)
+                    assert rel_err(val, ref) <= 1e-10
+
+    @pytest.mark.parametrize("gamma_deph_mhz,tau", [(20.0, 0.05), (200.0, 0.0),
+                                                    (2000.0, 0.0), (50.0, 0.02)])
+    def test_large_dephasing(self, gamma_deph_mhz, tau):
+        # the Faddeeva argument ~ gamma (t + tau) - s/(2 gamma) is large here
+        for om, de in ((0.5, 0.0), (3.0, 1.0), (10.0, -15.0)):
+            p = ReadoutParams(omega=om * GAMMA, delta=de * GAMMA,
+                              gamma_nat=GAMMA, chi=2.7, tau=tau, scale_f=4.1,
+                              gamma_deph=mhz_to_angular(gamma_deph_mhz))
+            for horizon in self.HORIZONS:
+                ref = adaptive_pc(p, horizon, 1e-12)
+                got = integrate_Pc(p, horizon)
+                assert ref > 0 and rel_err(got, ref) <= 1e-10
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+st_params = st.builds(
+    ReadoutParams,
+    omega=st.floats(0.01 * GAMMA, 20 * GAMMA, **finite),
+    delta=st.floats(-20 * GAMMA, 20 * GAMMA, **finite),
+    gamma_nat=st.just(GAMMA),
+    chi=st.floats(1.0, 5.0, **finite),
+    gamma_deph=st.one_of(st.just(0.0),
+                         st.floats(0.0, mhz_to_angular(5.0), **finite)),
+    tau=st.floats(0.0, 0.2, **finite),
+    scale_f=st.floats(0.1, 10.0, **finite))
+st_horizon = st.one_of(st.just(math.inf), st.floats(0.02, 2.0, **finite))
+property_settings = settings(max_examples=60, deadline=None)
+
+
+class TestClosedFormProperties:
+    @property_settings
+    @given(st_params, st_horizon)
+    def test_detuning_sign_bit_identical(self, p, horizon):
+        assert pc_integral(p, horizon) == pc_integral(p.replace(delta=-p.delta),
+                                                      horizon)
+
+    @property_settings
+    @given(st_params, st_horizon, st.floats(0.01, 100.0, **finite))
+    def test_linear_in_scale(self, p, horizon, factor):
+        base = pc_integral(p, horizon)
+        scaled = pc_integral(p.replace(scale_f=factor * p.scale_f), horizon)
+        assert scaled == pytest.approx(factor * base, rel=1e-14)
+
+    @property_settings
+    @given(st_params, st.floats(0.02, 2.0, **finite),
+           st.floats(0.0, 2.0, **finite))
+    def test_non_decreasing_in_horizon(self, p, horizon, extra):
+        # to rounding: the true increment can fall below one ulp
+        short = pc_integral(p, horizon)
+        longer = pc_integral(p, horizon + extra)
+        assert short <= longer * (1 + 1e-13)
+        assert pc_integral(p, 0.160) <= pc_integral(p) * (1 + 1e-13)
+
+    @property_settings
+    @given(st_params, st_horizon,
+           st.lists(st.floats(0.0, 20 * GAMMA, **finite), min_size=1,
+                    max_size=8),
+           st.lists(st.floats(-20 * GAMMA, 20 * GAMMA, **finite), min_size=1,
+                    max_size=8))
+    def test_array_call_equals_scalar_calls(self, p, horizon, omegas, deltas):
+        omega = np.array(omegas)[:, None]
+        delta = np.array(deltas)[None, :]
+        got = pc_integral(p, horizon, omega=omega, delta=delta)
+        assert got.shape == (len(omegas), len(deltas))
+        for (i, j), val in np.ndenumerate(got):
+            ref = integrate_Pc(p.replace(omega=omegas[i], delta=deltas[j]),
+                               horizon)
+            assert val == pytest.approx(ref, rel=1e-14, abs=0)
+
+    @property_settings
+    @given(st_params, st.floats(1.0, 50.0, **finite),
+           st.lists(st.floats(0.0, 500.0, **finite), min_size=2, max_size=12))
+    def test_saturation_non_decreasing_in_intensity(self, p, i_sat,
+                                                    intensities):
+        # Infinite horizon: a finite one can cut a strongly driven Rabi
+        # oscillation and lower P_c by percents (160 ns, Delta = 0, chi near
+        # 1, Omega ~ 4 chi Gamma/2; the quadrature oracle agrees).  With
+        # gamma_deph = 0 the curve is flat, F/(chi Gamma); the slack is the
+        # rounding of values accurate to 1e-13.
+        model = IntensityModel(i_sat=i_sat, gamma_nat=GAMMA)
+        curve = saturation_curve(p, model, np.sort(intensities))
+        assert np.all(np.diff(curve.ordinate)
+                      >= -1e-12 * curve.ordinate[1:])
 
 
 class TestSweeps:
