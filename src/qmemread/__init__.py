@@ -21,8 +21,8 @@ from .collective import (ChiEstimate, EnsembleGeometry, QuadratureError,
                          branching_ratio, chi_closed_form, chi_monte_carlo,
                          chi_quadrature, chi_quadrature_kernel,
                          extraction_ceiling, pair_kernel)
-from .counting import (BinnedWavepacket, CorrelationSummary, DetectionEvent,
-                       EventStore, ModelError, StatsError, SynthDesign,
+from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
+                       ModelError, StatsError, SynthDesign,
                        conditional_wavepacket, correlations, ingest,
                        probabilities, synthesize_log, write_log)
 from .fitting import (Dataset, FitResult, RankDeficiencyError, fit,

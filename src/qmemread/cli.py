@@ -35,8 +35,7 @@ from .counting import (SynthDesign, conditional_wavepacket, correlations,
                        ingest, probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
 from .params import (DEFAULT_GAMMA_NAT_MHZ, ParamError, ReadoutParams,
-                     IntensityModel, mhz_to_angular, rabi_from_intensity,
-                     validate)
+                     IntensityModel, mhz_to_angular)
 from .wavepacket import pc_curve, saturation_curve, detuning_spectrum
 
 
@@ -262,8 +261,6 @@ def cmd_synth(cfg, run, seed):
                                "read_start_ns", "read_window_ns",
                                "background_per_ns"}, "design")
     _require(design_block, ["n_trials", "p1"], "design")
-    if seed is None:
-        raise ConfigError("seed: required for synthesis")
     params = _build_params(cfg)
     try:
         design = SynthDesign(**design_block)
@@ -312,7 +309,8 @@ def cmd_stats(cfg, run, seed):
     report["ingest"] = {"n_events": len(store),
                         "n_duplicates": store.n_duplicates,
                         "n_rejected_channel": store.n_rejected_channel,
-                        "n_parse_errors": len(store.parse_errors)}
+                        "n_parse_errors": len(store.parse_errors),
+                        "parse_errors_by_reason": store.parse_errors_by_reason()}
     out = run.path("stats_summary.json")
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")

@@ -41,15 +41,6 @@ class ModelError(ValueError):
     """The synthesis model is inconsistent (e.g. P_c > 1)."""
 
 
-@dataclass(frozen=True)
-class DetectionEvent:
-    """One photodetection: trial index, channel name, time tag in ns."""
-
-    trial_id: int
-    channel: str
-    t_ns: int
-
-
 @dataclass
 class EventStore:
     """Columnar store of detection events, sorted by (trial, t, channel).
@@ -71,11 +62,26 @@ class EventStore:
     def __len__(self):
         return self.trial.size
 
-    def events(self):
-        """Iterate events as DetectionEvent records."""
-        for tr, ch, t in zip(self.trial.tolist(), self.channel.tolist(),
-                             self.t_ns.tolist()):
-            yield DetectionEvent(tr, CHANNELS[ch], t)
+    def parse_errors_by_reason(self) -> dict:
+        """Count ``parse_errors`` by reason: ``field_count``,
+        ``non_integer``, ``negative_trial``, ``outside_window`` and
+        ``trial_out_of_range``; every key is present."""
+        counts = dict.fromkeys(_ERROR_REASONS.values(), 0)
+        for _line, message in self.parse_errors:
+            counts[next(reason for start, reason in _ERROR_REASONS.items()
+                        if message.startswith(start))] += 1
+        return counts
+
+
+# parse-error reasons, keyed by how their messages in _check_row start
+_ERROR_REASONS = {"expected 3 fields": "field_count",
+                  "non-integer": "non_integer",
+                  "negative trial": "negative_trial",
+                  "time ": "outside_window",
+                  "trial ": "trial_out_of_range"}
+
+_CHUNK_BYTES = 1 << 22      # log bytes parsed per vectorised pass
+_WRITE_ROWS = 100_000       # rows rendered per write
 
 
 def _dedupe_sorted(trial, channel, t_ns):
@@ -94,7 +100,20 @@ def _sorted_store(trial, channel, t_ns, n_trials, window, rejected, errors,
     trial = np.asarray(trial, dtype=np.int64)
     channel = np.asarray(channel, dtype=np.int8)
     t_ns = np.asarray(t_ns, dtype=np.int64)
-    order = np.lexsort((channel, t_ns, trial))
+    # (trial * span + t) * 4 + channel orders rows as (trial, t, channel)
+    # when 0 <= t < span and 0 <= channel < 4, and one stable argsort of it
+    # is far cheaper than a three-key lexsort; trials whose key could
+    # overflow int64 fall back to the lexsort
+    span = int(t_ns.max()) + 1 if t_ns.size else 1
+    if trial.size and int(trial.max()) >= (1 << 62) // (4 * span):
+        order = np.lexsort((channel, t_ns, trial))
+    else:
+        key = trial * span
+        key += t_ns
+        key *= 4
+        key += channel
+        order = np.argsort(key, kind="stable")
+        del key                     # not alive during the gathers below
     trial, channel, t_ns = trial[order], channel[order], t_ns[order]
     trial, channel, t_ns, dups = _dedupe_sorted(trial, channel, t_ns)
     if dups and warn_duplicates:
@@ -108,6 +127,175 @@ def _sorted_store(trial, channel, t_ns, n_trials, window, rejected, errors,
                       parse_errors=errors)
 
 
+class _Tally:
+    """What one ingest has read so far."""
+
+    def __init__(self, n_trials, window):
+        self.n_trials = n_trials
+        self.window = window
+        self.records = 0        # csv records (lines) read
+        self.columns = []       # (trial, channel, t_ns) arrays of strict lines
+        self.rows = []          # (trial, channel, t_ns) from _check_row
+        self.errors = []
+        self.rejected = 0
+
+
+def _check_row(tally, lineno, row):
+    """Validate one csv record of a log.  Every line that the vectorised
+    path of ``ingest`` does not accept is judged, and its error worded,
+    here."""
+    if not row or (len(row) == 1 and not row[0].strip()):
+        return
+    if lineno == 1 and row[0].strip().lower() == "trial":
+        return
+    if len(row) != 3:
+        tally.errors.append((lineno, f"expected 3 fields, got {len(row)}"))
+        return
+    ch = row[1].strip()
+    try:
+        tr = int(row[0])
+        t = int(row[2])
+    except ValueError:
+        tally.errors.append((lineno, "non-integer trial or time"))
+        return
+    if tr < 0:
+        tally.errors.append((lineno, "negative trial index"))
+        return
+    if not (0 <= t < tally.window):
+        tally.errors.append((lineno, f"time {t} outside trial window "
+                                     f"[0, {tally.window})"))
+        return
+    if ch not in _CODE:
+        tally.rejected += 1
+        return
+    if tally.n_trials is not None and tr >= tally.n_trials:
+        tally.errors.append((lineno,
+                             f"trial {tr} >= n_trials {tally.n_trials}"))
+        return
+    tally.rows.append((tr, _CODE[ch], t))
+
+
+def _blocks(source):
+    """The log as byte blocks of about ``_CHUNK_BYTES``.  An iterable of
+    lines is joined with a newline ending each line that lacks one."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as fh:
+            while block := fh.read(_CHUNK_BYTES):
+                yield block
+    elif hasattr(source, "read"):
+        while block := source.read(_CHUNK_BYTES):
+            yield block.encode("utf-8")
+    else:
+        batch, size = [], 0
+        for line in source:
+            batch.append(line if line.endswith("\n") else line + "\n")
+            size += len(line)
+            if size >= _CHUNK_BYTES:
+                yield "".join(batch).encode("utf-8")
+                batch, size = [], 0
+        if batch:
+            yield "".join(batch).encode("utf-8")
+
+
+def _chunks(source):
+    """The log's bytes cut after newlines; only the last chunk may end
+    without one."""
+    tail = b""
+    for block in _blocks(source):
+        buf = tail + block
+        cut = buf.rfind(b"\n") + 1
+        if cut:
+            yield buf[:cut]
+        tail = buf[cut:]
+    if tail:
+        yield tail
+
+
+def _csv_records(chunk, tally, final):
+    """Read ``chunk`` record by record through ``csv``, which alone knows
+    quoting and lone carriage returns.  Unless ``final``, a record whose
+    quoted field is still open at the chunk's end is returned unread, to
+    be read again with the next chunk."""
+    lines = chunk.splitlines(keepends=True)     # at \n, \r\n and lone \r
+    ran_out = False
+
+    def feed():
+        nonlocal ran_out
+        for line in lines:
+            yield line.decode("utf-8")
+        ran_out = True
+
+    reader = csv.reader(feed())
+    done = 0
+    for row in reader:
+        if ran_out and not final:
+            return b"".join(lines[done:])
+        done = reader.line_num
+        tally.records += 1
+        _check_row(tally, tally.records, row)
+    return b""
+
+
+def _digits(a, end, length):
+    """Integer value of the ``length`` (1..15) bytes of ``a`` before each
+    ``end``, and whether all of them are ASCII digits."""
+    value = np.zeros(end.size, dtype=np.int64)
+    bad = np.zeros(end.size, dtype=bool)
+    pos = end - 1
+    for k in range(int(length.max(initial=0))):     # digit k from the right
+        live = length > k
+        d = a[pos]
+        d -= 48                     # uint8: bytes below "0" wrap past 9
+        bad |= (d > 9) & live
+        d *= live
+        value += d * np.int64(10 ** k)
+        pos -= 1
+    return value, ~bad
+
+
+def _strict_lines(chunk, tally):
+    """Read a chunk without quotes or lone carriage returns.  Lines of the
+    strict grammar are parsed and checked as arrays; every other line, and
+    every line that fails the window or ``n_trials`` check, goes through
+    ``_check_row`` with its own line number."""
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    a = np.frombuffer(chunk, dtype=np.uint8)
+    marks = np.flatnonzero((a == 44) | (a == 10))   # commas and newlines
+    nl = np.flatnonzero(a[marks] == 10)             # line ends, in marks
+    ends = marks[nl]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    first = tally.records + 1                       # the chunk's first line
+    tally.records += ends.size
+
+    line = np.flatnonzero(np.diff(nl, prepend=-1) == 3)     # two commas
+    c1, c2 = marks[nl[line] - 2], marks[nl[line] - 1]
+    three = c2 - c1 == 4                            # 3 bytes between them
+    line, c1, c2 = line[three], c1[three], c2[three]
+    stop = ends[line]
+    stop = stop - (a[stop - 1] == 13)               # before a \r\n
+    n1, n2 = c1 - starts[line], stop - c2 - 1
+    field, side = a[c1 + 2] - 49, a[c1 + 3] - 65    # F[12][AB] -> 0/1, 0/1
+    shape = ((a[c1 + 1] == 70) & (field <= 1) & (side <= 1)
+             & (n1 >= 1) & (n1 <= 15) & (n2 >= 1) & (n2 <= 15))
+    line, c1, stop, n1, n2 = (x[shape] for x in (line, c1, stop, n1, n2))
+    trial, ok_trial = _digits(a, c1, n1)
+    t, ok_t = _digits(a, stop, n2)
+    ok = ok_trial & ok_t & (t < tally.window)
+    if tally.n_trials is not None:
+        ok &= trial < tally.n_trials
+    code = (2 * field[shape] + side[shape]).astype(np.int8)
+    tally.columns.append((trial[ok], code[ok], t[ok]))
+
+    # the rest, and lines that fail a check, in line order; _check_row
+    # words every parse error
+    accepted = np.zeros(ends.size, dtype=bool)
+    accepted[line[ok]] = True
+    for i in np.flatnonzero(~accepted).tolist():
+        text = chunk[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8")
+        _check_row(tally, first + i, next(csv.reader((text,))))
+
+
 def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
     """Parse a detection log into an EventStore.
 
@@ -116,59 +304,88 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
     lines are skipped and reported with their line number in
     ``parse_errors``; rows with an unknown channel are tallied; duplicate
     rows are collapsed with a warning.
-    """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return ingest(fh, n_trials=n_trials, trial_window_ns=trial_window_ns)
 
-    trials, chans, times = [], [], []
-    rejected = 0
-    errors = []
-    reader = csv.reader(source)
-    for lineno, row in enumerate(reader, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if lineno == 1 and row[0].strip().lower() == "trial":
-            continue
-        if len(row) != 3:
-            errors.append((lineno, f"expected 3 fields, got {len(row)}"))
-            continue
-        ch = row[1].strip()
-        try:
-            tr = int(row[0])
-            t = int(row[2])
-        except ValueError:
-            errors.append((lineno, "non-integer trial or time"))
-            continue
-        if tr < 0:
-            errors.append((lineno, "negative trial index"))
-            continue
-        if not (0 <= t < trial_window_ns):
-            errors.append((lineno, f"time {t} outside trial window "
-                                   f"[0, {trial_window_ns})"))
-            continue
-        if ch not in _CODE:
-            rejected += 1
-            continue
-        if n_trials is not None and tr >= n_trials:
-            errors.append((lineno, f"trial {tr} >= n_trials {n_trials}"))
-            continue
-        trials.append(tr)
-        chans.append(_CODE[ch])
-        times.append(t)
-    return _sorted_store(np.array(trials, dtype=np.int64),
-                         np.array(chans, dtype=np.int8),
-                         np.array(times, dtype=np.int64),
-                         n_trials, trial_window_ns, rejected, errors)
+    The log is read in chunks of a few MB cut at newlines, so memory grows
+    with the events kept, not with the file.  In each chunk, lines of the
+    strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` (optionally
+    ending in ``\\r``) are parsed and checked as arrays.  Every other line
+    (the header, blanks, signs, spaces, underscores, other digits, unknown
+    channels, wrong field counts) is judged by the per-line validator, and
+    a chunk holding a quote or a lone ``\\r`` is read record by record
+    through ``csv``.  Both routes give the same events, rejects, duplicate
+    count and ``parse_errors`` (in line order, numbered as csv records)
+    as reading every line through ``csv``.
+    """
+    tally = _Tally(n_trials, trial_window_ns)
+    carry = b""
+    for chunk in _chunks(source):
+        chunk, carry = carry + chunk, b""
+        if b'"' in chunk or (b"\r" in chunk and
+                             chunk.count(b"\r") != chunk.count(b"\r\n")):
+            carry = _csv_records(chunk, tally, final=False)
+        else:
+            _strict_lines(chunk, tally)
+    if carry:
+        _csv_records(carry, tally, final=True)
+    rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
+    tally.columns.append((rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2]))
+    columns = [np.concatenate(c) for c in zip(*tally.columns)]
+    tally.columns.clear()           # free the chunks' arrays before sorting
+    return _sorted_store(*columns, n_trials, trial_window_ns,
+                         tally.rejected, tally.errors)
+
+
+# byte rows of the writer: row k holds digit k of 000..999, or letter k of
+# each channel name
+_DIGITS3 = (np.arange(1000) // np.array([[100], [10], [1]]) % 10
+            + 48).astype(np.uint8)
+_CHANNEL_BYTES = np.frombuffer("".join(CHANNELS).encode(),
+                               dtype=np.uint8).reshape(4, 3).T.copy()
+
+
+def _decimal(values):
+    """Decimal text of int64 ``values`` laid out one byte position per
+    row (a sign row, then 3-digit groups from a lookup table), and the
+    mask of the bytes to write: a minus sign and the significant digits."""
+    values = np.asarray(values, dtype=np.int64)
+    mag = np.abs(values).view(np.uint64)    # |-2**63| wraps to 2**63 here
+    width = 3 * ((len(str(int(mag.max(initial=0)))) + 2) // 3)
+    text = np.empty((1 + width, values.size), dtype=np.uint8)
+    keep = np.empty(text.shape, dtype=bool)
+    text[0] = 45
+    keep[0] = values < 0
+    rest = mag
+    for row in range(width - 2, 0, -3):
+        rest, low = np.divmod(rest, 1000)
+        np.take(_DIGITS3, low, axis=1, out=text[row:row + 3], mode="clip")
+    for j in range(1, width):               # write digit j iff |v| >= 10**j
+        np.greater_equal(mag, 10 ** j, out=keep[width - j])
+    keep[width] = True
+    return text, keep
 
 
 def write_log(store: EventStore, path):
-    """Write a store back to ``trial,channel,t_ns`` CSV (with header)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("trial,channel,t_ns\n")
-        for tr, ch, t in zip(store.trial.tolist(), store.channel.tolist(),
-                             store.t_ns.tolist()):
-            fh.write(f"{tr},{CHANNELS[ch]},{t}\n")
+    """Write a store back to ``trial,channel,t_ns`` CSV (with header).
+
+    Rows are rendered as arrays, ``_WRITE_ROWS`` at a time, into one byte
+    buffer per block, so the memory used does not grow with the log.  The
+    bytes are those of ``f"{trial},{CHANNELS[channel]},{t_ns}\\n"`` per row.
+    """
+    with open(path, "wb") as fh:
+        fh.write(b"trial,channel,t_ns\n")
+        for lo in range(0, len(store), _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            trial, trial_keep = _decimal(store.trial[rows])
+            t_ns, t_keep = _decimal(store.t_ns[rows])
+            n = t_ns.shape[1]
+            middle = np.full((5, n), 44, dtype=np.uint8)    # ",F1A,"
+            np.take(_CHANNEL_BYTES, store.channel[rows], axis=1,
+                    out=middle[1:4])
+            text = np.concatenate([trial, middle, t_ns,
+                                   np.full((1, n), 10, dtype=np.uint8)])
+            keep = np.concatenate([trial_keep, np.ones((5, n), dtype=bool),
+                                   t_keep, np.ones((1, n), dtype=bool)])
+            fh.write(text.T[keep.T])
 
 
 @dataclass

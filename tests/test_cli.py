@@ -193,6 +193,33 @@ class TestPipeline:
                                names=True)
         assert binned["t_lo_ns"].size == 300
 
+    def test_stats_counts_rejects_by_reason(self, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("trial,channel,t_ns\n"
+                       "0,F1A,20\n"
+                       "1,F1A\n"                # field_count
+                       "x,F2A,60\n"             # non_integer
+                       "-2,F1B,20\n"            # negative_trial
+                       "3,F2B,1500\n"           # outside_window
+                       "40,F1A,20\n"            # trial_out_of_range
+                       "4,F3A,20\n"             # unknown channel
+                       "0,F1A,20\n"             # duplicate
+                       "5,F2A,60\n")
+        cfg = write_cfg(tmp_path, {
+            "log_path": str(log), "n_trials": 10,
+            "window1_ns": [20, 20], "window2_ns": [50, 349]}, "stats.json")
+        out = tmp_path / "stats"
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            assert run(["stats", "--config", cfg, "--out", str(out),
+                        "--quiet"]) == 0
+        block = json.loads((out / "stats_summary.json").read_text())["ingest"]
+        assert block == {
+            "n_events": 2, "n_duplicates": 1, "n_rejected_channel": 1,
+            "n_parse_errors": 5,
+            "parse_errors_by_reason": {
+                "field_count": 1, "non_integer": 1, "negative_trial": 1,
+                "outside_window": 1, "trial_out_of_range": 1}}
+
     def test_synth_determinism(self, tmp_path):
         cfg = self.synth_cfg(tmp_path, n_trials=20_000, bg=1e-4)
         out_a, out_b = tmp_path / "sa", tmp_path / "sb"

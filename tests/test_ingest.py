@@ -1,0 +1,241 @@
+"""Chunked ingest and vectorised write against their line-by-line oracles.
+
+``ingest`` parses lines of the strict grammar as arrays and sends every
+other line through the per-line validator; ``write_log`` renders rows as
+arrays.  These tests hold both to ``tests/ingest_oracle.py``: the csv
+reader and f-string writer they replaced.
+"""
+
+import io
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from ingest_oracle import CHANNELS, oracle_ingest, oracle_write
+from qmemread import (EventStore, ReadoutParams, SynthDesign, counting,
+                      ingest, synthesize_log, write_log)
+
+WINDOW = 100
+# the packed sort key (trial * span + t) * 4 + channel overflows int64 here
+# for span = WINDOW, so the sort must fall back to lexsort
+BIG_TRIAL = 10 ** 17
+
+
+def _outcome(fn):
+    """(result, warning messages), or the exception type raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = fn()
+        except Exception as exc:            # compared, not swallowed
+            return type(exc)
+    return result, [str(w.message) for w in caught]
+
+
+def _as_tuple(store):
+    return (store.trial, store.channel, store.t_ns, store.n_trials,
+            store.n_duplicates, store.n_rejected_channel, store.parse_errors)
+
+
+def assert_same_as_oracle(source_for, n_trials, window=WINDOW):
+    """Ingest a fresh source from ``source_for()`` with the program and
+    with the oracle, and compare everything they report."""
+    got = _outcome(lambda: _as_tuple(ingest(source_for(), n_trials, window)))
+    want = _outcome(lambda: oracle_ingest(source_for(), n_trials, window))
+    if isinstance(want, type):
+        assert got is want
+        return
+    (trial, channel, t_ns, *counts), got_warn = got
+    (w_trial, w_channel, w_t_ns, *w_counts), want_warn = want
+    assert trial.dtype == np.int64 and t_ns.dtype == np.int64
+    assert channel.dtype == np.int8
+    assert np.array_equal(trial, w_trial)
+    assert np.array_equal(channel, w_channel)
+    assert np.array_equal(t_ns, w_t_ns)
+    assert counts == w_counts       # n_trials, duplicates, rejects, errors
+    assert got_warn == want_warn
+
+
+_valid = st.builds(lambda tr, ch, t: f"{tr},{ch},{t}",
+                   st.integers(0, 60), st.sampled_from(CHANNELS),
+                   st.integers(0, WINDOW - 1))
+_zero_padded = st.builds(lambda tr, ch, t: f"{tr:04d},{ch},{t:05d}",
+                         st.integers(0, 60), st.sampled_from(CHANNELS),
+                         st.integers(0, WINDOW - 1))
+_anomaly = st.one_of(
+    st.sampled_from(["5,F1A", "5,F1A,3,0", "5", ",,", "5,F1A,"]),   # fields
+    st.sampled_from(["5.5,F1A,3", "x,F1A,3", "5,F1A,3e1", "0x5,F1A,3"]),
+    st.sampled_from(["+5,F1A,3", "5,F1A,+3", " 12 ,F2B,3", "12, F1B ,3",
+                     "12,F1A, 7", "1_000,F1A,3", "1,F1A,1_0"]),
+    st.builds(lambda tr: f"-{tr},F1A,3", st.integers(0, 9)),
+    st.builds(lambda t: f"5,F2A,{t}", st.integers(WINDOW, 3 * WINDOW)),
+    st.sampled_from(["5,F3A,3", "5,f1a,3", "5,F1,3", "5,F1AB,3", "5,XYZ,3"]),
+    st.builds(lambda tr: f"{tr},F1B,4", st.integers(60, 99)),  # >= n_trials
+    st.sampled_from(["", "   ", "\t"]),
+    st.sampled_from(['"5",F1A,3', '5,"F1A",3', '"5,F1A",3', '5,"F1\nA",3',
+                     '5,"F2B,3', '"x""y",F1A,3', '5,F1A,"3"']),
+    st.builds(lambda tr: f"{tr},F2A,7",                  # 16+ digits
+              st.integers(10 ** 15, 10 ** 18)
+              | st.sampled_from([2 ** 63 - 1, 2 ** 63,
+                                 10 ** 19 - 1, 10 ** 19])),
+    st.builds(lambda d, t: f"{d},F1A,{t}",
+              st.sampled_from(["٣", "１２"]),       # non-ASCII digits
+              st.integers(0, 9)),
+)
+_line = st.one_of(_valid, _valid, _valid, _zero_padded, _anomaly)
+
+
+@st.composite
+def logs(draw, bare_cr=False):
+    """(lines, terminators): line texts and the ending of each; the last
+    may have none.  Valid rows repeat often enough to make duplicates."""
+    lines = draw(st.lists(_line, max_size=40))
+    pool = [ln for ln in lines if ln]
+    lines += draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
+    lines = draw(st.permutations(lines))
+    if draw(st.booleans()):
+        lines = ["trial,channel,t_ns"] + lines
+    ends = ["\n", "\r\n"] + (["\r"] if bare_cr else [])
+    terms = [draw(st.sampled_from(ends)) for _ in lines]
+    if terms and draw(st.booleans()):
+        terms[-1] = ""                      # no final newline
+    return lines, terms
+
+
+_CHUNKS = st.sampled_from([1, 2, 3, 5, 8, 13, 21, 64, 1 << 22])
+_N_TRIALS = st.sampled_from([None, 50])
+
+
+class TestDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(log=logs(), chunk=_CHUNKS, n_trials=_N_TRIALS, bare=st.booleans())
+    def test_line_iterable(self, log, chunk, n_trials, bare):
+        text = "".join(ln + end for ln, end in zip(*log))
+        items = io.StringIO(text).readlines()      # one line per item
+        if bare and '"' not in text:
+            # outside quotes, an item's end ends its line with or without
+            # a newline
+            items = [item.removesuffix("\n") for item in items]
+        with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+            assert_same_as_oracle(lambda: iter(items), n_trials)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=logs(), chunk=_CHUNKS, n_trials=_N_TRIALS)
+    def test_text_stream(self, log, chunk, n_trials):
+        text = "".join(ln + end for ln, end in zip(*log))
+        with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+            assert_same_as_oracle(lambda: io.StringIO(text), n_trials)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=logs(bare_cr=True), chunk=_CHUNKS, n_trials=_N_TRIALS)
+    def test_file(self, log, chunk, n_trials):
+        data = "".join(ln + end for ln, end in zip(*log)).encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            path.write_bytes(data)
+            with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                assert_same_as_oracle(lambda: path, n_trials)
+
+    @pytest.mark.parametrize("data", [b"", b"trial,channel,t_ns\n",
+                                      b"trial,channel,t_ns"])
+    def test_empty_and_header_only(self, tmp_path, data):
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        assert_same_as_oracle(lambda: path, None)
+        store = ingest(path)
+        assert len(store) == 0 and store.n_trials == 0
+        assert store.parse_errors == []
+
+    @pytest.mark.parametrize("n_trials", [None, BIG_TRIAL + 5])
+    def test_key_overflow_falls_back_to_lexsort(self, n_trials):
+        lines = [f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F2B,{WINDOW - 1}",
+                 "3,F1B,7", f"{BIG_TRIAL},F1A,{WINDOW - 1}",
+                 f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F1A,0"]
+        assert_same_as_oracle(lambda: iter(lines), n_trials)
+        with pytest.warns(UserWarning, match="1 duplicate"):
+            store = ingest(iter(lines), n_trials, WINDOW)
+        assert store.trial.tolist() == [3, BIG_TRIAL, BIG_TRIAL, BIG_TRIAL,
+                                        BIG_TRIAL + 1]
+        assert store.t_ns.tolist() == [7, 0, WINDOW - 1, WINDOW - 1, 0]
+        assert store.channel.tolist() == [1, 0, 0, 3, 0]
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
+    def test_clean_log_sends_only_the_header_to_the_validator(
+            self, tmp_path, monkeypatch, newline):
+        params = ReadoutParams.from_user_units(
+            delta_mhz=1.7, chi=2.7, gamma_deph_mhz=1.55, scale_f=4.1,
+            i_r_mw_cm2=95.0, i_sat_mw_cm2=12.0)
+        design = SynthDesign(n_trials=20_000, p1=0.05, background_per_ns=2e-4)
+        store = synthesize_log(params, design, seed=5)
+        path = tmp_path / "log.csv"
+        write_log(store, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        seen = []
+        check_row = counting._check_row
+
+        def counted(tally, lineno, row):
+            seen.append((lineno, row))
+            return check_row(tally, lineno, row)
+
+        monkeypatch.setattr(counting, "_check_row", counted)
+        back = ingest(path, n_trials=design.n_trials)
+        assert seen == [(1, ["trial", "channel", "t_ns"])]
+        assert len(back) == len(store) > 10_000
+
+
+_stores = st.lists(
+    st.tuples(st.integers(0, 10 ** 14), st.integers(0, 3),
+              st.integers(0, WINDOW - 1)), max_size=60)
+
+
+def _store(rows, window=WINDOW):
+    rows = sorted(set(rows), key=lambda r: (r[0], r[2], r[1]))
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 3)
+    n_trials = int(cols[-1, 0]) + 1 if rows else 0
+    return EventStore(trial=cols[:, 0], channel=cols[:, 1].astype(np.int8),
+                      t_ns=cols[:, 2], n_trials=n_trials,
+                      trial_window_ns=window)
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_stores, chunk=_CHUNKS, block=st.sampled_from([1, 7, 100_000]))
+    @example(rows=[], chunk=1 << 22, block=100_000)
+    @example(rows=[(0, c, 0) for c in range(4)]
+             + [(10 ** 14, c, WINDOW - 1) for c in range(4)],
+             chunk=1 << 22, block=100_000)
+    def test_write_then_ingest_is_identity(self, rows, chunk, block):
+        store = _store(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            with mock.patch.object(counting, "_WRITE_ROWS", block):
+                write_log(store, path)
+            assert path.read_bytes() == oracle_write(store.trial,
+                                                     store.channel, store.t_ns)
+            with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                back = ingest(path, n_trials=store.n_trials,
+                              trial_window_ns=WINDOW)
+        assert np.array_equal(back.trial, store.trial)
+        assert np.array_equal(back.channel, store.channel)
+        assert np.array_equal(back.t_ns, store.t_ns)
+        assert back.n_trials == store.n_trials
+        assert (back.parse_errors, back.n_duplicates,
+                back.n_rejected_channel) == ([], 0, 0)
+
+    def test_writer_signs_and_int64_extremes(self, tmp_path):
+        # no program store holds these; the writer still prints them as
+        # the f-string did
+        trial = np.array([-(2 ** 63), -5, 0, 9, 2 ** 63 - 1], dtype=np.int64)
+        t_ns = np.array([0, -1, 10 ** 18, -999, 1000], dtype=np.int64)
+        channel = np.array([0, 1, 2, 3, -1], dtype=np.int8)
+        store = EventStore(trial=trial, channel=channel, t_ns=t_ns,
+                           n_trials=1)
+        write_log(store, tmp_path / "log.csv")
+        assert ((tmp_path / "log.csv").read_bytes()
+                == oracle_write(trial, channel, t_ns))
