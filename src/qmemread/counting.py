@@ -28,7 +28,6 @@ from .wavepacket import pc_at
 CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
 FIELD1_CODES = (0, 1)
-FIELD2_CODES = (2, 3)
 
 DEFAULT_TRIAL_WINDOW_NS = 1500  # detector-on period per trial
 
@@ -550,7 +549,8 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
         raise StatsError("no trials")
     lo_h, hi_h = herald_window
     herald_mask = np.zeros(store.n_trials, dtype=bool)
-    sel = ((np.isin(store.channel, FIELD1_CODES)) &
+    # codes follow the order of CHANNELS: field 1 is 0-1, field 2 is 2-3
+    sel = ((store.channel < 2) &
            (store.t_ns >= lo_h) & (store.t_ns <= hi_h))
     herald_mask[store.trial[sel]] = True
     n_heralds = int(np.count_nonzero(herald_mask))
@@ -563,7 +563,7 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
         raise ParamError(["t_range"], "range shorter than one bin")
     hi = lo + n_bins * bin_width_ns
 
-    is_f2 = np.isin(store.channel, FIELD2_CODES)
+    is_f2 = store.channel >= 2
     in_range = (store.t_ns >= lo) & (store.t_ns < hi)
     f2_all = is_f2 & in_range
     f2_her = f2_all & herald_mask[store.trial]

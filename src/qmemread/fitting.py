@@ -5,12 +5,11 @@ against wavepacket, saturation and spectrum datasets, the global-fit
 methodology that pins the cooperativity from the joint intensity and
 detuning dependence rather than from any single curve.
 
-The optimizer is a damped (Levenberg-Marquardt) least-squares loop on
-smoothly transformed parameters: log for the positive quantities, log of
-(chi - 1) for the cooperativity, so bounds hold by construction.  The
-objective is non-increasing across accepted steps; iteration stops when the
-relative objective change falls below ``ftol`` (default 1e-8) or after
-``max_iter`` (default 200) iterations.
+The optimizer is one ``scipy.optimize.least_squares`` call (trust-region
+reflective, TRF; Branch, Coleman & Li 1999) on smoothly transformed
+parameters: log for the positive quantities, log of (chi - 1) for the
+cooperativity, so bounds hold by construction.  ``fit`` documents its
+stopping rules and diagnostics.
 
 The saturation and spectrum models are exact: each dataset is one array
 call of the closed-form P_c (``wavepacket.pc_integral``), with no
@@ -26,6 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
@@ -219,14 +219,16 @@ def _du_scale(key, value):
 def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ), tau=DEFAULT_TAU_US,
         fixed=None, max_iter=200, ftol=1e-8) -> FitResult:
-    """Damped least squares over the chosen free parameters.
+    """Least squares over the chosen free parameters (scipy's TRF).
 
     ``init``/``fixed`` are dicts over FREE_KEYS (internal units: gamma_deph
     in rad/us); missing entries fall back to DEFAULT_INIT.  ``bounds`` maps
     a key to a (lo, hi) box in natural units, applied on top of the built-in
-    positivity/chi >= 1 transforms.  The objective is guaranteed
-    non-increasing across accepted steps; non-convergence returns a flagged
-    result carrying the best point found.
+    positivity/chi > 1 transforms; lo == hi is rejected (use ``fixed``).
+    ``ftol`` is scipy's test dF < ftol * F; below machine epsilon it is off
+    (scipy warns).  ``cost_history`` (chi^2 at the start and after each
+    iteration) never rises.  ``message`` is scipy's termination message, or
+    "max_iter reached" with ``converged`` False and the best point found.
 
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
@@ -234,8 +236,9 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     order the caller lists them in.  Errors name datasets by their index in
     the caller's list.
 
-    Raises RankDeficiencyError when the normal equations are singular at the
-    starting point, naming insensitive or fully degenerate parameter pairs.
+    Raises RankDeficiencyError when the Jacobian at the returned point (the
+    one the covariance is built from) has a zero column or two parallel
+    ones, naming the insensitive parameters or degenerate pairs.
     """
     if not datasets:
         raise ParamError(["datasets"], "need at least one dataset")
@@ -258,6 +261,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
                 u_lo[i] = _to_u(k, lo)
             if hi is not None and math.isfinite(hi):
                 u_hi[i] = _to_u(k, hi)
+        if u_lo[i] == u_hi[i]:
+            raise ParamError([k], f"bounds for {k} have lo == hi; use fixed")
         if not (u_lo[i] <= u[i] <= u_hi[i]):
             raise ParamError([k], f"init for {k} outside bounds")
 
@@ -275,74 +280,29 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     m = r.size
     if m <= len(free):
         raise ParamError(["datasets"], "fewer residuals than free parameters")
-    cost = 0.5 * float(r @ r)
-    history = [2.0 * cost]
+    history = [float(r @ r)]
 
-    def jacobian(u_vec):
-        J = np.empty((m, len(free)))
-        for j in range(len(free)):
-            h = 1e-6 * max(1.0, abs(u_vec[j]))
-            up, um = u_vec.copy(), u_vec.copy()
-            up[j] += h
-            um[j] -= h
-            J[:, j] = (resid_of(up) - resid_of(um)) / (2.0 * h)
-        return J
+    def record(intermediate_result):
+        history.append(2.0 * intermediate_result.cost)
+        if intermediate_result.nit >= max_iter:
+            raise StopIteration
 
-    lam = 1e-3
-    converged = False
-    message = "max_iter reached"
-    n_iter = 0
-    J = jacobian(u)
-    _check_rank(J, free)
+    sol = least_squares(resid_of, u, bounds=(u_lo, u_hi), ftol=ftol,
+                        callback=record)
+    _check_rank(sol.jac, free)
 
-    for n_iter in range(1, max_iter + 1):
-        g = J.T @ r
-        H = J.T @ J
-        if cost == 0.0 or np.max(np.abs(g)) < 1e-300:
-            converged, message = True, "objective at zero / zero gradient"
-            break
-        accepted = False
-        for _ in range(60):
-            M = H + lam * np.diag(np.maximum(np.diag(H), 1e-300))
-            try:
-                step = np.linalg.solve(M, -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            u_try = np.clip(u + step, u_lo, u_hi)
-            r_try = resid_of(u_try)
-            cost_try = 0.5 * float(r_try @ r_try)
-            if cost_try < cost:
-                accepted = True
-                break
-            lam *= 4.0
-            if lam > 1e14:
-                break
-        if not accepted:
-            message = "no descent step found (stalled)"
-            break
-        drop = cost - cost_try
-        u, r, cost = u_try, r_try, cost_try
-        history.append(2.0 * cost)
-        J = jacobian(u)
-        if drop <= ftol * max(cost, 1e-300):
-            converged, message = True, "relative objective change below ftol"
-            break
-        lam = max(lam / 3.0, 1e-12)
-
-    theta_fit = theta_of(u)
-    dof = max(m - len(free), 1)
-    cov_u = np.linalg.pinv(J.T @ J)
+    theta_fit = theta_of(sol.x)
+    cov_u = np.linalg.pinv(sol.jac.T @ sol.jac)
     scale = np.array([_du_scale(k, theta_fit[k]) for k in free])
     cov_theta = cov_u * np.outer(scale, scale)
     values = {k: theta_fit[k] for k in free}
     errors = {k: float(math.sqrt(max(cov_theta[i, i], 0.0)))
               for i, k in enumerate(free)}
+    message = "max_iter reached" if sol.status == -2 else sol.message
     return FitResult(values=values, errors=errors, cov=cov_theta,
-                     param_order=free, red_chi2=2.0 * cost / (m - len(free))
-                     if m > len(free) else math.nan,
-                     n_iter=n_iter, converged=converged, message=message,
-                     cost_history=history)
+                     param_order=free, red_chi2=2.0 * sol.cost / (m - len(free)),
+                     n_iter=len(history) - 1, converged=sol.status > 0,
+                     message=message, cost_history=history)
 
 
 def _check_rank(J, free):

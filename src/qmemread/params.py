@@ -43,35 +43,6 @@ def angular_to_mhz(w):
 
 
 @dataclass(frozen=True)
-class FrequencyValue:
-    """A frequency carrying an explicit unit tag, 'MHz' or 'rad/us'."""
-
-    value: float
-    unit: str = "MHz"
-
-    def __post_init__(self):
-        if self.unit not in ("MHz", "rad/us"):
-            raise ParamError(["unit"], f"unknown frequency unit {self.unit!r}")
-
-    def to_angular(self) -> float:
-        """Value as angular frequency in rad/us."""
-        if self.unit == "rad/us":
-            return self.value
-        return mhz_to_angular(self.value)
-
-    def to_mhz(self) -> float:
-        """Value as ordinary frequency in MHz."""
-        if self.unit == "MHz":
-            return self.value
-        return angular_to_mhz(self.value)
-
-
-def to_angular(f: FrequencyValue) -> float:
-    """Angular frequency in rad/us of a tagged frequency value."""
-    return f.to_angular()
-
-
-@dataclass(frozen=True)
 class IntensityModel:
     """Link between read intensity and Rabi frequency.
 

@@ -303,7 +303,7 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
     return float(out[0]) if shape == () else out.reshape(shape)
 
 
-def integrate_Pc(params: ReadoutParams, horizon=math.inf, rel_tol=1e-9) -> float:
+def integrate_Pc(params: ReadoutParams, horizon=math.inf) -> float:
     """Total extraction probability P_c = integral of p_c(t) dt (t in us).
 
     One closed-form evaluation of ``pc_integral``: a sum of three terms
@@ -315,11 +315,8 @@ def integrate_Pc(params: ReadoutParams, horizon=math.inf, rel_tol=1e-9) -> float
     critically damped point (|z| -> 0) a Cauchy-integral form of the
     terms' divided difference removes their cancellation.  Measured
     relative error below 1e-13 (2e-14 against the adaptive-quadrature
-    oracle of the tests), so every admissible ``rel_tol`` in (0, 1e-2] is
-    met; it is still checked, for callers that pass it.
+    oracle of the tests), so it takes no tolerance.
     """
-    if not (0 < rel_tol <= 1e-2):
-        raise ParamError(["rel_tol"], "rel_tol must be in (0, 1e-2]")
     return pc_integral(params, horizon)
 
 

@@ -314,6 +314,24 @@ class TestFitCommand:
         got = result["values_user_units"]["scale_f"]
         assert got == pytest.approx(4.1 * boost, rel=0.05)
 
+    def test_degenerate_bounds_exit_2(self, tmp_path):
+        t = np.arange(0.0, 161.0, 4.0)
+        data_path = tmp_path / "wp.csv"
+        with open(data_path, "w") as fh:
+            fh.write("t_ns,pc_per_ns,sigma\n")
+            for ti in t:
+                fh.write(f"{ti:g},0.001,0.0001\n")
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "wavepacket", "path": str(data_path),
+                          "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}],
+            "free": ["scale_f", "chi"],
+            "init": {"scale_f": 1.0, "chi": 2.7},
+            "bounds": {"chi": [2.7, 2.7]}}, "fit.json")
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        assert not (out / "fit_result.json").exists()
+
     def test_unknown_free_name(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "datasets": [{"kind": "wavepacket", "path": "x.csv",

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,38 @@ class TestFit:
                        sigma=np.ones_like(t), delta_mhz=1.7, i_r=0.0)
         with pytest.raises(RankDeficiencyError, match="insensitive"):
             fit([dead], free=("chi", "scale_f"), gamma_nat=GAMMA_NAT, tau=TAU)
+
+    @staticmethod
+    def one_time_wavepacket():
+        # four points at one time: gamma_deph and scale_f only move the one
+        # ordinate, so their Jacobian columns are parallel
+        return noisy_copy(noiseless_dataset("wavepacket", np.full(4, 40.0),
+                                            delta=1.7, i_r=95.0), seed=8)
+
+    def test_degenerate_pair_reported(self):
+        with pytest.raises(RankDeficiencyError, match="degenerate") as info:
+            fit([self.one_time_wavepacket()], free=("gamma_deph", "scale_f"),
+                gamma_nat=GAMMA_NAT, tau=TAU)
+        assert info.value.pairs == (("gamma_deph", "scale_f"),)
+
+    def test_rank_deficiency_raises_without_warnings(self):
+        t = np.arange(0.0, 60.0, 4.0)
+        dead = Dataset(kind="wavepacket", x=t, y=np.zeros_like(t),
+                       sigma=np.ones_like(t), delta_mhz=1.7, i_r=0.0)
+        cases = [(dead, ("chi", "scale_f")),
+                 (self.one_time_wavepacket(), ("gamma_deph", "scale_f"))]
+        for ds, free in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(RankDeficiencyError):
+                    fit([ds], free=free, gamma_nat=GAMMA_NAT, tau=TAU)
+
+    def test_degenerate_bounds_rejected(self):
+        # a zero-width box cannot pin a parameter: that is what fixed is for
+        with pytest.raises(ParamError, match="chi") as info:
+            fit(paper_design(), init=dict(DEFAULT_INIT, chi=2.4),
+                bounds={"chi": (2.4, 2.4)}, gamma_nat=GAMMA_NAT, tau=TAU)
+        assert info.value.fields == ("chi",)
 
     def test_requires_datasets(self):
         with pytest.raises(ParamError):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qmemread import (DEFAULT_GAMMA_NAT_MHZ, FrequencyValue, IntensityModel,
-                      ParamError, ReadoutParams, angular_to_mhz,
-                      mhz_to_angular, rabi_from_intensity, to_angular,
-                      validate)
+from qmemread import (DEFAULT_GAMMA_NAT_MHZ, IntensityModel, ParamError,
+                      ReadoutParams, angular_to_mhz, mhz_to_angular,
+                      rabi_from_intensity, validate)
 
 GAMMA = mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ)
 
@@ -59,15 +58,6 @@ class TestAngularConversion:
         for f in rng.uniform(1e-6, 1e4, 200):
             back = angular_to_mhz(mhz_to_angular(f))
             assert abs(back - f) / f <= 1e-14
-
-    def test_frequency_value_tags(self):
-        f = FrequencyValue(1.7, "MHz")
-        assert to_angular(f) == pytest.approx(2 * math.pi * 1.7, rel=1e-15)
-        w = FrequencyValue(10.0, "rad/us")
-        assert w.to_angular() == 10.0
-        assert w.to_mhz() == pytest.approx(10.0 / (2 * math.pi), rel=1e-15)
-        with pytest.raises(ParamError):
-            FrequencyValue(1.0, "GHz")
 
 
 class TestValidate:
