@@ -35,7 +35,7 @@ from .counting import (SynthDesign, conditional_wavepacket, correlations,
                        ingest, probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
 from .params import (DEFAULT_GAMMA_NAT_MHZ, ParamError, ReadoutParams,
-                     IntensityModel, mhz_to_angular)
+                     IntensityModel, angular_to_mhz, mhz_to_angular)
 from .wavepacket import pc_curve, saturation_curve, detuning_spectrum
 
 
@@ -383,7 +383,7 @@ def cmd_fit(cfg, run, seed):
         if key in result.values:
             v, e = result.values[key], result.errors[key]
             if key == "gamma_deph":
-                v, e = v / (2 * math.pi), e / (2 * math.pi)
+                v, e = angular_to_mhz(v), angular_to_mhz(e)
             user_values[uname] = v
             user_errors[uname] = e
     payload["values_user_units"] = user_values

@@ -9,7 +9,9 @@ cloud geometry.  Three independent estimators are provided:
 * ``chi_quadrature``    : deterministic quadrature of the angular emission
   integral with the Gaussian cloud average done analytically;
 * ``chi_monte_carlo``   : direct sampling of atom pairs with the pair
-  kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] summed as 1 + N <K>.
+  kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] summed as 1 + N <K>; its
+  independently seeded batches run on a thread pool sized to the usable
+  CPUs, and the result does not depend on worker count or scheduling.
 
 ``chi_quadrature_kernel`` evaluates the two-branch disk integral of the
 angular emission factor for a single separation and serves as the oracle
@@ -24,8 +26,11 @@ returns the excitation to storage, hence a first-decay extraction ceiling
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 from scipy.integrate import simpson
@@ -109,14 +114,42 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
     return ChiEstimate(value=value, standard_error=0.0, method="closed-form")
 
 
+def _kernel_xyz(dx, dy, dz, k):
+    """Pair kernel on the three separation components, each an array."""
+    r = np.sqrt(dx * dx + dy * dy + dz * dz)
+    return np.cos(k * dz) * np.sinc(k * r / np.pi)
+
+
 def pair_kernel(d, k) -> np.ndarray:
     """Angular emission kernel for atom-pair separation(s) d (…, 3) in m.
 
     K(d) = Re[exp(-i k d_z) sinc(k |d|)] with sinc x = sin x / x; K(0) = 1.
     """
     d_arr = np.asarray(d, dtype=float)
-    r = np.sqrt(np.sum(d_arr * d_arr, axis=-1))
-    return np.cos(k * d_arr[..., 2]) * np.sinc(k * r / np.pi)
+    return _kernel_xyz(d_arr[..., 0], d_arr[..., 1], d_arr[..., 2], k)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _batch_mean(size, seed_seq, scales, k) -> float:
+    """Mean pair kernel over one batch of ``size`` sampled pairs.
+
+    Runs on a worker thread, so it calls no public function of this module
+    (those may be wrapped by callers that are not thread-safe).  Scaling a
+    standard-normal column by a scalar gives the same bits as
+    ``rng.normal(0.0, scale)``.
+    """
+    rng = np.random.default_rng(seed_seq)
+    r_exc = rng.standard_normal((size, 3))
+    r_atom = rng.standard_normal((size, 3))
+    dx, dy, dz = (r_atom[:, j] * s - r_exc[:, j] * s
+                  for j, s in enumerate(scales))
+    return _kernel_xyz(dx, dy, dz, k).mean()
 
 
 def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
@@ -126,26 +159,31 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
     Draws the stored-excitation position from the excitation distribution
     (the normalized cloud density) and a partner atom from the same cloud,
     averages the pair kernel and reports 1 + N <K>.  The standard error
-    comes from the scatter of ``n_batches`` equal batches, each with its own
-    seed derived from ``seed`` so batch evaluation order cannot matter.
+    comes from the scatter of ``n_batches`` near-equal batches
+    (2 <= n_batches <= n_samples), each with its own seed derived from
+    ``seed``.  The batches run on a thread pool sized to the CPUs this
+    process may use; since each batch owns its seed and the batch means are
+    combined in batch order, the result is the same to the last bit for any
+    worker count or scheduling.
     """
     if n_samples < 100:
         raise ParamError(["n_samples"], "need n_samples >= 100")
+    if not 2 <= n_batches <= n_samples:
+        raise ParamError(["n_batches"],
+                         f"need 2 <= n_batches <= n_samples, got {n_batches}")
     if geom.n_atoms == 0:
         return ChiEstimate(value=1.0, standard_error=0.0, method="monte-carlo")
-    scales = np.array([geom.waist_m, geom.waist_m, geom.length_m])
+    scales = (geom.waist_m, geom.waist_m, geom.length_m)
     k = geom.wavenumber_per_m
     sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
     sizes[: n_samples % n_batches] += 1
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    means = np.empty(n_batches)
-    for i, (sz, child) in enumerate(zip(sizes, children)):
-        rng = np.random.default_rng(child)
-        r_exc = rng.normal(0.0, scales, (sz, 3))
-        r_atom = rng.normal(0.0, scales, (sz, 3))
-        means[i] = pair_kernel(r_atom - r_exc, k).mean()
+    with ThreadPoolExecutor(max_workers=min(n_batches, _usable_cpus())) as pool:
+        means = np.fromiter(pool.map(_batch_mean, sizes, children,
+                                     repeat(scales), repeat(k)),
+                            dtype=float, count=n_batches)
     overall = float(np.dot(means, sizes) / sizes.sum())
-    se = float(np.std(means, ddof=1) / math.sqrt(n_batches)) if n_batches > 1 else 0.0
+    se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
     return ChiEstimate(value=1.0 + geom.n_atoms * overall,
                        standard_error=geom.n_atoms * se,
                        method="monte-carlo")

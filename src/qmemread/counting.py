@@ -83,15 +83,14 @@ _CHUNK_BYTES = 1 << 22      # log bytes parsed per vectorised pass
 _WRITE_ROWS = 100_000       # rows rendered per write
 
 
-def _dedupe_sorted(trial, channel, t_ns):
-    """Collapse exact duplicate (trial, channel, t) rows; assumes sorted."""
-    if trial.size == 0:
-        return trial, channel, t_ns, 0
-    keep = np.ones(trial.size, dtype=bool)
-    keep[1:] = ((trial[1:] != trial[:-1]) | (t_ns[1:] != t_ns[:-1])
-                | (channel[1:] != channel[:-1]))
-    removed = int(trial.size - keep.sum())
-    return trial[keep], channel[keep], t_ns[keep], removed
+def _run_starts(*sorted_cols):
+    """Mask of the rows that differ from the row before in some column."""
+    first, *rest = sorted_cols
+    keep = np.ones(first.size, dtype=bool)
+    keep[1:] = first[1:] != first[:-1]
+    for col in rest:
+        keep[1:] |= col[1:] != col[:-1]
+    return keep
 
 
 def _sorted_store(trial, channel, t_ns, n_trials, window, rejected, errors,
@@ -102,19 +101,24 @@ def _sorted_store(trial, channel, t_ns, n_trials, window, rejected, errors,
     # (trial * span + t) * 4 + channel orders rows as (trial, t, channel)
     # when 0 <= t < span and 0 <= channel < 4, and one stable argsort of it
     # is far cheaper than a three-key lexsort; trials whose key could
-    # overflow int64 fall back to the lexsort
+    # overflow int64 fall back to the lexsort.  Exact duplicate rows are
+    # dropped from the sort order, so each column is gathered once.
     span = int(t_ns.max()) + 1 if t_ns.size else 1
     if trial.size and int(trial.max()) >= (1 << 62) // (4 * span):
         order = np.lexsort((channel, t_ns, trial))
+        order = order[_run_starts(trial[order], t_ns[order], channel[order])]
     else:
         key = trial * span
         key += t_ns
         key *= 4
         key += channel
         order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
         del key                     # not alive during the gathers below
+        order = order[_run_starts(sorted_key)]
+        del sorted_key
+    dups = trial.size - order.size
     trial, channel, t_ns = trial[order], channel[order], t_ns[order]
-    trial, channel, t_ns, dups = _dedupe_sorted(trial, channel, t_ns)
     if dups and warn_duplicates:
         warnings.warn(f"collapsed {dups} duplicate detection record(s)",
                       stacklevel=3)

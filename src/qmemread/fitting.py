@@ -287,7 +287,11 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         if intermediate_result.nit >= max_iter:
             raise StopIteration
 
-    sol = least_squares(resid_of, u, bounds=(u_lo, u_hi), ftol=ftol,
+    def fun(u_vec):
+        # least_squares opens at the start point, which is evaluated above
+        return r if np.array_equal(u_vec, u) else resid_of(u_vec)
+
+    sol = least_squares(fun, u, bounds=(u_lo, u_hi), ftol=ftol,
                         callback=record)
     _check_rank(sol.jac, free)
 

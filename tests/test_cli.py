@@ -158,6 +158,19 @@ class TestChiCommand:
         assert saved["extraction_ceiling"] == pytest.approx(0.75)
         assert saved["monte_carlo"]["seed"] == 5
 
+    @pytest.mark.parametrize("n_batches", [0, 1, -3, 201])
+    def test_rejects_bad_batch_count(self, tmp_path, capsys, n_batches):
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 200, "n_batches": n_batches})
+        assert run(["chi", "--config", cfg, "--out", str(out),
+                    "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and "n_batches" in err
+        assert not (out / "chi.json").exists()
+
 
 class TestPipeline:
     def synth_cfg(self, tmp_path, n_trials=60_000, bg=1e-6, seed_key=True):

@@ -1,16 +1,24 @@
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import qmemread.collective as collective
 from qmemread import (ChiEstimate, EnsembleGeometry, ParamError,
                       branching_ratio, chi_closed_form, chi_monte_carlo,
                       chi_quadrature, chi_quadrature_kernel,
                       extraction_ceiling, pair_kernel)
+from chi_oracle import serial_chi_monte_carlo
 
 # reference geometry: typical cold-ensemble memory scales
 GEOM = EnsembleGeometry(n_atoms=2e6, waist_m=1e-4, length_m=1e-3,
                         wavenumber_per_m=1e7)
+# small geometry on which the sampler's SE is a small fraction of chi - 1
+SMALL = EnsembleGeometry(n_atoms=50, waist_m=0.3e-6, length_m=1e-6,
+                         wavenumber_per_m=1e7)
 
 
 class TestGeometry:
@@ -124,10 +132,79 @@ class TestMonteCarlo:
         slope = np.polyfit(np.log(sizes), np.log(ses), 1)[0]
         assert abs(slope + 0.5) <= 0.1
 
+    @pytest.mark.parametrize("n_batches", [0, 1, -3, 201])
+    def test_batch_count_precondition(self, n_batches):
+        with pytest.raises(ParamError) as exc:
+            chi_monte_carlo(GEOM, 200, seed=0, n_batches=n_batches)
+        assert exc.value.fields == ("n_batches",)
+
     def test_all_methods_at_least_one(self):
         for est in (chi_closed_form(GEOM), chi_quadrature(GEOM),
                     chi_monte_carlo(GEOM, 50_000, seed=5)):
             assert est.value >= 1.0 - 3.0 * est.standard_error
+
+
+class TestSerialOracle:
+    """The threaded sampler reproduces the serial loop to the last bit."""
+
+    @pytest.mark.parametrize("geom", [GEOM, SMALL], ids=["reference", "small"])
+    @pytest.mark.parametrize("seed,n_samples,n_batches", [
+        (0, 100, 2), (5, 1000, 30), (123, 20_000, 30), (2718, 12_345, 7),
+        (31, 1001, 2), (77, 50_000, 13), (3, 100, 100)])
+    def test_bit_identical(self, geom, seed, n_samples, n_batches):
+        est = chi_monte_carlo(geom, n_samples, seed, n_batches=n_batches)
+        value, se = serial_chi_monte_carlo(geom, n_samples, seed, n_batches)
+        assert est.value == value
+        assert est.standard_error == se
+
+    def test_bit_identical_at_full_size(self):
+        est = chi_monte_carlo(GEOM, 1_000_000, seed=2718)
+        assert (est.value, est.standard_error) == serial_chi_monte_carlo(
+            GEOM, 1_000_000, 2718)
+
+    @pytest.mark.parametrize("shape", [(3,), (1000, 3), (4, 5, 3)])
+    def test_pair_kernel_matches_array_form(self, shape):
+        d = np.random.default_rng(4).normal(0.0, 1e-6, shape)
+        r = np.sqrt(np.sum(d * d, axis=-1))
+        expected = np.cos(1e7 * d[..., 2]) * np.sinc(1e7 * r / np.pi)
+        got = pair_kernel(d, 1e7)
+        assert got.shape == shape[:-1]
+        assert np.array_equal(got, expected)
+
+    def test_concurrent_callers_agree(self):
+        # more caller threads than cores, each with its own pool, switching
+        # as often as the interpreter allows
+        want = serial_chi_monte_carlo(SMALL, 3000, 11, 30)
+        got = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: got.append(
+                chi_monte_carlo(SMALL, 3000, seed=11))) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(e.value, e.standard_error) for e in got] == [want] * 6
+
+    def test_workers_call_no_public_function(self, monkeypatch):
+        # callers may wrap the public functions with recorders that are not
+        # thread-safe; only the calling thread may enter them
+        seen = []
+        for name, fn in list(vars(collective).items()):
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != collective.__name__):
+                continue
+
+            def recorder(*args, _fn=fn, **kwargs):
+                seen.append(threading.get_ident())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(collective, name, recorder)
+        collective.chi_monte_carlo(GEOM, 30_000, seed=9)
+        assert seen and set(seen) == {threading.get_ident()}
 
 
 class TestChiEstimateInvariant:

@@ -7,6 +7,7 @@ import pytest
 from qmemread import (IntensityModel, ParamError, RankDeficiencyError,
                       ReadoutParams, integrate_Pc, mhz_to_angular,
                       rabi_from_intensity)
+import qmemread.fitting as fitting
 from qmemread.fitting import (DEFAULT_INIT, Dataset, fit, model_eval,
                               profile, residuals)
 
@@ -145,6 +146,20 @@ class TestFit:
         res = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
         diffs = np.diff(res.cost_history)
         assert np.all(diffs <= 0)
+
+    def test_start_point_evaluated_once(self, monkeypatch):
+        # cost_history[0] and least_squares' opening f0 share one evaluation
+        thetas = []
+        real = fitting.residuals
+
+        def counting(theta, *args, **kwargs):
+            thetas.append(dict(theta))
+            return real(theta, *args, **kwargs)
+        monkeypatch.setattr(fitting, "residuals", counting)
+        fit(paper_design(seed=5), init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
+            tau=TAU)
+        assert thetas.count(thetas[0]) == 1
+        assert len(thetas) == 35
 
     def test_round_trip_quick(self):
         for seed in (1, 2, 3):
