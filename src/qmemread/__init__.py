@@ -16,9 +16,8 @@ from .wavepacket import (AlphaPair, SweepCurve, WavepacketCurve, alpha_pair,
                          saturation_curve)
 from .dynamics import (AmplitudeTrajectory, IntegrationError, evolve,
                        norm_decay_check, reconstruct_B)
-from .collective import (ChiEstimate, EnsembleGeometry, QuadratureError,
-                         branching_ratio, chi_closed_form, chi_monte_carlo,
-                         chi_quadrature, chi_quadrature_kernel,
+from .collective import (ChiEstimate, EnsembleGeometry, branching_ratio,
+                         chi_closed_form, chi_monte_carlo, chi_quadrature,
                          extraction_ceiling, pair_kernel)
 from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
                        ModelError, StatsError, SynthDesign,

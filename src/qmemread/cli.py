@@ -63,6 +63,14 @@ def _require(block: dict, keys, path):
         raise ConfigError(f"{path}: missing required key(s) {missing}")
 
 
+def _config_int(value, key) -> int:
+    """An integer config value; an integral float such as JSON 1e6 counts."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{key}: must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_params(cfg: dict, path="params", i_r=None) -> ReadoutParams:
     block = cfg.get("params")
     if not isinstance(block, dict):
@@ -229,8 +237,8 @@ def cmd_chi(cfg, run, seed):
         geom = EnsembleGeometry(**geo)
     except ParamError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
-    n_samples = int(cfg.get("n_samples", 1_000_000))
-    n_batches = int(cfg.get("n_batches", 30))
+    n_samples = _config_int(cfg.get("n_samples", 1_000_000), "n_samples")
+    n_batches = _config_int(cfg.get("n_batches", 30), "n_batches")
 
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
@@ -285,25 +293,27 @@ def cmd_stats(cfg, run, seed):
                       "wavepacket_range_ns", "seed"}, "config")
     _require(cfg, ["log_path", "window1_ns", "window2_ns"], "config")
 
-    def _window(key):
+    def _window(key, op="<="):
         w = cfg[key]
-        if (not isinstance(w, list)) or len(w) != 2 or w[0] > w[1]:
-            raise ConfigError(f"{key}: expected [lo, hi] with lo <= hi")
-        return int(w[0]), int(w[1])
+        if not isinstance(w, list) or len(w) != 2:
+            raise ConfigError(f"{key}: expected [lo, hi] with lo {op} hi")
+        lo, hi = (_config_int(v, f"{key}[{i}]") for i, v in enumerate(w))
+        if lo > hi or (op == "<" and lo == hi):
+            raise ConfigError(f"{key}: expected [lo, hi] with lo {op} hi")
+        return lo, hi
 
     w1, w2 = _window("window1_ns"), _window("window2_ns")
     t_range = None
     if "wavepacket_range_ns" in cfg:
-        rng = cfg["wavepacket_range_ns"]
-        if not isinstance(rng, list) or len(rng) != 2 or rng[0] >= rng[1]:
-            raise ConfigError("wavepacket_range_ns: expected [lo, hi], lo < hi")
-        t_range = (int(rng[0]), int(rng[1]))
+        t_range = _window("wavepacket_range_ns", "<")
     store = ingest(cfg["log_path"], n_trials=cfg.get("n_trials"),
-                   trial_window_ns=int(cfg.get("trial_window_ns", 1500)))
+                   trial_window_ns=_config_int(cfg.get("trial_window_ns", 1500),
+                                               "trial_window_ns"))
     summary = correlations(probabilities(store, w1, w2))
     herald = _window("herald_window_ns") if "herald_window_ns" in cfg else w1
     binned = conditional_wavepacket(store, herald,
-                                    bin_width_ns=int(cfg.get("bin_width_ns", 1)),
+                                    bin_width_ns=_config_int(
+                                        cfg.get("bin_width_ns", 1), "bin_width_ns"),
                                     t_range=t_range)
     report = summary.to_json()
     report["ingest"] = {"n_events": len(store),

@@ -11,9 +11,10 @@ parameters: log for the positive quantities, log of (chi - 1) for the
 cooperativity, so bounds hold by construction.  ``fit`` documents its
 stopping rules and diagnostics.
 
-The saturation and spectrum models are exact: each dataset is one array
-call of the closed-form P_c (``wavepacket.pc_integral``), with no
-quadrature, so they carry no discretisation error into the fit.
+The saturation and spectrum models are exact: each dataset is one call of
+``wavepacket.saturation_curve`` or ``detuning_spectrum``, the closed-form
+P_c over the whole sweep with no quadrature, so they carry no
+discretisation error into the fit.
 
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
@@ -30,7 +31,7 @@ from scipy.optimize import least_squares
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
                      rabi_from_intensity)
-from .wavepacket import pc_at, pc_integral
+from .wavepacket import detuning_spectrum, pc_at, saturation_curve
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
 
@@ -117,30 +118,26 @@ class FitResult:
         }
 
 
-def _params_for(theta, dataset, gamma_nat, tau):
-    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
-    if dataset.kind == "spectrum":
-        omega = rabi_from_intensity(dataset.i_r, model)
-        return ReadoutParams(omega=omega, delta=0.0, gamma_nat=gamma_nat,
-                             chi=theta["chi"], gamma_deph=theta["gamma_deph"],
-                             tau=tau, scale_f=theta["scale_f"]), model
-    delta = mhz_to_angular(dataset.delta_mhz)
-    omega = rabi_from_intensity(dataset.i_r, model) if dataset.i_r is not None else 0.0
-    return ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
-                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
-                         tau=tau, scale_f=theta["scale_f"]), model
-
-
 def model_eval(theta: dict, dataset: Dataset, gamma_nat, tau) -> np.ndarray:
-    """Model ordinates for one dataset at parameter values ``theta``."""
-    base, model = _params_for(theta, dataset, gamma_nat, tau)
-    if dataset.kind == "wavepacket":
+    """Model ordinates for one dataset at parameter values ``theta``.
+
+    The P_c kinds are the sweeps of ``wavepacket``, which set the swept
+    quantity and, for spectra, the Rabi frequency from ``dataset.i_r``.
+    """
+    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
+    kind = dataset.kind
+    omega = rabi_from_intensity(dataset.i_r, model) if kind == "wavepacket" else 0.0
+    delta = 0.0 if kind == "spectrum" else mhz_to_angular(dataset.delta_mhz)
+    base = ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
+                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
+                         tau=tau, scale_f=theta["scale_f"])
+    if kind == "wavepacket":
         return pc_at(dataset.x * 1e-3, base) / 1e3
-    if dataset.kind == "saturation":
-        return pc_integral(base, dataset.horizon_us,
-                           omega=rabi_from_intensity(dataset.x, model))
-    return pc_integral(base, dataset.horizon_us,
-                       delta=mhz_to_angular(dataset.x))
+    if kind == "saturation":
+        return saturation_curve(base, model, dataset.x,
+                                dataset.horizon_us).ordinate
+    return detuning_spectrum(base, model, dataset.i_r, dataset.x,
+                             dataset.horizon_us).ordinate
 
 
 def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ),

@@ -8,8 +8,8 @@ the kernel-quadrature check and the statistical consistency check pass; the
 is strictly expected to fail and is marked xfail accordingly - the closed
 form 1 + N/(2 W^2 k^2) exceeds the population mean of the pair kernel,
 1 + N<K>, by a factor ~2 in (chi - 1) on the reference geometry, while the
-sampler and the deterministic continuum quadrature of the same kernel agree
-with each other.
+sampler and the exact continuum average of the same kernel agree with each
+other.
 """
 
 import math
@@ -21,14 +21,15 @@ import pytest
 
 from qmemread import (EnsembleGeometry, IntensityModel, ReadoutParams,
                       alpha_pair, amplitude_B, chi_closed_form,
-                      chi_monte_carlo, chi_quadrature, chi_quadrature_kernel,
-                      conditional_wavepacket, correlations, detuning_spectrum,
-                      evolve, extraction_ceiling, ingest, mhz_to_angular,
+                      chi_monte_carlo, chi_quadrature, conditional_wavepacket,
+                      correlations, detuning_spectrum, evolve,
+                      extraction_ceiling, ingest, mhz_to_angular,
                       norm_decay_check, pair_kernel, pc_at, pc_curve,
                       probabilities, reconstruct_B, saturation_curve,
                       synthesize_log, write_log)
 from qmemread.counting import SynthDesign
 from qmemread.fitting import Dataset, fit, model_eval
+from chi_oracle import chi_quadrature_kernel
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -147,7 +148,7 @@ def test_criterion_4_monte_carlo_vs_closed_form_3se():
     strict=True,
     reason="closed form 1 + N/(2 W^2 k^2) sits a factor ~2 above the pair-"
            "kernel population mean 1 + N<K> in (chi - 1) on this geometry; "
-           "the sampler instead agrees with the continuum quadrature of the "
+           "the sampler instead agrees with the exact continuum average of the "
            "same kernel, so 5% agreement with the closed form is unattainable")
 def test_criterion_4_monte_carlo_vs_closed_form_5pct():
     with criterion(4, "pair sampler vs closed form within 5% (known gap)"):
@@ -160,7 +161,7 @@ def test_criterion_4_monte_carlo_vs_closed_form_5pct():
 def test_criterion_4_sampler_quadrature_cross_check():
     # supporting evidence for the xfail above: the two kernel-based
     # estimators agree with each other on the same geometry
-    with criterion(4, "pair sampler vs continuum quadrature (consistency)"):
+    with criterion(4, "pair sampler vs exact continuum (consistency)"):
         mc = chi_monte_carlo(REF_GEOMETRY, 1_000_000, seed=2718)
         qd = chi_quadrature(REF_GEOMETRY)
         assert abs(mc.value - qd.value) <= 3.0 * mc.standard_error

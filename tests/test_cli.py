@@ -172,6 +172,65 @@ class TestChiCommand:
         assert not (out / "chi.json").exists()
 
 
+class TestIntegerConfigKeys:
+    """Integer config values: bools, strings and non-integral floats exit 2."""
+
+    GEOMETRY = {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                "wavenumber_per_m": 1e7}
+    STATS_LOG = "trial,channel,t_ns\n0,F1A,20\n0,F2A,60\n1,F1B,20\n"
+
+    @pytest.mark.parametrize("bad", [True, "x", 2.7],
+                             ids=["bool", "string", "fraction"])
+    @pytest.mark.parametrize("key", ["n_samples", "n_batches"])
+    def test_chi_rejects(self, tmp_path, capsys, key, bad):
+        payload = {"geometry": self.GEOMETRY, "n_samples": 200, "n_batches": 2}
+        payload[key] = bad
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, payload)
+        assert run(["chi", "--config", cfg, "--out", str(out),
+                    "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and key in err
+        assert not (out / "chi.json").exists()
+
+    @pytest.mark.parametrize("bad", [False, "20", 20.5],
+                             ids=["bool", "string", "fraction"])
+    @pytest.mark.parametrize("key,where", [
+        ("trial_window_ns", None), ("bin_width_ns", None),
+        ("window1_ns", 0), ("window2_ns", 1), ("herald_window_ns", 1),
+        ("wavepacket_range_ns", 0)])
+    def test_stats_rejects(self, tmp_path, capsys, key, where, bad):
+        log = tmp_path / "log.csv"
+        log.write_text(self.STATS_LOG)
+        payload = {"log_path": str(log), "n_trials": 2,
+                   "window1_ns": [20, 20], "window2_ns": [50, 349],
+                   "herald_window_ns": [20, 20], "bin_width_ns": 1,
+                   "wavepacket_range_ns": [50, 350]}
+        if where is None:
+            payload[key] = bad
+        else:
+            payload[key][where] = bad
+        out = tmp_path / "stats"
+        cfg = write_cfg(tmp_path, payload, "stats.json")
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and key in err
+        assert not (out / "stats_summary.json").exists()
+
+    def test_integral_float_runs(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"geometry": {"n_atoms": 2e6, "waist_m": 1e-4, '
+                       '"length_m": 1e-3, "wavenumber_per_m": 1e7}, '
+                       '"n_samples": 1e6, "n_batches": 3e1}')
+        out = tmp_path / "chi"
+        assert run(["chi", "--config", str(cfg), "--out", str(out),
+                    "--seed", "5", "--quiet"]) == 0
+        saved = json.loads((out / "chi.json").read_text())
+        assert saved["monte_carlo"]["n_samples"] == 1_000_000
+        assert isinstance(saved["monte_carlo"]["n_samples"], int)
+
+
 class TestPipeline:
     def synth_cfg(self, tmp_path, n_trials=60_000, bg=1e-6, seed_key=True):
         payload = {

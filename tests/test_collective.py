@@ -3,15 +3,16 @@ import math
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
 import qmemread.collective as collective
 from qmemread import (ChiEstimate, EnsembleGeometry, ParamError,
                       branching_ratio, chi_closed_form, chi_monte_carlo,
-                      chi_quadrature, chi_quadrature_kernel,
-                      extraction_ceiling, pair_kernel)
-from chi_oracle import serial_chi_monte_carlo
+                      chi_quadrature, extraction_ceiling, pair_kernel)
+from chi_oracle import (chi_quadrature_kernel, grid_chi_continuum,
+                        serial_chi_monte_carlo)
 
 # reference geometry: typical cold-ensemble memory scales
 GEOM = EnsembleGeometry(n_atoms=2e6, waist_m=1e-4, length_m=1e-3,
@@ -97,6 +98,75 @@ class TestQuadratureKernel:
     def test_invalid_wavenumber(self):
         with pytest.raises(ParamError):
             chi_quadrature_kernel((0, 0, 0), 0.0)
+
+
+def _sweep_geometries():
+    """(kW, L/W) pairs: both signs of c = b - a, |c|/b from 1e-4 to 1e-14,
+    c = 0 exactly, and sub-wavelength waists."""
+    pairs = [(kw, r) for kw in (1e-4, 0.01, 0.5, 3.0, 30.0, 300.0, 3000.0)
+             for r in (0.03, 0.3, 3.0, 30.0)]
+    pairs += [(kw, 1.0 + d) for kw in (0.5, 3.0, 300.0)
+              for d in (1e-4, -1e-4, 1e-8, -1e-10, 1e-12, 1e-14)]
+    pairs += [(kw, 1.0) for kw in (1e-4, 0.01, 3.0, 300.0)]
+    k = 1e7
+    return [EnsembleGeometry(n_atoms=1e6, waist_m=kw / k, length_m=kw * r / k,
+                             wavenumber_per_m=k) for kw, r in pairs]
+
+
+SWEEP = _sweep_geometries()
+
+
+def _ab(geom):
+    k = geom.wavenumber_per_m
+    return (k * geom.waist_m) ** 2, (k * geom.length_m) ** 2
+
+
+def mean_kernel_mp(a, b):
+    """<K> = 1/2 int_0^2 exp(-2 a v - (b - a) v^2) dv to 40 digits."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        c = b - a
+        # break the range at the integrand's decay scales 1/a, 10/a, 100/a
+        pts = [mpmath.mpf(0)] + [j / a for j in (1, 10, 100)
+                                 if a > 0 and j / a < 2] + [mpmath.mpf(2)]
+        return float(mpmath.quad(lambda v: mpmath.exp(-2 * a * v - c * v * v),
+                                 pts) / 2)
+
+
+class TestContinuumClosedForm:
+    def test_mean_kernel_against_mpmath(self):
+        for geom in SWEEP:
+            a, b = _ab(geom)
+            ref = mean_kernel_mp(a, b)
+            got = collective._mean_kernel(a, b)
+            assert abs(got - ref) <= 1e-13 * ref, (a, b, got, ref)
+            assert chi_quadrature(geom).value == 1.0 + geom.n_atoms * got
+
+    def test_against_simpson_grid(self):
+        # the 2 x 4001-point graded grid is good to 5.3e-4 in <K> on this
+        # sweep; its worst point is the flat cloud kW = 30, L/W = 0.03, where
+        # the coarse second run misses the integrand's peak at v = 2
+        for geom in SWEEP:
+            quad = chi_quadrature(geom).value
+            grid = grid_chi_continuum(geom)
+            assert abs(quad - grid) <= 1e-3 * (quad - 1.0), (geom, quad, grid)
+
+    def test_reference_geometry_value(self):
+        assert chi_quadrature(GEOM).value == pytest.approx(1.49997525367,
+                                                           rel=0, abs=1e-11)
+
+    def test_underflowing_geometry_gives_full_kernel(self):
+        # kW and kL below 1e-154 square to a = b = 0, where <K> = 1
+        geom = EnsembleGeometry(n_atoms=3.0, waist_m=1e-160, length_m=2e-160,
+                                wavenumber_per_m=1e-160)
+        assert _ab(geom) == (0.0, 0.0)
+        assert chi_quadrature(geom).value == 4.0
+
+    def test_empty_ensemble(self):
+        geom = EnsembleGeometry(n_atoms=0, waist_m=1e-4, length_m=1e-3,
+                                wavenumber_per_m=1e7)
+        est = chi_quadrature(geom)
+        assert est.value == 1.0 and est.standard_error == 0.0
 
 
 class TestMonteCarlo:
