@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -306,7 +307,10 @@ def cmd_stats(cfg, run, seed):
     t_range = None
     if "wavepacket_range_ns" in cfg:
         t_range = _window("wavepacket_range_ns", "<")
-    store = ingest(cfg["log_path"], n_trials=cfg.get("n_trials"),
+    n_trials = cfg.get("n_trials")
+    if n_trials is not None:
+        n_trials = _config_int(n_trials, "n_trials")
+    store = ingest(cfg["log_path"], n_trials=n_trials,
                    trial_window_ns=_config_int(cfg.get("trial_window_ns", 1500),
                                                "trial_window_ns"))
     summary = correlations(probabilities(store, w1, w2))
@@ -407,13 +411,22 @@ def cmd_fit(cfg, run, seed):
 
 
 def _read_dataset_csv(path):
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    names = raw.dtype.names
-    if names is None or len(names) < 3:
+    """(x, y, sigma): the first three columns of a CSV after its header row.
+
+    Every field must parse as a number; an empty or non-numeric one, a file
+    with no data row or one with fewer than 3 columns is a ConfigError
+    naming the file.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # "input contained no data"
+            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    if raw.shape[0] == 0 or raw.shape[1] < 3:
         raise ConfigError(f"{path}: expected CSV with header and 3 columns "
                           "(abscissa, ordinate, sigma)")
-    cols = [np.atleast_1d(raw[n]).astype(float) for n in names[:3]]
-    return cols[0], cols[1], cols[2]
+    return raw[:, 0].copy(), raw[:, 1].copy(), raw[:, 2].copy()
 
 
 _COMMANDS = {
@@ -457,7 +470,8 @@ def main(argv=None) -> int:
         if cfg.get("schema_version", 1) != 1:
             raise ConfigError("schema_version: only version 1 is supported")
         seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        if seed is not None and (isinstance(seed, bool)
+                                 or not isinstance(seed, int)):
             raise ConfigError("seed: must be an integer")
         if seed is None and args.command in _NEED_SEED:
             raise ConfigError("seed: required (use --seed or config 'seed')")

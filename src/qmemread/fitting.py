@@ -11,10 +11,14 @@ parameters: log for the positive quantities, log of (chi - 1) for the
 cooperativity, so bounds hold by construction.  ``fit`` documents its
 stopping rules and diagnostics.
 
-The saturation and spectrum models are exact: each dataset is one call of
-``wavepacket.saturation_curve`` or ``detuning_spectrum``, the closed-form
-P_c over the whole sweep with no quadrature, so they carry no
-discretisation error into the fit.
+``fit`` compiles its datasets once into flat arrays: every wavepacket
+point with its time, read intensity and detuning, and every P_c point
+with its intensity and detuning, grouped by integration horizon.  A
+residual evaluation is then one ``wavepacket.pc_at`` call over all
+wavepacket points and one closed-form ``wavepacket.pc_integral`` call per
+horizon, whatever the number of datasets.  The P_c models are exact, with
+no quadrature, so they carry no discretisation error into the fit.  Each
+point gets the value a per-dataset evaluation gives, bit for bit.
 
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
@@ -31,7 +35,7 @@ from scipy.optimize import least_squares
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
                      rabi_from_intensity)
-from .wavepacket import detuning_spectrum, pc_at, saturation_curve
+from .wavepacket import pc_at, pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
 
@@ -82,6 +86,9 @@ class Dataset:
         object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         if not (self.x.shape == self.y.shape == self.sigma.shape):
             raise ParamError(["x", "y", "sigma"], "arrays must have equal length")
+        for name in ("x", "y", "sigma"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ParamError([name], f"{name} must be finite")
         if np.any(self.sigma <= 0):
             raise ParamError(["sigma"], "uncertainties must be > 0")
         if self.kind in ("wavepacket", "saturation") and self.delta_mhz is None:
@@ -121,45 +128,117 @@ class FitResult:
 def model_eval(theta: dict, dataset: Dataset, gamma_nat, tau) -> np.ndarray:
     """Model ordinates for one dataset at parameter values ``theta``.
 
-    The P_c kinds are the sweeps of ``wavepacket``, which set the swept
-    quantity and, for spectra, the Rabi frequency from ``dataset.i_r``.
+    The compiled design of ``[dataset]``, evaluated as in ``residuals``;
+    raises the dataset's ParamError directly.
     """
-    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
-    kind = dataset.kind
-    omega = rabi_from_intensity(dataset.i_r, model) if kind == "wavepacket" else 0.0
-    delta = 0.0 if kind == "spectrum" else mhz_to_angular(dataset.delta_mhz)
-    base = ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
-                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
-                         tau=tau, scale_f=theta["scale_f"])
-    if kind == "wavepacket":
-        return pc_at(dataset.x * 1e-3, base) / 1e3
-    if kind == "saturation":
-        return saturation_curve(base, model, dataset.x,
-                                dataset.horizon_us).ordinate
-    return detuning_spectrum(base, model, dataset.i_r, dataset.x,
-                             dataset.horizon_us).ordinate
+    _check(dataset)
+    return _model(theta, _Design([dataset]), gamma_nat, tau)
 
 
 def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ),
               tau=DEFAULT_TAU_US, *, index=None) -> np.ndarray:
     """Concatenated weighted residuals (model - data)/sigma over all datasets.
 
-    A failing model evaluation is reported as a RuntimeError naming the
-    dataset by ``index[i]`` (default: its position ``i`` in ``datasets``).
+    ``datasets`` is a list of Dataset, compiled on the spot, or the design
+    ``fit`` compiles once, which carries its own ``index``; the masks drop
+    their points.  A failing model evaluation is reported as a RuntimeError
+    naming the dataset by ``index[i]`` (default: its position ``i`` in
+    ``datasets``).  A failure that depends on ``theta`` alone names the
+    first dataset.
     """
-    parts = []
-    for pos, ds in enumerate(datasets):
-        try:
-            m = model_eval(theta, ds, gamma_nat, tau)
-        except Exception as exc:
-            ids = pos if index is None else index[pos]
-            raise RuntimeError(f"model evaluation failed on dataset {ids} "
-                               f"({ds.label or ds.kind}): {exc}") from exc
-        r = (m - ds.y) / ds.sigma
-        if ds.mask is not None:
-            r = r[ds.mask]
-        parts.append(r)
-    return np.concatenate(parts)
+    design = (datasets if isinstance(datasets, _Design)
+              else _Design(datasets, index))
+    try:
+        m = _model(theta, design, gamma_nat, tau)
+    except Exception as exc:
+        raise design.failure(0, exc) from exc
+    r = (m - design.y) / design.sigma
+    return r if design.keep is None else r[design.keep]
+
+
+def _check(ds):
+    """Raise the ParamError that evaluating ``ds`` raises for its data."""
+    if ds.kind == "saturation":
+        if np.any(ds.x < 0):
+            raise ParamError(["i_r_list"], "intensities must be >= 0")
+    else:
+        if ds.kind == "spectrum" and ds.i_r < 0:
+            raise ParamError(["i_r"], "intensity must be >= 0")
+        if not (ds.i_r >= 0 and math.isfinite(ds.i_r)):
+            raise ParamError(["i_r"], "read intensity must be finite and >= 0")
+    if ds.kind == "wavepacket":
+        if np.any(ds.x < 0):
+            raise ParamError(["t"], "amplitude_B requires t >= 0")
+    elif not ds.horizon_us > 0:
+        raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
+
+
+class _Design:
+    """Checked datasets as flat per-point arrays; y, sigma and the mask in
+    dataset order.  A dataset that fails ``_check`` raises the RuntimeError
+    of ``failure``, naming it by ``index``.
+
+    ``wave`` holds every wavepacket point's position in that order, time
+    (us), read intensity and detuning (rad/us); ``groups`` one such tuple
+    of P_c points per horizon, led by the horizon and without times.
+    Units are converted per dataset and then broadcast, so every point sees
+    the same floating-point operations as in a per-dataset evaluation.
+    """
+
+    def __init__(self, datasets, index=None):
+        self.datasets = list(datasets)
+        self.index = index
+        for pos, ds in enumerate(self.datasets):
+            try:
+                _check(ds)
+            except ParamError as exc:
+                raise self.failure(pos, exc) from exc
+        sizes = [ds.x.size for ds in self.datasets]
+        starts = np.cumsum([0] + sizes)
+        wave, groups = [], {}
+        for ds, lo, n in zip(self.datasets, starts, sizes):
+            pos = np.arange(lo, lo + n)
+            if ds.kind == "wavepacket":
+                wave.append((pos, ds.x * 1e-3, np.full(n, float(ds.i_r)),
+                             np.full(n, mhz_to_angular(ds.delta_mhz))))
+            elif ds.kind == "saturation":
+                groups.setdefault(ds.horizon_us, []).append(
+                    (pos, ds.x, np.full(n, mhz_to_angular(ds.delta_mhz))))
+            else:
+                groups.setdefault(ds.horizon_us, []).append(
+                    (pos, np.full(n, float(ds.i_r)), mhz_to_angular(ds.x)))
+        self.wave = tuple(np.concatenate(col) for col in zip(*wave))
+        self.groups = [(h,) + tuple(np.concatenate(col) for col in zip(*g))
+                       for h, g in groups.items()]
+        self.y = np.concatenate([ds.y for ds in self.datasets] or [[]])
+        self.sigma = np.concatenate([ds.sigma for ds in self.datasets] or [[]])
+        masked = any(ds.mask is not None for ds in self.datasets)
+        self.keep = np.concatenate(
+            [np.ones(ds.x.size, bool) if ds.mask is None else ds.mask
+             for ds in self.datasets]) if masked else None
+
+    def failure(self, pos, exc):
+        ds = self.datasets[pos]
+        ids = pos if self.index is None else self.index[pos]
+        return RuntimeError(f"model evaluation failed on dataset {ids} "
+                            f"({ds.label or ds.kind}): {exc}")
+
+
+def _model(theta, design, gamma_nat, tau):
+    """Model ordinates of every point of ``design``, in dataset order."""
+    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
+    base = ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
+                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
+                         tau=tau, scale_f=theta["scale_f"])
+    m = np.empty(design.y.size)
+    if design.wave:
+        pos, t, i_r, delta = design.wave
+        m[pos] = pc_at(t, base, omega=rabi_from_intensity(i_r, model),
+                       delta=delta) / 1e3
+    for horizon, pos, i_r, delta in design.groups:
+        m[pos] = pc_integral(base, horizon,
+                             omega=rabi_from_intensity(i_r, model), delta=delta)
+    return m
 
 
 def _canonical(datasets):
@@ -270,9 +349,9 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         return t
 
     def resid_of(u_vec):
-        return residuals(theta_of(u_vec), datasets, gamma_nat=gamma_nat, tau=tau,
-                         index=index)
+        return residuals(theta_of(u_vec), design, gamma_nat=gamma_nat, tau=tau)
 
+    design = _Design(datasets, index)
     r = resid_of(u)
     m = r.size
     if m <= len(free):

@@ -61,9 +61,11 @@ _TINY = np.finfo(float).tiny
 # Cauchy integral on |u| = (_CONTOUR_FRAC * lam)^2.  The nodes, stored as
 # sqrt(u) / (_CONTOUR_FRAC * lam), are the upper half of a 32-point rule;
 # E(conj u) = conj E(u), so the real part of their mean is the full rule.
+# The mean runs along each point's own contiguous row of nodes, so a
+# point's value does not depend on how many others share the call.
 _CRIT_FRAC = 0.3
 _CONTOUR_FRAC = 0.6
-_HALF_CIRCLE = np.exp(0.5j * np.pi * (np.arange(16) + 0.5) / 16)[:, None]
+_HALF_CIRCLE = np.exp(0.5j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
 @dataclass(frozen=True)
@@ -106,8 +108,11 @@ def alpha_pair(omega, delta, chi_gamma) -> AlphaPair:
     return AlphaPair(a_plus, a_minus)
 
 
-def amplitude_B(t, params: ReadoutParams):
+def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
     """Complex excited-state amplitude B(t) for t >= 0 (us).
+
+    ``omega`` and ``delta`` (rad/us) default to those of ``params`` and may
+    be arrays broadcastable against ``t``, one drive per time point.
 
     Evaluated as a half-difference of combined exponentials
     exp[((+-alpha_+ - chi Gamma/2)/2 + i(...)/2) t]; both real exponents are
@@ -116,12 +121,15 @@ def amplitude_B(t, params: ReadoutParams):
     removable singularity of sinh(z t/2)/z is handled by its Taylor series.
 
     The constant global phase from the storage interval is dropped; it
-    cancels in |B|^2.  Returns complex scalar or ndarray matching ``t``.
+    cancels in |B|^2.  Returns a complex scalar or an ndarray of the
+    broadcast shape.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ParamError(["t"], "amplitude_B requires t >= 0")
-    om, de, cg = params.omega, params.delta, params.chi_gamma
+    om = params.omega if omega is None else np.asarray(omega, dtype=float)
+    de = params.delta if delta is None else np.asarray(delta, dtype=float)
+    cg = params.chi_gamma
     pair = alpha_pair(om, de, cg)
     z = pair.alpha_plus + 1j * pair.alpha_minus
 
@@ -138,17 +146,20 @@ def amplitude_B(t, params: ReadoutParams):
     return out if out.ndim else complex(out)
 
 
-def pc_at(t, params: ReadoutParams):
+def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
     """Conditional detection density p_c(t) per us at t (us), t >= 0.
 
     p_c(t) = F exp(-gamma^2 (t+tau)^2) |B(t)|^2.  Probability per 1 ns bin
-    is this value / 1000 (see ``pc_curve``).
+    is this value / 1000 (see ``pc_curve``).  ``omega`` and ``delta``
+    (rad/us) default to those of ``params`` and may be per-point arrays, as
+    in ``amplitude_B``; each point's value is the one a scalar call with
+    that point's drive gives, bit for bit.
     """
     t_arr = np.asarray(t, dtype=float)
-    b = amplitude_B(t_arr, params)
+    b = amplitude_B(t_arr, params, omega=omega, delta=delta)
     env = np.exp(-(params.gamma_deph * (t_arr + params.tau)) ** 2)
     out = params.scale_f * env * np.abs(b) ** 2
-    return out if np.ndim(t) else float(out)
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -297,8 +308,8 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
                                  gd, tau, horizon)
             even = 0.5 * (lap[0] + lap[1])
             bracket[crit] = np.mean(
-                even * u / ((u - ap[crit] ** 2) * (u + am[crit] ** 2)),
-                axis=0).real
+                even * u / ((u - ap[crit, None] ** 2)
+                            * (u + am[crit, None] ** 2)), axis=1).real
     out = np.where(rate < _TINY, 0.0, 0.5 * params.scale_f * om * om * bracket)
     return float(out[0]) if shape == () else out.reshape(shape)
 

@@ -1,0 +1,61 @@
+"""Per-dataset model evaluation, the oracle of the compiled fit design (tests only).
+
+``oracle_model_eval`` evaluates one dataset through the public sweeps of
+``qmemread.wavepacket``: ``pc_at`` at the dataset's own drive for a
+wavepacket, ``saturation_curve`` or ``detuning_spectrum`` for the P_c
+kinds.  ``oracle_residuals`` loops over the datasets with it and
+concatenates (model - y)/sigma, masked.  The package evaluates all points
+of a design with one ``pc_at`` call and one ``pc_integral`` call per
+horizon, and must agree with this loop to the last bit.
+
+``design_residuals`` has the signature of ``qmemread.fitting.residuals``
+as ``fit`` calls it, with the compiled design in place of the list, so a
+test can drive ``fit`` through the oracle.
+"""
+
+import numpy as np
+
+from qmemread.params import (IntensityModel, ReadoutParams, mhz_to_angular,
+                             rabi_from_intensity)
+from qmemread.wavepacket import detuning_spectrum, pc_at, saturation_curve
+
+
+def oracle_model_eval(theta, dataset, gamma_nat, tau):
+    """Model ordinates of one dataset at ``theta``, one sweep call."""
+    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
+    kind = dataset.kind
+    omega = rabi_from_intensity(dataset.i_r, model) if kind == "wavepacket" else 0.0
+    delta = 0.0 if kind == "spectrum" else mhz_to_angular(dataset.delta_mhz)
+    base = ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
+                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
+                         tau=tau, scale_f=theta["scale_f"])
+    if kind == "wavepacket":
+        return pc_at(dataset.x * 1e-3, base) / 1e3
+    if kind == "saturation":
+        return saturation_curve(base, model, dataset.x,
+                                dataset.horizon_us).ordinate
+    return detuning_spectrum(base, model, dataset.i_r, dataset.x,
+                             dataset.horizon_us).ordinate
+
+
+def oracle_residuals(theta, datasets, gamma_nat, tau, *, index=None):
+    """Concatenated masked (model - y)/sigma, one dataset at a time."""
+    parts = []
+    for pos, ds in enumerate(datasets):
+        try:
+            m = oracle_model_eval(theta, ds, gamma_nat, tau)
+        except Exception as exc:
+            ids = pos if index is None else index[pos]
+            raise RuntimeError(f"model evaluation failed on dataset {ids} "
+                               f"({ds.label or ds.kind}): {exc}") from exc
+        r = (m - ds.y) / ds.sigma
+        if ds.mask is not None:
+            r = r[ds.mask]
+        parts.append(r)
+    return np.concatenate(parts)
+
+
+def design_residuals(theta, design, gamma_nat, tau):
+    """``oracle_residuals`` over the datasets of a compiled design."""
+    return oracle_residuals(theta, design.datasets, gamma_nat, tau,
+                            index=design.index)

@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from qmemread.cli import main
+from qmemread.cli import _read_dataset_csv, main
 
 PAPER_BLOCK = {
     "params": {"delta_mhz": 1.7, "chi": 2.7, "gamma_deph_mhz": 1.55,
@@ -56,6 +57,21 @@ class TestValidationFailures:
                                                   i_r_mw_cm2=95.0),
                                    "design": {"n_trials": 10, "p1": 0.5}})
         assert run(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("command", ["chi", "synth"])
+    def test_boolean_seed_rejected(self, tmp_path, capsys, command):
+        # JSON true is a Python int; it must not run as seed 1
+        cfg = write_cfg(tmp_path, {
+            **PAPER_BLOCK, "seed": True,
+            "params": dict(PAPER_BLOCK["params"], i_r_mw_cm2=95.0),
+            "design": {"n_trials": 10, "p1": 0.5}} if command == "synth" else {
+            "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 200, "seed": True})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "seed: must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
@@ -196,6 +212,7 @@ class TestIntegerConfigKeys:
     @pytest.mark.parametrize("bad", [False, "20", 20.5],
                              ids=["bool", "string", "fraction"])
     @pytest.mark.parametrize("key,where", [
+        ("n_trials", None),
         ("trial_window_ns", None), ("bin_width_ns", None),
         ("window1_ns", 0), ("window2_ns", 1), ("herald_window_ns", 1),
         ("wavepacket_range_ns", 0)])
@@ -403,6 +420,45 @@ class TestFitCommand:
         assert run(["fit", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 2
         assert not (out / "fit_result.json").exists()
+
+    BAD_FILES = {
+        "empty-field": "x,y,sigma\n0,0.001,1e-4\n2,,1e-4\n",
+        "non-numeric": "x,y,sigma\n0,abc,1e-4\n",
+        "header-only": "x,y,sigma\n",
+        "two-columns": "x,y\n0,0.001\n2,0.002\n",
+        "ragged": "x,y,sigma\n0,0.001,1e-4\n2,0.002\n",
+        "nan-ordinate": "x,y,sigma\n0,nan,1e-4\n",
+        "infinite-sigma": "x,y,sigma\n0,0.001,1e-4\n2,0.002,inf\n"}
+
+    @pytest.mark.parametrize("name", sorted(BAD_FILES))
+    def test_bad_dataset_file_exit_2(self, tmp_path, capsys, name):
+        data_path = tmp_path / "wp.csv"
+        data_path.write_text(self.BAD_FILES[name])
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "wavepacket", "path": str(data_path),
+                          "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--config", cfg, "--out", str(out),
+                        "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err
+        assert str(data_path) in err or "datasets[0]" in err
+        assert not (out / "fit_result.json").exists()
+
+    def test_dataset_file_round_trips_repr(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cols = rng.normal(size=(3, 17)) * 10.0 ** rng.integers(-8, 8, (3, 17))
+        data_path = tmp_path / "d.csv"
+        with open(data_path, "w") as fh:
+            fh.write("x,y,sigma\n")
+            for row in zip(*(c.tolist() for c in cols)):
+                fh.write("%r,%r,%r\n" % row)
+        for got, want in zip(_read_dataset_csv(data_path), cols):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
 
     def test_unknown_free_name(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -3,7 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fit_oracle import design_residuals, oracle_model_eval, oracle_residuals
 from qmemread import (IntensityModel, ParamError, RankDeficiencyError,
                       ReadoutParams, integrate_Pc, mhz_to_angular,
                       rabi_from_intensity)
@@ -68,6 +70,15 @@ class TestDataset:
         with pytest.raises(ParamError):
             Dataset(kind="spectrum", x=[1], y=[1], sigma=[1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["x", "y", "sigma"])
+    def test_non_finite_values_rejected(self, field, bad):
+        cols = {"x": [0.0, 10.0], "y": [0.1, 0.2], "sigma": [0.01, 0.01]}
+        cols[field] = [cols[field][0], bad]
+        with pytest.raises(ParamError, match=f"{field} must be finite") as info:
+            Dataset(kind="saturation", delta_mhz=1.7, **cols)
+        assert info.value.fields == (field,)
+
 
 class TestModelEval:
     @pytest.mark.parametrize("kind,x", [
@@ -131,6 +142,116 @@ class TestResiduals:
                       delta_mhz=0.0)
         with pytest.raises(RuntimeError, match="dataset 0"):
             residuals(TRUTH, [bad], gamma_nat=GAMMA_NAT, tau=TAU)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+st_theta = st.fixed_dictionaries({
+    "gamma_deph": st.one_of(st.just(0.0),
+                            st.floats(0.0, mhz_to_angular(30.0), **finite)),
+    "i_sat": st.floats(1.0, 100.0, **finite),
+    "chi": st.floats(1.0, 30.0, **finite),
+    "scale_f": st.floats(0.1, 10.0, **finite)})
+# abscissae drawn partly from a small pool, so that points repeat
+ABSCISSAE = {"wavepacket": ([0.0, 2.0, 40.0, 160.0], 0.0, 200.0),
+             "saturation": ([0.0, 12.0, 95.0, 200.0], 0.0, 250.0),
+             "spectrum": ([0.0, 1.7, -1.7, 25.7], -40.0, 40.0)}
+
+
+@st.composite
+def st_dataset(draw):
+    kind = draw(st.sampled_from(sorted(ABSCISSAE)))
+    pool, lo, hi = ABSCISSAE[kind]
+    x = draw(st.lists(st.one_of(st.sampled_from(pool),
+                                st.floats(lo, hi, **finite)),
+                      min_size=1, max_size=8))
+    n = len(x)
+    y = draw(st.lists(st.floats(-0.1, 0.1, **finite), min_size=n, max_size=n))
+    sigma = draw(st.lists(st.floats(1e-4, 1.0, **finite), min_size=n,
+                          max_size=n))
+    mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n,
+                                              max_size=n)))
+    return Dataset(
+        kind=kind, x=x, y=y, sigma=sigma, mask=mask,
+        delta_mhz=draw(st.sampled_from([0.0, 1.7, -25.7])),
+        i_r=draw(st.one_of(st.sampled_from([0.0, 95.0]),
+                           st.floats(0.0, 250.0, **finite))),
+        horizon_us=draw(st.sampled_from([0.05, 0.160, math.inf])))
+
+
+class TestCompiledDesign:
+    """The compiled design against the per-dataset loop of fit_oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st_theta, st.lists(st_dataset(), min_size=1, max_size=6))
+    def test_residuals_equal_oracle_loop(self, theta, sets):
+        ref = oracle_residuals(theta, sets, GAMMA_NAT, TAU)
+        assert np.array_equal(residuals(theta, sets, GAMMA_NAT, TAU), ref)
+        design = fitting._Design(*fitting._canonical(sets))
+        assert np.array_equal(residuals(theta, design, GAMMA_NAT, TAU),
+                              design_residuals(theta, design, GAMMA_NAT, TAU))
+
+    def test_critical_points_of_several_datasets(self):
+        # i_r = chi^2 I_sat/2 drives at Omega = chi Gamma/2: with Delta = 0
+        # the P_c closed form takes its Cauchy-integral branch, here for
+        # points of three datasets sharing one horizon
+        i_crit = TRUTH["chi"] ** 2 * TRUTH["i_sat"] / 2
+        grid = np.array([-1.7, 0.0, 1.7])
+        sets = [Dataset(kind="spectrum", x=grid, y=np.zeros(3),
+                        sigma=np.ones(3), i_r=i_crit * f) for f in (1, 1 + 1e-6)]
+        sets.append(Dataset(kind="saturation", x=[12.0, i_crit], y=[0.0, 0.0],
+                            sigma=[1.0, 1.0], delta_mhz=0.0))
+        ref = oracle_residuals(TRUTH, sets, GAMMA_NAT, TAU)
+        assert np.array_equal(residuals(TRUTH, sets, GAMMA_NAT, TAU), ref)
+
+    @pytest.mark.parametrize("kind,x", [
+        ("wavepacket", np.arange(0.0, 161.0, 2.0)),
+        ("saturation", [5.0, 10.0, 10.0, 95.0, 200.0]),
+        ("spectrum", np.linspace(-30.0, 30.0, 21))])
+    def test_model_eval_equals_oracle(self, kind, x):
+        rng = np.random.default_rng(7)
+        for horizon in (0.160, math.inf):
+            ds = Dataset(kind=kind, x=x, y=np.zeros(len(x)),
+                         sigma=np.ones(len(x)), delta_mhz=1.7, i_r=95.0,
+                         horizon_us=horizon)
+            for _ in range(20):
+                theta = {k: v * rng.uniform(0.5, 2.0) for k, v in TRUTH.items()}
+                assert np.array_equal(model_eval(theta, ds, GAMMA_NAT, TAU),
+                                      oracle_model_eval(theta, ds, GAMMA_NAT,
+                                                        TAU))
+
+    @pytest.mark.parametrize("bad,theta", [
+        (Dataset(kind="saturation", x=[5.0, -5.0], y=[0, 0], sigma=[1, 1],
+                 delta_mhz=0.0), TRUTH),
+        (Dataset(kind="wavepacket", x=[-1.0], y=[0], sigma=[1], delta_mhz=0.0,
+                 i_r=95.0), TRUTH),
+        (Dataset(kind="wavepacket", x=[1.0], y=[0], sigma=[1], delta_mhz=0.0,
+                 i_r=math.nan), TRUTH),
+        (Dataset(kind="spectrum", x=[1.0], y=[0], sigma=[1], i_r=-3.0), TRUTH),
+        (Dataset(kind="spectrum", x=[1.0], y=[0], sigma=[1], i_r=95.0,
+                 horizon_us=0.0), TRUTH),
+        (Dataset(kind="wavepacket", x=[1.0], y=[0], sigma=[1], delta_mhz=0.0,
+                 i_r=95.0), dict(TRUTH, i_sat=-1.0))],
+        ids=["negative-intensity", "negative-time", "nan-drive",
+             "negative-spectrum-drive", "zero-horizon", "bad-theta"])
+    def test_errors_equal_oracle(self, bad, theta):
+        good = noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 40.0),
+                                 delta=1.7, i_r=95.0)
+        with pytest.raises(RuntimeError) as ref:
+            oracle_residuals(theta, [good, bad], GAMMA_NAT, TAU, index=[4, 9])
+        with pytest.raises(RuntimeError) as got:
+            residuals(theta, [good, bad], GAMMA_NAT, TAU, index=[4, 9])
+        assert str(got.value) == str(ref.value)
+
+    def test_fit_equals_oracle_driven_fit(self, monkeypatch):
+        for seed in range(1, 31):
+            sets = paper_design(seed=seed)
+            got = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
+            with monkeypatch.context() as patch:
+                patch.setattr(fitting, "residuals", design_residuals)
+                ref = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
+                          tau=TAU)
+            assert got.to_json() == ref.to_json(), f"seed {seed}"
+            assert got.cost_history == ref.cost_history, f"seed {seed}"
 
 
 class TestFit:

@@ -474,6 +474,49 @@ class TestClosedFormProperties:
                       >= -1e-12 * curve.ordinate[1:])
 
 
+st_drives = st.lists(
+    st.tuples(st.floats(0.0, 0.3, **finite),
+              st.floats(0.0, 20 * GAMMA, **finite),
+              st.floats(-20 * GAMMA, 20 * GAMMA, **finite)),
+    min_size=1, max_size=12)
+
+
+class TestPerPointDrive:
+    """Per-point omega/delta arrays give every point the value of a call
+    with that point's drive in ``params``, to the last bit."""
+
+    @property_settings
+    @given(st_params, st_drives)
+    def test_pc_at_equals_scalar_calls(self, p, drives):
+        t, omega, delta = (np.array(col) for col in zip(*drives))
+        got = pc_at(t, p, omega=omega, delta=delta)
+        ref = [pc_at(ti, p.replace(omega=om, delta=de))
+               for ti, om, de in drives]
+        assert np.array_equal(got, ref)
+        b = amplitude_B(t, p, omega=omega, delta=delta)
+        assert np.array_equal(b, [amplitude_B(ti, p.replace(omega=om, delta=de))
+                                  for ti, om, de in drives])
+
+    def test_defaults_come_from_params(self):
+        t = np.linspace(0.0, 0.16, 33)
+        assert np.array_equal(
+            pc_at(t, PAPER_STYLE, omega=PAPER_STYLE.omega,
+                  delta=PAPER_STYLE.delta), pc_at(t, PAPER_STYLE))
+        assert isinstance(pc_at(0.05, PAPER_STYLE, omega=3.0), float)
+
+    @pytest.mark.parametrize("horizon", [0.160, 0.01, math.inf])
+    def test_pc_integral_batch_invariant_at_critical_points(self, horizon):
+        # the Cauchy-integral branch takes each point's mean over its own
+        # nodes, so batching critical points changes no bit of any of them
+        cases = list(critical_cases(1.55, 0.05))
+        p = cases[0].replace(chi=2.7)
+        omega = np.array([c.omega for c in cases if c.chi == 2.7])
+        delta = np.linspace(-1e-3, 1e-3, omega.size)
+        batch = pc_integral(p, horizon, omega=omega, delta=delta)
+        for om, de, val in zip(omega, delta, batch):
+            assert val == pc_integral(p, horizon, omega=om, delta=de)
+
+
 class TestSweeps:
     model = IntensityModel(i_sat=12.0, gamma_nat=GAMMA)
 
