@@ -72,6 +72,13 @@ def _config_int(value, key) -> int:
     return int(value)
 
 
+def _config_float(value, key) -> float:
+    """A numeric config value; a bool, a string or null is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key}: must be a number, got {value!r}")
+    return float(value)
+
+
 def _build_params(cfg: dict, path="params", i_r=None) -> ReadoutParams:
     block = cfg.get("params")
     if not isinstance(block, dict):
@@ -114,13 +121,13 @@ def _intensity_model(cfg) -> IntensityModel:
     return IntensityModel(i_sat=block["i_sat_mw_cm2"], gamma_nat=gamma_nat)
 
 
-def _horizon_us(cfg) -> float:
-    h = cfg.get("horizon_ns", 160.0)
+def _horizon_us(block, key="horizon_ns") -> float:
+    """``block``'s horizon_ns in us, 160 ns by default; "inf" or null is no
+    horizon.  Its sign is checked where the horizon is used."""
+    h = block.get("horizon_ns", 160.0)
     if h in ("inf", None):
         return math.inf
-    if not (isinstance(h, (int, float)) and h > 0):
-        raise ConfigError("horizon_ns: must be > 0 or 'inf'")
-    return float(h) * 1e-3
+    return _config_float(h, key) * 1e-3
 
 
 class _Run:
@@ -349,12 +356,17 @@ def cmd_fit(cfg, run, seed):
         if name not in _FIT_KEYS:
             raise ConfigError(f"init: unknown parameter {name!r}")
         key = _FIT_KEYS[name]
-        init[key] = mhz_to_angular(val) if key == "gamma_deph" else float(val)
+        val = _config_float(val, f"init.{name}")
+        init[key] = mhz_to_angular(val) if key == "gamma_deph" else val
     for name, pair in (cfg.get("bounds") or {}).items():
         if name not in _FIT_KEYS:
             raise ConfigError(f"bounds: unknown parameter {name!r}")
         key = _FIT_KEYS[name]
-        lo, hi = pair
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"bounds.{name}: expected [lo, hi], each a "
+                              "number or null")
+        lo, hi = (None if v is None else _config_float(v, f"bounds.{name}[{j}]")
+                  for j, v in enumerate(pair))
         if key == "gamma_deph":
             lo = None if lo is None else mhz_to_angular(lo)
             hi = None if hi is None else mhz_to_angular(hi)
@@ -367,29 +379,34 @@ def cmd_fit(cfg, run, seed):
                             "horizon_ns", "mask_min", "mask_max", "label"},
                     path)
         _require(block, ["kind", "path"], path)
+
+        def number(key, default=None):
+            value = block.get(key)
+            return default if value is None else _config_float(
+                value, f"{path}.{key}")
+
         x, y, sig = _read_dataset_csv(block["path"])
         if not weighted:
             sig = np.ones_like(y)
         mask = None
         if "mask_min" in block or "mask_max" in block:
-            lo = block.get("mask_min", -math.inf)
-            hi = block.get("mask_max", math.inf)
-            mask = (x >= lo) & (x <= hi)
+            mask = ((x >= number("mask_min", -math.inf))
+                    & (x <= number("mask_max", math.inf)))
         try:
             datasets.append(Dataset(
                 kind=block["kind"], x=x, y=y, sigma=sig,
-                delta_mhz=block.get("delta_mhz"),
-                i_r=block.get("i_r_mw_cm2"),
-                horizon_us=float(block.get("horizon_ns", 160.0)) * 1e-3,
+                delta_mhz=number("delta_mhz"), i_r=number("i_r_mw_cm2"),
+                horizon_us=_horizon_us(block, f"{path}.horizon_ns"),
                 mask=mask, label=block.get("label", "")))
         except ParamError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     result = fit(datasets, free=tuple(free), init=init or None,
                  bounds=bounds or None,
-                 gamma_nat=mhz_to_angular(cfg.get("gamma_nat_mhz",
-                                                  DEFAULT_GAMMA_NAT_MHZ)),
-                 tau=float(cfg.get("tau_ns", 50.0)) * 1e-3)
+                 gamma_nat=mhz_to_angular(_config_float(
+                     cfg.get("gamma_nat_mhz", DEFAULT_GAMMA_NAT_MHZ),
+                     "gamma_nat_mhz")),
+                 tau=_config_float(cfg.get("tau_ns", 50.0), "tau_ns") * 1e-3)
     payload = result.to_json()
     # mirror values back into user-facing units
     user_values, user_errors = {}, {}

@@ -41,19 +41,22 @@ class IntegrationError(RuntimeError):
 class AmplitudeTrajectory:
     """Amplitudes on a uniform reporting grid (t in us).
 
-    a_vals is the stored-state amplitude A(t), b_vals the co-rotating
-    excited amplitude b(t), beta_vals the analytic decay exp(-chi Gamma t/2).
+    a_vals is the stored-state amplitude A(t), b_field the physical
+    coherence amplitude B(t) = beta(t) b(t), beta_vals the analytic decay
+    beta(t) = exp(-chi Gamma t/2).
     """
 
     t: np.ndarray
     a_vals: np.ndarray
-    b_vals: np.ndarray
+    b_field: np.ndarray
     beta_vals: np.ndarray
 
     @property
-    def b_field(self) -> np.ndarray:
-        """Physical coherence amplitude B(t) = beta(t) b(t)."""
-        return self.beta_vals * self.b_vals
+    def b_vals(self) -> np.ndarray:
+        """Co-rotating excited amplitude b(t) = B(t)/beta(t); inf or nan
+        where beta underflows to 0 (chi Gamma t above about 1490)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.b_field / self.beta_vals
 
     @property
     def norm(self) -> np.ndarray:
@@ -74,7 +77,7 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
            n_report=2001) -> AmplitudeTrajectory:
     """Adaptive high-order Runge-Kutta integration up to t_end (us).
 
-    Reports A, b, beta on a uniform grid of ``n_report`` points.  Tolerances
+    Reports A, B, beta on a uniform grid of ``n_report`` points.  Tolerances
     are capped at 1e-3; tighter tolerances sharpen the closed-form
     cross-check.  Raises IntegrationError with diagnostics on failure.
     """
@@ -105,17 +108,15 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
                                f"(reached t = {sol.t[-1] if sol.t.size else 0.0:g} us)")
 
     beta = np.exp(-0.5 * cg * t_eval)
-    if bounded:
-        a_vals, b_field = sol.y
-        b_vals = b_field / beta
-    else:
-        a_vals, b_vals = sol.y
-    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals, b_vals=b_vals,
+    # the bounded system integrates B itself, the growing one b = B/beta
+    a_vals, b = sol.y
+    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals,
+                               b_field=b if bounded else beta * b,
                                beta_vals=beta)
 
 
 def reconstruct_B(traj: AmplitudeTrajectory) -> np.ndarray:
-    """Pointwise beta(t) * b(t), the coherence amplitude driving emission."""
+    """The coherence amplitude B(t) = beta(t) b(t) driving emission."""
     return traj.b_field
 
 

@@ -20,6 +20,11 @@ horizon, whatever the number of datasets.  The P_c models are exact, with
 no quadrature, so they carry no discretisation error into the fit.  Each
 point gets the value a per-dataset evaluation gives, bit for bit.
 
+Inputs are checked once, where their types are built: a ``Dataset`` checks
+its data on construction, and ``IntensityModel`` and ``ReadoutParams``
+check the parameters of each evaluation.  Neither compiling a design nor
+evaluating it repeats those checks.
+
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
 """
@@ -66,6 +71,13 @@ class Dataset:
     points included in the fit (used e.g. to exclude the resonance region of
     low-intensity spectra); ``horizon_us`` is the integration window for the
     P_c kinds.
+
+    Construction checks every value the model reads, so a built dataset can
+    be evaluated at any valid parameters: x, y and sigma are finite;
+    wavepacket times and saturation intensities are >= 0; ``delta_mhz`` is
+    finite and ``i_r`` finite and >= 0 where the kind needs them; the P_c
+    kinds' horizon is > 0 (inf allowed).  A failure raises ParamError
+    naming the field.
     """
 
     kind: str
@@ -91,10 +103,18 @@ class Dataset:
                 raise ParamError([name], f"{name} must be finite")
         if np.any(self.sigma <= 0):
             raise ParamError(["sigma"], "uncertainties must be > 0")
-        if self.kind in ("wavepacket", "saturation") and self.delta_mhz is None:
-            raise ParamError(["delta_mhz"], f"{self.kind} needs delta_mhz")
-        if self.kind in ("wavepacket", "spectrum") and self.i_r is None:
-            raise ParamError(["i_r"], f"{self.kind} needs i_r")
+        if self.kind != "spectrum":
+            if np.any(self.x < 0):
+                raise ParamError(["x"], f"{self.kind} x must be >= 0")
+            if self.delta_mhz is None or not math.isfinite(self.delta_mhz):
+                raise ParamError(["delta_mhz"],
+                                 f"{self.kind} needs a finite delta_mhz")
+        if self.kind != "saturation" and not (
+                self.i_r is not None and math.isfinite(self.i_r)
+                and self.i_r >= 0):
+            raise ParamError(["i_r"], f"{self.kind} needs a finite i_r >= 0")
+        if self.kind != "wavepacket" and not self.horizon_us > 0:
+            raise ParamError(["horizon_us"], "horizon_us must be > 0 (or inf)")
         if self.mask is not None:
             m = np.asarray(self.mask, dtype=bool)
             if m.shape != self.x.shape:
@@ -128,55 +148,28 @@ class FitResult:
 def model_eval(theta: dict, dataset: Dataset, gamma_nat, tau) -> np.ndarray:
     """Model ordinates for one dataset at parameter values ``theta``.
 
-    The compiled design of ``[dataset]``, evaluated as in ``residuals``;
-    raises the dataset's ParamError directly.
+    The compiled design of ``[dataset]``, evaluated as in ``residuals``.
     """
-    _check(dataset)
     return _model(theta, _Design([dataset]), gamma_nat, tau)
 
 
 def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ),
-              tau=DEFAULT_TAU_US, *, index=None) -> np.ndarray:
+              tau=DEFAULT_TAU_US) -> np.ndarray:
     """Concatenated weighted residuals (model - data)/sigma over all datasets.
 
     ``datasets`` is a list of Dataset, compiled on the spot, or the design
-    ``fit`` compiles once, which carries its own ``index``; the masks drop
-    their points.  A failing model evaluation is reported as a RuntimeError
-    naming the dataset by ``index[i]`` (default: its position ``i`` in
-    ``datasets``).  A failure that depends on ``theta`` alone names the
-    first dataset.
+    ``fit`` compiles once; the masks drop their points.  Parameters outside
+    their domain (``theta`` with ``gamma_nat`` and ``tau``) raise the
+    ParamError of ``IntensityModel`` or ``ReadoutParams`` naming them.
     """
-    design = (datasets if isinstance(datasets, _Design)
-              else _Design(datasets, index))
-    try:
-        m = _model(theta, design, gamma_nat, tau)
-    except Exception as exc:
-        raise design.failure(0, exc) from exc
-    r = (m - design.y) / design.sigma
+    design = datasets if isinstance(datasets, _Design) else _Design(datasets)
+    r = (_model(theta, design, gamma_nat, tau) - design.y) / design.sigma
     return r if design.keep is None else r[design.keep]
 
 
-def _check(ds):
-    """Raise the ParamError that evaluating ``ds`` raises for its data."""
-    if ds.kind == "saturation":
-        if np.any(ds.x < 0):
-            raise ParamError(["i_r_list"], "intensities must be >= 0")
-    else:
-        if ds.kind == "spectrum" and ds.i_r < 0:
-            raise ParamError(["i_r"], "intensity must be >= 0")
-        if not (ds.i_r >= 0 and math.isfinite(ds.i_r)):
-            raise ParamError(["i_r"], "read intensity must be finite and >= 0")
-    if ds.kind == "wavepacket":
-        if np.any(ds.x < 0):
-            raise ParamError(["t"], "amplitude_B requires t >= 0")
-    elif not ds.horizon_us > 0:
-        raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
-
-
 class _Design:
-    """Checked datasets as flat per-point arrays; y, sigma and the mask in
-    dataset order.  A dataset that fails ``_check`` raises the RuntimeError
-    of ``failure``, naming it by ``index``.
+    """Datasets as flat per-point arrays; y, sigma and the mask in dataset
+    order.
 
     ``wave`` holds every wavepacket point's position in that order, time
     (us), read intensity and detuning (rad/us); ``groups`` one such tuple
@@ -185,14 +178,8 @@ class _Design:
     the same floating-point operations as in a per-dataset evaluation.
     """
 
-    def __init__(self, datasets, index=None):
+    def __init__(self, datasets):
         self.datasets = list(datasets)
-        self.index = index
-        for pos, ds in enumerate(self.datasets):
-            try:
-                _check(ds)
-            except ParamError as exc:
-                raise self.failure(pos, exc) from exc
         sizes = [ds.x.size for ds in self.datasets]
         starts = np.cumsum([0] + sizes)
         wave, groups = [], {}
@@ -217,12 +204,6 @@ class _Design:
             [np.ones(ds.x.size, bool) if ds.mask is None else ds.mask
              for ds in self.datasets]) if masked else None
 
-    def failure(self, pos, exc):
-        ds = self.datasets[pos]
-        ids = pos if self.index is None else self.index[pos]
-        return RuntimeError(f"model evaluation failed on dataset {ids} "
-                            f"({ds.label or ds.kind}): {exc}")
-
 
 def _model(theta, design, gamma_nat, tau):
     """Model ordinates of every point of ``design``, in dataset order."""
@@ -245,27 +226,24 @@ def _canonical(datasets):
     """Datasets and their points in an order that depends only on their values.
 
     Points are sorted by (x, y, sigma, mask) within each dataset, datasets
-    by (kind, delta_mhz, i_r, horizon_us, data bytes).  Returns the sorted
-    datasets and each one's position in the caller's list.
+    by (kind, delta_mhz, i_r, horizon_us, data bytes).
     """
     def num(v):
         return (0, 0.0) if v is None else (1, float(v))
 
-    def key(item):
-        _, ds = item
+    def key(ds):
         mask = b"" if ds.mask is None else ds.mask.tobytes()
         return (ds.kind, num(ds.delta_mhz), num(ds.i_r), num(ds.horizon_us),
                 ds.x.tobytes(), ds.y.tobytes(), ds.sigma.tobytes(), mask)
 
-    items = []
-    for i, ds in enumerate(datasets):
+    out = []
+    for ds in datasets:
         cols = (ds.sigma, ds.y, ds.x)
         order = np.lexsort(cols if ds.mask is None else (ds.mask,) + cols)
-        items.append((i, replace(ds, x=ds.x[order], y=ds.y[order],
-                                 sigma=ds.sigma[order],
-                                 mask=None if ds.mask is None else ds.mask[order])))
-    items.sort(key=key)
-    return [ds for _, ds in items], [i for i, _ in items]
+        out.append(replace(ds, x=ds.x[order], y=ds.y[order],
+                           sigma=ds.sigma[order],
+                           mask=None if ds.mask is None else ds.mask[order]))
+    return sorted(out, key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +287,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
     arithmetic, so every floating-point sum runs in the same order whatever
-    order the caller lists them in.  Errors name datasets by their index in
-    the caller's list.
+    order the caller lists them in.
 
     Raises RankDeficiencyError when the Jacobian at the returned point (the
     one the covariance is built from) has a zero column or two parallel
@@ -318,7 +295,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     """
     if not datasets:
         raise ParamError(["datasets"], "need at least one dataset")
-    datasets, index = _canonical(datasets)
+    datasets = _canonical(datasets)
     free = tuple(free)
     for key in free:
         if key not in FREE_KEYS:
@@ -351,7 +328,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     def resid_of(u_vec):
         return residuals(theta_of(u_vec), design, gamma_nat=gamma_nat, tau=tau)
 
-    design = _Design(datasets, index)
+    design = _Design(datasets)
     r = resid_of(u)
     m = r.size
     if m <= len(free):

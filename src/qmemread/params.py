@@ -86,6 +86,9 @@ class ReadoutParams:
     gamma_deph : Gaussian dephasing rate of the stored coherence, rad/us, >= 0
     tau        : delay between heralding detection and read turn-on, us, >= 0
     scale_f    : overall proportionality constant, >= 0
+
+    Every value must be finite.  Construction and ``replace`` raise
+    ParamError naming each field that breaks its bound.
     """
 
     omega: float
@@ -95,6 +98,25 @@ class ReadoutParams:
     gamma_deph: float = 0.0
     tau: float = DEFAULT_TAU_US
     scale_f: float = 1.0
+
+    def __post_init__(self):
+        bad = []
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            bad.append("omega")
+        if not math.isfinite(self.delta):
+            bad.append("delta")
+        if not (math.isfinite(self.gamma_nat) and self.gamma_nat > 0):
+            bad.append("gamma_nat")
+        if not (math.isfinite(self.chi) and self.chi >= 1):
+            bad.append("chi")
+        if not (math.isfinite(self.gamma_deph) and self.gamma_deph >= 0):
+            bad.append("gamma_deph")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            bad.append("tau")
+        if not (math.isfinite(self.scale_f) and self.scale_f >= 0):
+            bad.append("scale_f")
+        if bad:
+            raise ParamError(bad)
 
     @property
     def chi_gamma(self) -> float:
@@ -126,32 +148,7 @@ class ReadoutParams:
                                  "i_sat_mw_cm2 is required with i_r_mw_cm2")
             model = IntensityModel(i_sat=i_sat_mw_cm2, gamma_nat=gamma_nat)
             omega = rabi_from_intensity(i_r_mw_cm2, model)
-        return validate(cls(omega=omega, delta=mhz_to_angular(delta_mhz),
-                            gamma_nat=gamma_nat, chi=chi,
-                            gamma_deph=mhz_to_angular(gamma_deph_mhz),
-                            tau=tau_ns * 1e-3, scale_f=scale_f))
-
-
-def validate(params: ReadoutParams) -> ReadoutParams:
-    """Return ``params`` unchanged if every invariant holds.
-
-    Raises ParamError naming each violated field otherwise.
-    """
-    bad = []
-    if not (math.isfinite(params.omega) and params.omega >= 0):
-        bad.append("omega")
-    if not math.isfinite(params.delta):
-        bad.append("delta")
-    if not (math.isfinite(params.gamma_nat) and params.gamma_nat > 0):
-        bad.append("gamma_nat")
-    if not (math.isfinite(params.chi) and params.chi >= 1):
-        bad.append("chi")
-    if not (math.isfinite(params.gamma_deph) and params.gamma_deph >= 0):
-        bad.append("gamma_deph")
-    if not (math.isfinite(params.tau) and params.tau >= 0):
-        bad.append("tau")
-    if not (math.isfinite(params.scale_f) and params.scale_f >= 0):
-        bad.append("scale_f")
-    if bad:
-        raise ParamError(bad)
-    return params
+        return cls(omega=omega, delta=mhz_to_angular(delta_mhz),
+                   gamma_nat=gamma_nat, chi=chi,
+                   gamma_deph=mhz_to_angular(gamma_deph_mhz),
+                   tau=tau_ns * 1e-3, scale_f=scale_f)

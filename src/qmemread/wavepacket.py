@@ -157,8 +157,10 @@ def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
     """
     t_arr = np.asarray(t, dtype=float)
     b = amplitude_B(t_arr, params, omega=omega, delta=delta)
-    env = np.exp(-(params.gamma_deph * (t_arr + params.tau)) ** 2)
-    out = params.scale_f * env * np.abs(b) ** 2
+    # np.square, not ** 2: on a numpy scalar ** goes through pow, which can
+    # differ in the last bit from the ufunc an array goes through
+    env = np.exp(-np.square(params.gamma_deph * (t_arr + params.tau)))
+    out = params.scale_f * env * np.square(np.abs(b))
     return out if out.ndim else float(out)
 
 
@@ -340,8 +342,6 @@ def saturation_curve(base_params: ReadoutParams, intensity_model: IntensityModel
                      i_r_list, horizon=math.inf) -> SweepCurve:
     """P_c versus read intensity (mW/cm^2), all other parameters fixed."""
     i_r_arr = np.asarray(i_r_list, dtype=float)
-    if np.any(i_r_arr < 0):
-        raise ParamError(["i_r_list"], "intensities must be >= 0")
     omega = rabi_from_intensity(i_r_arr, intensity_model)
     return SweepCurve(abscissa=i_r_arr,
                       ordinate=pc_integral(base_params, horizon, omega=omega),
@@ -355,8 +355,6 @@ def detuning_spectrum(base_params: ReadoutParams, intensity_model: IntensityMode
     |B(t)|^2 depends on the detuning only through Delta^2 (the sign enters
     phases alone), so the spectrum is exactly symmetric under Delta -> -Delta.
     """
-    if i_r < 0:
-        raise ParamError(["i_r"], "intensity must be >= 0")
     params = base_params.replace(omega=rabi_from_intensity(float(i_r),
                                                            intensity_model))
     de_mhz = np.asarray(delta_mhz_list, dtype=float)

@@ -38,17 +38,11 @@ def oracle_model_eval(theta, dataset, gamma_nat, tau):
                              dataset.horizon_us).ordinate
 
 
-def oracle_residuals(theta, datasets, gamma_nat, tau, *, index=None):
+def oracle_residuals(theta, datasets, gamma_nat, tau):
     """Concatenated masked (model - y)/sigma, one dataset at a time."""
     parts = []
-    for pos, ds in enumerate(datasets):
-        try:
-            m = oracle_model_eval(theta, ds, gamma_nat, tau)
-        except Exception as exc:
-            ids = pos if index is None else index[pos]
-            raise RuntimeError(f"model evaluation failed on dataset {ids} "
-                               f"({ds.label or ds.kind}): {exc}") from exc
-        r = (m - ds.y) / ds.sigma
+    for ds in datasets:
+        r = (oracle_model_eval(theta, ds, gamma_nat, tau) - ds.y) / ds.sigma
         if ds.mask is not None:
             r = r[ds.mask]
         parts.append(r)
@@ -57,5 +51,4 @@ def oracle_residuals(theta, datasets, gamma_nat, tau, *, index=None):
 
 def design_residuals(theta, design, gamma_nat, tau):
     """``oracle_residuals`` over the datasets of a compiled design."""
-    return oracle_residuals(theta, design.datasets, gamma_nat, tau,
-                            index=design.index)
+    return oracle_residuals(theta, design.datasets, gamma_nat, tau)

@@ -448,6 +448,60 @@ class TestFitCommand:
         assert str(data_path) in err or "datasets[0]" in err
         assert not (out / "fit_result.json").exists()
 
+    SATURATION = "x,y,sigma\n5,0.001,1e-4\n20,0.003,1e-4\n80,0.004,1e-4\n"
+
+    @pytest.mark.parametrize("where,key,bad,named", [
+        ("dataset", "horizon_ns", "x", "datasets[0].horizon_ns"),
+        ("dataset", "horizon_ns", -5, "datasets[0]: horizon_us"),
+        ("dataset", "delta_mhz", "x", "datasets[0].delta_mhz"),
+        ("dataset", "i_r_mw_cm2", True, "datasets[0].i_r_mw_cm2"),
+        ("dataset", "mask_min", "x", "datasets[0].mask_min"),
+        ("config", "init", {"chi": "x"}, "init.chi"),
+        ("config", "bounds", {"chi": [2]}, "bounds.chi"),
+        ("config", "bounds", {"chi": ["a", 3]}, "bounds.chi[0]"),
+        ("config", "tau_ns", "x", "tau_ns")],
+        ids=["horizon-string", "negative-horizon", "delta-string",
+             "intensity-bool", "mask-string", "init-string", "bounds-short",
+             "bounds-string", "tau-string"])
+    def test_bad_number_exit_2(self, tmp_path, capsys, where, key, bad, named):
+        data_path = tmp_path / "sat.csv"
+        data_path.write_text(self.SATURATION)
+        block = {"kind": "saturation", "path": str(data_path),
+                 "delta_mhz": 1.7}
+        payload = {"datasets": [block], "free": ["scale_f", "chi"]}
+        (block if where == "dataset" else payload)[key] = bad
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", write_cfg(tmp_path, payload, "fit.json"),
+                    "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and named in err
+        assert not (out / "fit_result.json").exists()
+
+    @pytest.mark.parametrize("kind,rows", [
+        ("saturation", "x,y,sigma\n-5,0.001,1e-4\n20,0.003,1e-4\n"),
+        ("wavepacket", "x,y,sigma\n-1,0.001,1e-4\n2,0.003,1e-4\n")],
+        ids=["negative-intensity", "negative-time"])
+    def test_bad_second_dataset_named_exit_2(self, tmp_path, capsys, kind,
+                                             rows):
+        # a saturation curve sorts before a wavepacket inside fit; the error
+        # still names the dataset by its place in the config
+        good = tmp_path / "good.csv"
+        good.write_text(self.SATURATION)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(rows)
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "wavepacket", "path": str(good),
+                          "delta_mhz": 1.7, "i_r_mw_cm2": 95.0},
+                         {"kind": kind, "path": str(bad), "delta_mhz": 1.7,
+                          "i_r_mw_cm2": 95.0}],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error: datasets[1]: " in err and "x must be >= 0" in err
+        assert not (out / "fit_result.json").exists()
+
     def test_dataset_file_round_trips_repr(self, tmp_path):
         rng = np.random.default_rng(5)
         cols = rng.normal(size=(3, 17)) * 10.0 ** rng.integers(-8, 8, (3, 17))

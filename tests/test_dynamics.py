@@ -61,6 +61,17 @@ class TestEvolve:
             scale = np.max(np.abs(b_ref) ** 2)
             assert np.max(np.abs(np.abs(b_rec) ** 2 - np.abs(b_ref) ** 2)) <= 1e-8 * scale
 
+    def test_long_horizon_past_beta_underflow(self):
+        # chi*Gamma*t_end ~ 1600: beta = exp(-chi Gamma t/2) underflows to 0
+        # on the late grid, where the stored B must stay finite and exact
+        p = ReadoutParams(omega=30.0, delta=5.0, chi=1.0)
+        traj = evolve(p, t_end=50.0)
+        assert p.chi_gamma * 50.0 > 1600 and traj.beta_vals[-1] == 0.0
+        assert np.all(np.isfinite(traj.b_field)) and np.all(np.isfinite(traj.norm))
+        rotated = reconstruct_B(traj) * np.exp(-1j * p.delta * traj.t)
+        ref = amplitude_B(traj.t, p)
+        assert np.max(np.abs(rotated - ref)) <= 1e-8 * np.max(np.abs(ref))
+
     def test_full_complex_agreement_up_to_detuning_rotation(self):
         # The integrated frame differs from the closed form by exp(i Delta t).
         # With both exponents taken nonnegative the closed form is the exact

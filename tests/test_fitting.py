@@ -79,6 +79,36 @@ class TestDataset:
             Dataset(kind="saturation", delta_mhz=1.7, **cols)
         assert info.value.fields == (field,)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(kind="saturation", x=[5.0, -5.0], delta_mhz=0.0), "x"),
+        (dict(kind="wavepacket", x=[-1.0], delta_mhz=0.0, i_r=95.0), "x"),
+        (dict(kind="wavepacket", x=[1.0], delta_mhz=0.0, i_r=math.nan), "i_r"),
+        (dict(kind="wavepacket", x=[1.0], delta_mhz=math.inf, i_r=95.0),
+         "delta_mhz"),
+        (dict(kind="spectrum", x=[1.0], i_r=-3.0), "i_r"),
+        (dict(kind="spectrum", x=[1.0], i_r=95.0, horizon_us=0.0),
+         "horizon_us"),
+        (dict(kind="saturation", x=[1.0], delta_mhz=0.0, horizon_us=-0.005),
+         "horizon_us")],
+        ids=["negative-intensity", "negative-time", "nan-drive",
+             "infinite-detuning", "negative-spectrum-drive", "zero-horizon",
+             "negative-horizon"])
+    def test_model_domain_checked_on_construction(self, kwargs, field):
+        n = len(kwargs["x"])
+        with pytest.raises(ParamError) as info:
+            Dataset(y=np.zeros(n), sigma=np.ones(n), **kwargs)
+        assert info.value.fields == (field,)
+
+    def test_values_the_kind_ignores_are_not_checked(self):
+        # negative detuning abscissae of a spectrum; no i_r for a saturation
+        # curve, no delta_mhz for a spectrum and no horizon for a wavepacket
+        Dataset(kind="spectrum", x=[-25.7, 0.0], y=[0, 0], sigma=[1, 1],
+                i_r=95.0)
+        Dataset(kind="saturation", x=[5.0], y=[0], sigma=[1], delta_mhz=1.7,
+                i_r=-1.0)
+        Dataset(kind="wavepacket", x=[0.0], y=[0], sigma=[1], delta_mhz=1.7,
+                i_r=95.0, horizon_us=0.0)
+
 
 class TestModelEval:
     @pytest.mark.parametrize("kind,x", [
@@ -137,11 +167,14 @@ class TestResiduals:
             scale = np.max(np.abs(d2))
             assert np.max(np.abs(d1 - d2)) <= 1e-5 * scale
 
-    def test_model_failure_carries_dataset_index(self):
-        bad = Dataset(kind="saturation", x=[-5.0], y=[0.0], sigma=[1.0],
-                      delta_mhz=0.0)
-        with pytest.raises(RuntimeError, match="dataset 0"):
-            residuals(TRUTH, [bad], gamma_nat=GAMMA_NAT, tau=TAU)
+    def test_parameter_outside_domain_named(self):
+        ds = noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 40.0),
+                               delta=1.7, i_r=95.0)
+        for theta, field in ((dict(TRUTH, i_sat=-1.0), "i_sat"),
+                             (dict(TRUTH, chi=0.5), "chi")):
+            with pytest.raises(ParamError) as info:
+                residuals(theta, [ds], GAMMA_NAT, TAU)
+            assert info.value.fields == (field,)
 
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -186,7 +219,7 @@ class TestCompiledDesign:
     def test_residuals_equal_oracle_loop(self, theta, sets):
         ref = oracle_residuals(theta, sets, GAMMA_NAT, TAU)
         assert np.array_equal(residuals(theta, sets, GAMMA_NAT, TAU), ref)
-        design = fitting._Design(*fitting._canonical(sets))
+        design = fitting._Design(fitting._canonical(sets))
         assert np.array_equal(residuals(theta, design, GAMMA_NAT, TAU),
                               design_residuals(theta, design, GAMMA_NAT, TAU))
 
@@ -218,29 +251,6 @@ class TestCompiledDesign:
                 assert np.array_equal(model_eval(theta, ds, GAMMA_NAT, TAU),
                                       oracle_model_eval(theta, ds, GAMMA_NAT,
                                                         TAU))
-
-    @pytest.mark.parametrize("bad,theta", [
-        (Dataset(kind="saturation", x=[5.0, -5.0], y=[0, 0], sigma=[1, 1],
-                 delta_mhz=0.0), TRUTH),
-        (Dataset(kind="wavepacket", x=[-1.0], y=[0], sigma=[1], delta_mhz=0.0,
-                 i_r=95.0), TRUTH),
-        (Dataset(kind="wavepacket", x=[1.0], y=[0], sigma=[1], delta_mhz=0.0,
-                 i_r=math.nan), TRUTH),
-        (Dataset(kind="spectrum", x=[1.0], y=[0], sigma=[1], i_r=-3.0), TRUTH),
-        (Dataset(kind="spectrum", x=[1.0], y=[0], sigma=[1], i_r=95.0,
-                 horizon_us=0.0), TRUTH),
-        (Dataset(kind="wavepacket", x=[1.0], y=[0], sigma=[1], delta_mhz=0.0,
-                 i_r=95.0), dict(TRUTH, i_sat=-1.0))],
-        ids=["negative-intensity", "negative-time", "nan-drive",
-             "negative-spectrum-drive", "zero-horizon", "bad-theta"])
-    def test_errors_equal_oracle(self, bad, theta):
-        good = noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 40.0),
-                                 delta=1.7, i_r=95.0)
-        with pytest.raises(RuntimeError) as ref:
-            oracle_residuals(theta, [good, bad], GAMMA_NAT, TAU, index=[4, 9])
-        with pytest.raises(RuntimeError) as got:
-            residuals(theta, [good, bad], GAMMA_NAT, TAU, index=[4, 9])
-        assert str(got.value) == str(ref.value)
 
     def test_fit_equals_oracle_driven_fit(self, monkeypatch):
         for seed in range(1, 31):
@@ -356,16 +366,6 @@ class TestFit:
                            sigma=ds.sigma[order], delta_mhz=ds.delta_mhz,
                            i_r=ds.i_r)
             assert_bit_identical(res_a, fit([perm], **kwargs))
-
-    def test_error_names_callers_dataset_index(self):
-        # the bad saturation curve sorts before the wavepacket inside fit,
-        # but the error must name its place in the caller's list
-        good = noiseless_dataset("wavepacket", np.arange(0, 161, 4.0),
-                                 delta=1.7, i_r=95.0)
-        bad = Dataset(kind="saturation", x=[-5.0], y=[0.0], sigma=[1.0],
-                      delta_mhz=0.0)
-        with pytest.raises(RuntimeError, match="dataset 1 "):
-            fit([good, bad], gamma_nat=GAMMA_NAT, tau=TAU)
 
     def test_bounds_respected(self):
         sets = paper_design(seed=4)

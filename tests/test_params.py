@@ -5,7 +5,7 @@ import pytest
 
 from qmemread import (DEFAULT_GAMMA_NAT_MHZ, IntensityModel, ParamError,
                       ReadoutParams, angular_to_mhz, mhz_to_angular,
-                      rabi_from_intensity, validate)
+                      rabi_from_intensity)
 
 GAMMA = mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ)
 
@@ -67,29 +67,30 @@ class TestValidate:
 
     def test_accepts_valid(self):
         p = self.good()
-        assert validate(p) is p
+        assert p.replace() == p
 
     def test_chi_below_one_rejected_by_name(self):
         with pytest.raises(ParamError) as exc:
-            validate(self.good().replace(chi=0.5))
+            self.good().replace(chi=0.5)
         assert exc.value.fields == ("chi",)
 
     def test_zero_linewidth_rejected(self):
         with pytest.raises(ParamError) as exc:
-            validate(self.good().replace(gamma_nat=0.0))
-        assert "gamma_nat" in exc.value.fields
+            ReadoutParams(omega=10.0, delta=-5.0, gamma_nat=0.0)
+        assert exc.value.fields == ("gamma_nat",)
 
     def test_multiple_violations_all_named(self):
         with pytest.raises(ParamError) as exc:
-            validate(self.good().replace(omega=-1.0, tau=-2.0, scale_f=-0.1))
+            self.good().replace(omega=-1.0, tau=-2.0, scale_f=-0.1)
         assert set(exc.value.fields) == {"omega", "tau", "scale_f"}
 
     def test_nan_rejected(self):
-        with pytest.raises(ParamError):
-            validate(self.good().replace(delta=math.nan))
+        with pytest.raises(ParamError) as exc:
+            ReadoutParams(omega=10.0, delta=math.nan)
+        assert exc.value.fields == ("delta",)
 
     def test_negative_delta_allowed(self):
-        validate(self.good().replace(delta=-100.0))
+        assert self.good().replace(delta=-100.0).delta == -100.0
 
 
 class TestFromUserUnits:

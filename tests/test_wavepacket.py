@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from pc_oracle import adaptive_pc
@@ -487,6 +487,10 @@ class TestPerPointDrive:
 
     @property_settings
     @given(st_params, st_drives)
+    @example(ReadoutParams(omega=1.0, delta=0.0, gamma_nat=32.67256359733385,
+                           chi=1.7705311378295232, gamma_deph=0.0, tau=0.0,
+                           scale_f=1.0),
+             [(1.192092896e-07, 21.0, 100.0)])
     def test_pc_at_equals_scalar_calls(self, p, drives):
         t, omega, delta = (np.array(col) for col in zip(*drives))
         got = pc_at(t, p, omega=omega, delta=delta)
