@@ -11,9 +11,10 @@ stats           correlation summary + binned wavepacket from a log
 fit             weighted least squares over datasets listed in the config
 
 Every quantity in the JSON config carries an explicit unit suffix
-(delta_mhz, i_r_mw_cm2, tau_ns, ...).  Unknown keys are rejected.  Exit
-codes: 0 success, 1 runtime failure, 2 config/validation failure.  Every
-run writes a manifest; a failed run removes any partial outputs.
+(delta_mhz, i_r_mw_cm2, tau_ns, ...) and is read by the command's table in
+``TABLES`` (README.md lists them).  Exit codes: 0 success, 1 runtime
+failure, 2 config/validation failure.  Every run writes a manifest; a
+failed run removes any partial outputs.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ import numpy as np
 from . import __version__
 from .collective import (EnsembleGeometry, branching_ratio, chi_closed_form,
                          chi_monte_carlo, chi_quadrature, extraction_ceiling)
-from .counting import (SynthDesign, conditional_wavepacket, correlations,
-                       ingest, probabilities, synthesize_log, write_log)
+from .counting import (DEFAULT_TRIAL_WINDOW_NS, SynthDesign,
+                       conditional_wavepacket, correlations, ingest,
+                       probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
 from .params import (DEFAULT_GAMMA_NAT_MHZ, ParamError, ReadoutParams,
                      IntensityModel, angular_to_mhz, mhz_to_angular)
@@ -48,86 +50,206 @@ class ConfigError(ValueError):
 _FIT_KEYS = {"gamma_deph_mhz": "gamma_deph", "i_sat_mw_cm2": "i_sat",
              "chi": "chi", "scale_f": "scale_f"}
 
-_PARAMS_KEYS = {"delta_mhz", "chi", "gamma_deph_mhz", "scale_f",
-                "gamma_nat_mhz", "tau_ns", "rabi_mhz", "i_r_mw_cm2"}
+
+# ---------------------------------------------------------------------------
+# config kinds: (value, dotted path) -> typed value, or ConfigError
+
+def _bad(path, what, value) -> ConfigError:
+    return ConfigError(f"{path}: must be {what}, got {value!r}")
 
 
-def _check_keys(block: dict, allowed, path):
-    unknown = set(block) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+def _exact(types, what):
+    """A JSON value of one of ``types`` exactly; a bool is not an int."""
+    def kind(v, path):
+        if type(v) not in types:
+            raise _bad(path, what, v)
+        return v
+    return kind
 
 
-def _require(block: dict, keys, path):
-    missing = [k for k in keys if k not in block]
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s) {missing}")
+_json_int = _exact((int,), "an integer")
+_bool = _exact((bool,), "true or false")
+_string = _exact((str,), "a string")
 
 
-def _config_int(value, key) -> int:
-    """An integer config value; an integral float such as JSON 1e6 counts."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(f"{key}: must be an integer, got {value!r}")
-    return int(value)
+def _int(v, path) -> int:
+    """An integer; an integral float such as JSON 1e6 counts."""
+    return _json_int(int(v) if type(v) is float and v.is_integer() else v,
+                     path)
 
 
-def _config_float(value, key) -> float:
-    """A numeric config value; a bool, a string or null is not one."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key}: must be a number, got {value!r}")
-    return float(value)
-
-
-def _build_params(cfg: dict, path="params", i_r=None) -> ReadoutParams:
-    block = cfg.get("params")
-    if not isinstance(block, dict):
-        raise ConfigError(f"{path}: required object missing")
-    _check_keys(block, _PARAMS_KEYS, path)
-    _require(block, ["delta_mhz"], path)
-    intensity = cfg.get("intensity", {})
-    _check_keys(intensity, {"i_sat_mw_cm2"}, "intensity")
-
-    kwargs = dict(delta_mhz=block["delta_mhz"],
-                  chi=block.get("chi", 1.0),
-                  gamma_deph_mhz=block.get("gamma_deph_mhz", 0.0),
-                  scale_f=block.get("scale_f", 1.0),
-                  gamma_nat_mhz=block.get("gamma_nat_mhz", DEFAULT_GAMMA_NAT_MHZ),
-                  tau_ns=block.get("tau_ns", 50.0))
-    i_r_eff = i_r if i_r is not None else block.get("i_r_mw_cm2")
-    if "rabi_mhz" in block and i_r_eff is not None:
-        raise ConfigError(f"{path}: give rabi_mhz or an intensity, not both")
-    if "rabi_mhz" in block:
-        kwargs["rabi_mhz"] = block["rabi_mhz"]
-    else:
-        if i_r_eff is None:
-            raise ConfigError(f"{path}: need rabi_mhz or i_r_mw_cm2")
-        if "i_sat_mw_cm2" not in intensity:
-            raise ConfigError("intensity.i_sat_mw_cm2 is required with i_r_mw_cm2")
-        kwargs["i_r_mw_cm2"] = i_r_eff
-        kwargs["i_sat_mw_cm2"] = intensity["i_sat_mw_cm2"]
+def _number(v, path) -> float:
     try:
-        return ReadoutParams.from_user_units(**kwargs)
+        return float(_exact((int, float), "a number")(v, path))
+    except OverflowError:       # a JSON integer beyond the float range
+        raise _bad(path, "a number in the float range", v) from None
+
+
+def _horizon(v, path) -> float:
+    """A horizon in ns; "inf" or null is no horizon."""
+    return math.inf if v in ("inf", None) else _number(v, path)
+
+
+def _version(v, path) -> int:
+    if _int(v, path) != 1:
+        raise ConfigError(f"{path}: only version 1 is supported")
+    return 1
+
+
+def _numbers(v, path) -> list:
+    if not (type(v) is list and v):
+        raise _bad(path, "a non-empty list of numbers", v)
+    return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
+
+
+def _intensities(v, path) -> list:
+    """One read intensity or a non-empty list of them."""
+    return _numbers(v, path) if type(v) is list else [_number(v, path)]
+
+
+def _pair(v, path) -> list:
+    if not (type(v) is list and len(v) == 2):
+        raise _bad(path, "a pair [lo, hi]", v)
+    return v
+
+
+def _window(v, path) -> tuple:
+    """An inclusive integer range [lo, hi] with lo <= hi."""
+    lo, hi = (_int(x, f"{path}[{i}]") for i, x in enumerate(_pair(v, path)))
+    if lo > hi:
+        raise ConfigError(f"{path}: expected [lo, hi] with lo <= hi")
+    return lo, hi
+
+
+def _bound_pair(v, path) -> tuple:
+    """[lo, hi], each a number or null for no bound."""
+    return tuple(None if x is None else _number(x, f"{path}[{j}]")
+                 for j, x in enumerate(_pair(v, path)))
+
+
+def _free(v, path) -> list:
+    """A list of distinct fit parameter names."""
+    for name in _exact((list,), "a list of parameter names")(v, path):
+        if not (isinstance(name, str) and name in _FIT_KEYS):
+            raise ConfigError(f"{path}: unknown parameter {name!r}")
+        if v.count(name) > 1:
+            raise ConfigError(f"{path}: {name!r} is listed twice")
+    return v
+
+
+# ---------------------------------------------------------------------------
+# one table per command: key -> (kind, default).  A kind is a function as
+# above, a nested table (read as {} when absent) or [table], a list of
+# objects each read by that table.
+
+REQUIRED = object()
+
+
+def read_config(table, block, path=""):
+    """``block`` read through ``table``: a dict with every key of the table,
+    holding the typed value, or the default where the key is absent.
+
+    Unknown keys, missing required keys and ill-typed values raise
+    ConfigError naming the dotted path (``params.chi``,
+    ``datasets[2].horizon_ns``).  A pure function of its arguments; range
+    invariants are left to the library types built from the values.
+    """
+    where = path or "config"
+    _exact((dict,), "an object")(block, where)
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+    missing = [k for k, (_, d) in table.items()
+               if d is REQUIRED and k not in block]
+    if missing:
+        raise ConfigError(f"{where}: missing required key(s) {missing}")
+    out = {}
+    for key, (kind, default) in table.items():
+        sub = f"{path}.{key}" if path else key
+        if isinstance(kind, dict):
+            out[key] = read_config(kind, block.get(key, {}), sub)
+        elif isinstance(kind, list):
+            items = _exact((list,), "a list of objects")(block.get(key, []), sub)
+            out[key] = [read_config(kind[0], b, f"{sub}[{i}]")
+                        for i, b in enumerate(items)]
+        else:
+            out[key] = kind(block[key], sub) if key in block else default
+    return out
+
+
+_COMMON = {"schema_version": (_version, 1), "seed": (_json_int, None)}
+_MODEL = {
+    "params": ({"delta_mhz": (_number, REQUIRED), "chi": (_number, 1.0),
+                "gamma_deph_mhz": (_number, 0.0), "scale_f": (_number, 1.0),
+                "gamma_nat_mhz": (_number, DEFAULT_GAMMA_NAT_MHZ),
+                "tau_ns": (_number, 50.0), "rabi_mhz": (_number, None),
+                "i_r_mw_cm2": (_number, None)}, REQUIRED),
+    "intensity": ({"i_sat_mw_cm2": (_number, None)}, None)}
+
+TABLES = {
+    "wavepacket": {
+        **_COMMON, **_MODEL, "i_r_mw_cm2": (_intensities, None),
+        "window": ({"t_start_ns": (_number, 0.0), "t_end_ns": (_number, 160.0),
+                    "step_ns": (_number, 1.0)}, None)},
+    "sweep-intensity": {
+        **_COMMON, **_MODEL, "i_r_grid_mw_cm2": (_numbers, REQUIRED),
+        "horizon_ns": (_horizon, 160.0)},
+    "sweep-detuning": {
+        **_COMMON, **_MODEL, "i_r_mw_cm2": (_number, REQUIRED),
+        "delta_grid_mhz": (_numbers, REQUIRED), "horizon_ns": (_horizon, 160.0)},
+    "chi": {
+        **_COMMON, "n_samples": (_int, 1_000_000), "n_batches": (_int, 30),
+        "geometry": (dict.fromkeys(("n_atoms", "waist_m", "length_m",
+                                    "wavenumber_per_m"), (_number, REQUIRED)),
+                     REQUIRED)},
+    "synth": {
+        **_COMMON, **_MODEL,
+        "design": ({"n_trials": (_int, REQUIRED), "p1": (_number, REQUIRED),
+                    "window_ns": (_int, SynthDesign.window_ns),
+                    "herald_t_ns": (_int, SynthDesign.herald_t_ns),
+                    "read_start_ns": (_int, SynthDesign.read_start_ns),
+                    "read_window_ns": (_int, SynthDesign.read_window_ns),
+                    "background_per_ns": (_number,
+                                          SynthDesign.background_per_ns)},
+                   REQUIRED)},
+    "stats": {
+        **_COMMON, "log_path": (_string, REQUIRED), "n_trials": (_int, None),
+        "trial_window_ns": (_int, DEFAULT_TRIAL_WINDOW_NS),
+        "window1_ns": (_window, REQUIRED), "window2_ns": (_window, REQUIRED),
+        "herald_window_ns": (_window, None), "bin_width_ns": (_int, 1),
+        "wavepacket_range_ns": (_window, None)},
+    "fit": {
+        **_COMMON, "gamma_nat_mhz": (_number, DEFAULT_GAMMA_NAT_MHZ),
+        "tau_ns": (_number, 50.0), "free": (_free, REQUIRED),
+        "init": (dict.fromkeys(_FIT_KEYS, (_number, None)), None),
+        "bounds": (dict.fromkeys(_FIT_KEYS, (_bound_pair, None)), None),
+        "weighted": (_bool, True),
+        "datasets": ([{
+            "kind": (_string, REQUIRED), "path": (_string, REQUIRED),
+            "delta_mhz": (_number, None), "i_r_mw_cm2": (_number, None),
+            "horizon_ns": (_horizon, 160.0), "mask_min": (_number, -math.inf),
+            "mask_max": (_number, math.inf), "label": (_string, "")}],
+                     REQUIRED)},
+}
+
+
+def _build(path, make, **kwargs):
+    """make(**kwargs); a ParamError is re-raised naming the config block."""
+    try:
+        return make(**kwargs)
     except ParamError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _intensity_model(cfg) -> IntensityModel:
-    block = cfg.get("intensity")
-    if not isinstance(block, dict) or "i_sat_mw_cm2" not in block:
-        raise ConfigError("intensity.i_sat_mw_cm2: required")
-    gamma_nat = mhz_to_angular(cfg.get("params", {}).get(
-        "gamma_nat_mhz", DEFAULT_GAMMA_NAT_MHZ))
-    return IntensityModel(i_sat=block["i_sat_mw_cm2"], gamma_nat=gamma_nat)
-
-
-def _horizon_us(block, key="horizon_ns") -> float:
-    """``block``'s horizon_ns in us, 160 ns by default; "inf" or null is no
-    horizon.  Its sign is checked where the horizon is used."""
-    h = block.get("horizon_ns", 160.0)
-    if h in ("inf", None):
-        return math.inf
-    return _config_float(h, key) * 1e-3
+def _readout(cfg, i_r=None, source="i_r_mw_cm2") -> ReadoutParams:
+    """ReadoutParams from the params and intensity blocks; ``i_r`` is a read
+    intensity the command takes from its own key ``source``."""
+    params = dict(cfg["params"], i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
+    if i_r is not None:
+        if params["i_r_mw_cm2"] is not None:
+            raise ConfigError(f"params.i_r_mw_cm2: conflicts with {source}")
+        params["i_r_mw_cm2"] = i_r
+    return _build("params", ReadoutParams.from_user_units, **params)
 
 
 class _Run:
@@ -156,21 +278,13 @@ class _Run:
                 pass
 
 
-def _slug(value) -> str:
-    return f"{value:g}".replace(".", "p").replace("-", "m")
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns a dict for the manifest)
+# subcommand implementations: ``cfg`` is the command's table read by
+# read_config; each returns a dict for the manifest
 
 def cmd_wavepacket(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "params", "intensity", "i_r_mw_cm2",
-                      "window", "seed"}, "config")
-    win = cfg.get("window", {})
-    _check_keys(win, {"t_start_ns", "t_end_ns", "step_ns"}, "window")
-    t0 = float(win.get("t_start_ns", 0.0))
-    t1 = float(win.get("t_end_ns", 160.0))
-    dt = float(win.get("step_ns", 1.0))
+    win = cfg["window"]
+    t0, t1, dt = win["t_start_ns"], win["t_end_ns"], win["step_ns"]
     if not (t1 > t0 >= 0 and dt > 0):
         raise ConfigError("window: need t_end_ns > t_start_ns >= 0, step_ns > 0")
     steps = (t1 - t0) / dt
@@ -178,15 +292,13 @@ def cmd_wavepacket(cfg, run, seed):
         raise ConfigError("window: step_ns must divide t_end_ns - t_start_ns")
     n_points = int(round(steps)) + 1
 
-    i_r_vals = cfg.get("i_r_mw_cm2")
-    if i_r_vals is None:
-        params = _build_params(cfg)
-        curves = [("rabi", params)]
+    if cfg["i_r_mw_cm2"] is None:
+        curves = [("rabi", _readout(cfg))]
     else:
-        if not isinstance(i_r_vals, list):
-            i_r_vals = [i_r_vals]
-        curves = [(f"ir{_slug(v)}", _build_params(cfg, i_r=float(v)))
-                  for v in i_r_vals]
+        curves = [(f"ir{v:g}".replace(".", "p").replace("-", "m"),
+                   _readout(cfg, v)) for v in cfg["i_r_mw_cm2"]]
+        if len(dict(curves)) < len(curves):
+            raise ConfigError("i_r_mw_cm2: two values give one file name")
     for tag, params in curves:
         curve = pc_curve(params, t_start=t0 * 1e-3, t_end=t1 * 1e-3,
                          n_points=n_points)
@@ -197,16 +309,11 @@ def cmd_wavepacket(cfg, run, seed):
 
 
 def cmd_sweep_intensity(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "params", "intensity",
-                      "i_r_grid_mw_cm2", "horizon_ns", "seed"}, "config")
-    _require(cfg, ["i_r_grid_mw_cm2"], "config")
-    grid = cfg["i_r_grid_mw_cm2"]
-    if not isinstance(grid, list) or len(grid) == 0:
-        raise ConfigError("i_r_grid_mw_cm2: non-empty list required")
-    params = _build_params(cfg, i_r=0.0)
-    curve = saturation_curve(params, _intensity_model(cfg),
-                             np.asarray(grid, dtype=float),
-                             horizon=_horizon_us(cfg))
+    params = _readout(cfg, 0.0, "i_r_grid_mw_cm2")
+    curve = saturation_curve(
+        params, IntensityModel(cfg["intensity"]["i_sat_mw_cm2"],
+                               params.gamma_nat),
+        np.asarray(cfg["i_r_grid_mw_cm2"]), horizon=cfg["horizon_ns"] * 1e-3)
     out = run.path("sweep_intensity.csv")
     curve.to_csv(out)
     run.note(f"wrote {out}")
@@ -214,17 +321,12 @@ def cmd_sweep_intensity(cfg, run, seed):
 
 
 def cmd_sweep_detuning(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "params", "intensity", "i_r_mw_cm2",
-                      "delta_grid_mhz", "horizon_ns", "seed"}, "config")
-    _require(cfg, ["i_r_mw_cm2", "delta_grid_mhz"], "config")
-    grid = cfg["delta_grid_mhz"]
-    if not isinstance(grid, list) or len(grid) == 0:
-        raise ConfigError("delta_grid_mhz: non-empty list required")
-    params = _build_params(cfg, i_r=float(cfg["i_r_mw_cm2"]))
-    curve = detuning_spectrum(params, _intensity_model(cfg),
-                              float(cfg["i_r_mw_cm2"]),
-                              np.asarray(grid, dtype=float),
-                              horizon=_horizon_us(cfg))
+    params = _readout(cfg, cfg["i_r_mw_cm2"])
+    curve = detuning_spectrum(
+        params, IntensityModel(cfg["intensity"]["i_sat_mw_cm2"],
+                               params.gamma_nat),
+        cfg["i_r_mw_cm2"], np.asarray(cfg["delta_grid_mhz"]),
+        horizon=cfg["horizon_ns"] * 1e-3)
     out = run.path("sweep_detuning.csv")
     curve.to_csv(out)
     run.note(f"wrote {out}")
@@ -232,30 +334,16 @@ def cmd_sweep_detuning(cfg, run, seed):
 
 
 def cmd_chi(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "geometry", "n_samples", "n_batches",
-                      "seed"}, "config")
-    geo = cfg.get("geometry")
-    if not isinstance(geo, dict):
-        raise ConfigError("geometry: required object missing")
-    _check_keys(geo, {"n_atoms", "waist_m", "length_m", "wavenumber_per_m"},
-                "geometry")
-    _require(geo, ["n_atoms", "waist_m", "length_m", "wavenumber_per_m"],
-             "geometry")
-    try:
-        geom = EnsembleGeometry(**geo)
-    except ParamError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-    n_samples = _config_int(cfg.get("n_samples", 1_000_000), "n_samples")
-    n_batches = _config_int(cfg.get("n_batches", 30), "n_batches")
-
+    geom = _build("geometry", EnsembleGeometry, **cfg["geometry"])
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
-    mc = chi_monte_carlo(geom, n_samples, seed, n_batches=n_batches)
+    mc = chi_monte_carlo(geom, cfg["n_samples"], seed,
+                         n_batches=cfg["n_batches"])
     report = {
         "closed_form": {"chi": cf.value, "standard_error": cf.standard_error},
         "quadrature": {"chi": qd.value, "standard_error": qd.standard_error},
         "monte_carlo": {"chi": mc.value, "standard_error": mc.standard_error,
-                        "n_samples": n_samples, "seed": seed},
+                        "n_samples": cfg["n_samples"], "seed": seed},
         "branching_ratio": branching_ratio(cf.value),
         "extraction_ceiling": extraction_ceiling(cf.value),
         "regime_flags": geom.regime_flags,
@@ -268,20 +356,8 @@ def cmd_chi(cfg, run, seed):
 
 
 def cmd_synth(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "params", "intensity", "design",
-                      "seed"}, "config")
-    design_block = cfg.get("design")
-    if not isinstance(design_block, dict):
-        raise ConfigError("design: required object missing")
-    _check_keys(design_block, {"n_trials", "p1", "window_ns", "herald_t_ns",
-                               "read_start_ns", "read_window_ns",
-                               "background_per_ns"}, "design")
-    _require(design_block, ["n_trials", "p1"], "design")
-    params = _build_params(cfg)
-    try:
-        design = SynthDesign(**design_block)
-    except ParamError as exc:
-        raise ConfigError(f"design: {exc}") from exc
+    params = _readout(cfg)
+    design = _build("design", SynthDesign, **cfg["design"])
     store = synthesize_log(params, design, seed)
     out = run.path("synth_log.csv")
     write_log(store, out)
@@ -295,37 +371,13 @@ def cmd_synth(cfg, run, seed):
 
 
 def cmd_stats(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "log_path", "n_trials",
-                      "trial_window_ns", "window1_ns", "window2_ns",
-                      "herald_window_ns", "bin_width_ns",
-                      "wavepacket_range_ns", "seed"}, "config")
-    _require(cfg, ["log_path", "window1_ns", "window2_ns"], "config")
-
-    def _window(key, op="<="):
-        w = cfg[key]
-        if not isinstance(w, list) or len(w) != 2:
-            raise ConfigError(f"{key}: expected [lo, hi] with lo {op} hi")
-        lo, hi = (_config_int(v, f"{key}[{i}]") for i, v in enumerate(w))
-        if lo > hi or (op == "<" and lo == hi):
-            raise ConfigError(f"{key}: expected [lo, hi] with lo {op} hi")
-        return lo, hi
-
-    w1, w2 = _window("window1_ns"), _window("window2_ns")
-    t_range = None
-    if "wavepacket_range_ns" in cfg:
-        t_range = _window("wavepacket_range_ns", "<")
-    n_trials = cfg.get("n_trials")
-    if n_trials is not None:
-        n_trials = _config_int(n_trials, "n_trials")
-    store = ingest(cfg["log_path"], n_trials=n_trials,
-                   trial_window_ns=_config_int(cfg.get("trial_window_ns", 1500),
-                                               "trial_window_ns"))
-    summary = correlations(probabilities(store, w1, w2))
-    herald = _window("herald_window_ns") if "herald_window_ns" in cfg else w1
-    binned = conditional_wavepacket(store, herald,
-                                    bin_width_ns=_config_int(
-                                        cfg.get("bin_width_ns", 1), "bin_width_ns"),
-                                    t_range=t_range)
+    w1 = cfg["window1_ns"]
+    store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
+                   trial_window_ns=cfg["trial_window_ns"])
+    summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
+    binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
+                                    bin_width_ns=cfg["bin_width_ns"],
+                                    t_range=cfg["wavepacket_range_ns"])
     report = summary.to_json()
     report["ingest"] = {"n_events": len(store),
                         "n_duplicates": store.n_duplicates,
@@ -342,83 +394,36 @@ def cmd_stats(cfg, run, seed):
 
 
 def cmd_fit(cfg, run, seed):
-    _check_keys(cfg, {"schema_version", "gamma_nat_mhz", "tau_ns", "datasets",
-                      "free", "init", "bounds", "weighted", "seed"}, "config")
-    _require(cfg, ["datasets", "free"], "config")
-    weighted = bool(cfg.get("weighted", True))
+    def internal(name, value):      # user units -> the fit's units
+        return (mhz_to_angular(value)
+                if name == "gamma_deph_mhz" and value is not None else value)
 
-    free, init, bounds = [], {}, {}
-    for name in cfg["free"]:
-        if name not in _FIT_KEYS:
-            raise ConfigError(f"free: unknown parameter {name!r}")
-        free.append(_FIT_KEYS[name])
-    for name, val in (cfg.get("init") or {}).items():
-        if name not in _FIT_KEYS:
-            raise ConfigError(f"init: unknown parameter {name!r}")
-        key = _FIT_KEYS[name]
-        val = _config_float(val, f"init.{name}")
-        init[key] = mhz_to_angular(val) if key == "gamma_deph" else val
-    for name, pair in (cfg.get("bounds") or {}).items():
-        if name not in _FIT_KEYS:
-            raise ConfigError(f"bounds: unknown parameter {name!r}")
-        key = _FIT_KEYS[name]
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"bounds.{name}: expected [lo, hi], each a "
-                              "number or null")
-        lo, hi = (None if v is None else _config_float(v, f"bounds.{name}[{j}]")
-                  for j, v in enumerate(pair))
-        if key == "gamma_deph":
-            lo = None if lo is None else mhz_to_angular(lo)
-            hi = None if hi is None else mhz_to_angular(hi)
-        bounds[key] = (lo, hi)
-
+    init = {_FIT_KEYS[n]: internal(n, v) for n, v in cfg["init"].items()
+            if v is not None}
+    bounds = {_FIT_KEYS[n]: tuple(internal(n, v) for v in pair)
+              for n, pair in cfg["bounds"].items() if pair is not None}
     datasets = []
     for i, block in enumerate(cfg["datasets"]):
-        path = f"datasets[{i}]"
-        _check_keys(block, {"kind", "path", "delta_mhz", "i_r_mw_cm2",
-                            "horizon_ns", "mask_min", "mask_max", "label"},
-                    path)
-        _require(block, ["kind", "path"], path)
-
-        def number(key, default=None):
-            value = block.get(key)
-            return default if value is None else _config_float(
-                value, f"{path}.{key}")
-
         x, y, sig = _read_dataset_csv(block["path"])
-        if not weighted:
-            sig = np.ones_like(y)
-        mask = None
-        if "mask_min" in block or "mask_max" in block:
-            mask = ((x >= number("mask_min", -math.inf))
-                    & (x <= number("mask_max", math.inf)))
-        try:
-            datasets.append(Dataset(
-                kind=block["kind"], x=x, y=y, sigma=sig,
-                delta_mhz=number("delta_mhz"), i_r=number("i_r_mw_cm2"),
-                horizon_us=_horizon_us(block, f"{path}.horizon_ns"),
-                mask=mask, label=block.get("label", "")))
-        except ParamError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        lo, hi = block["mask_min"], block["mask_max"]
+        datasets.append(_build(
+            f"datasets[{i}]", Dataset, kind=block["kind"], x=x, y=y,
+            sigma=sig if cfg["weighted"] else np.ones_like(y),
+            delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
+            horizon_us=block["horizon_ns"] * 1e-3, label=block["label"],
+            mask=None if (lo, hi) == (-math.inf, math.inf)
+            else (x >= lo) & (x <= hi)))
 
-    result = fit(datasets, free=tuple(free), init=init or None,
-                 bounds=bounds or None,
-                 gamma_nat=mhz_to_angular(_config_float(
-                     cfg.get("gamma_nat_mhz", DEFAULT_GAMMA_NAT_MHZ),
-                     "gamma_nat_mhz")),
-                 tau=_config_float(cfg.get("tau_ns", 50.0), "tau_ns") * 1e-3)
+    result = fit(datasets, free=tuple(_FIT_KEYS[n] for n in cfg["free"]),
+                 init=init or None, bounds=bounds or None,
+                 gamma_nat=mhz_to_angular(cfg["gamma_nat_mhz"]),
+                 tau=cfg["tau_ns"] * 1e-3)
     payload = result.to_json()
     # mirror values back into user-facing units
-    user_values, user_errors = {}, {}
-    for uname, key in _FIT_KEYS.items():
-        if key in result.values:
-            v, e = result.values[key], result.errors[key]
-            if key == "gamma_deph":
-                v, e = angular_to_mhz(v), angular_to_mhz(e)
-            user_values[uname] = v
-            user_errors[uname] = e
-    payload["values_user_units"] = user_values
-    payload["errors_user_units"] = user_errors
+    for field, got in (("values_user_units", result.values),
+                       ("errors_user_units", result.errors)):
+        payload[field] = {n: angular_to_mhz(got[k]) if k == "gamma_deph"
+                          else got[k] for n, k in _FIT_KEYS.items() if k in got}
     out = run.path("fit_result.json")
     out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                    encoding="utf-8")
@@ -482,14 +487,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        if not isinstance(cfg, dict):
-            raise ConfigError("config: top level must be an object")
-        if cfg.get("schema_version", 1) != 1:
-            raise ConfigError("schema_version: only version 1 is supported")
-        seed = args.seed if args.seed is not None else cfg.get("seed")
-        if seed is not None and (isinstance(seed, bool)
-                                 or not isinstance(seed, int)):
-            raise ConfigError("seed: must be an integer")
+        cfg = read_config(TABLES[args.command], cfg)
+        seed = args.seed if args.seed is not None else cfg["seed"]
         if seed is None and args.command in _NEED_SEED:
             raise ConfigError("seed: required (use --seed or config 'seed')")
         _COMMANDS[args.command](cfg, run, seed)
