@@ -29,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .collective import (EnsembleGeometry, branching_ratio, chi_closed_form,
@@ -249,7 +250,13 @@ def _readout(cfg, i_r=None, source="i_r_mw_cm2") -> ReadoutParams:
         if params["i_r_mw_cm2"] is not None:
             raise ConfigError(f"params.i_r_mw_cm2: conflicts with {source}")
         params["i_r_mw_cm2"] = i_r
-    return _build("params", ReadoutParams.from_user_units, **params)
+    try:
+        return ReadoutParams.from_user_units(**params)
+    except ParamError as exc:
+        # i_sat_mw_cm2 is the one key from_user_units reads from intensity
+        block = ("intensity" if set(exc.fields) <= {"i_sat", "i_sat_mw_cm2"}
+                 else "params")
+        raise ConfigError(f"{block}: {exc}") from exc
 
 
 class _Run:
@@ -510,6 +517,8 @@ def main(argv=None) -> int:
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [p.name for p in run.outputs],
+        "versions": {"python": "%d.%d.%d" % sys.version_info[:3],
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     }
     run.outdir.mkdir(parents=True, exist_ok=True)
     (run.outdir / "manifest.json").write_text(

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .params import ParamError, ReadoutParams
 
@@ -101,6 +100,8 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
                     1j * half_om * np.exp((1j * de + 0.5 * cg) * t) * a]
 
     t_eval = np.linspace(0.0, t_end, int(n_report))
+    # imported here, so importing the package does not pay for scipy.integrate
+    from scipy.integrate import solve_ivp
     sol = solve_ivp(rhs, (0.0, t_end), np.array([1.0 + 0j, 0.0 + 0j]),
                     method="DOP853", t_eval=t_eval, rtol=rel_tol, atol=abs_tol)
     if not sol.success:

@@ -9,7 +9,9 @@ The optimizer is one ``scipy.optimize.least_squares`` call (trust-region
 reflective, TRF; Branch, Coleman & Li 1999) on smoothly transformed
 parameters: log for the positive quantities, log of (chi - 1) for the
 cooperativity, so bounds hold by construction.  ``fit`` documents its
-stopping rules and diagnostics.
+stopping rules and diagnostics.  ``scipy.optimize`` is imported inside
+``fit``, so importing this module (and every CLI command but ``fit``)
+does not pay for it.
 
 ``fit`` compiles its datasets once into flat arrays: every wavepacket
 point with its time, read intensity and detuning, and every P_c point
@@ -35,7 +37,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
@@ -344,6 +345,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         # least_squares opens at the start point, which is evaluated above
         return r if np.array_equal(u_vec, u) else resid_of(u_vec)
 
+    from scipy.optimize import least_squares
     sol = least_squares(fun, u, bounds=(u_lo, u_hi), ftol=ftol,
                         callback=record)
     _check_rank(sol.jac, free)

@@ -4,10 +4,12 @@ once, typed, and named by its dotted path when it is wrong."""
 import copy
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from qmemread.cli import REQUIRED, TABLES, ConfigError, main, read_config
 
@@ -302,6 +304,36 @@ def test_single_intensity_number(tmp_path, base):
                 _set(base["wavepacket"], "i_r_mw_cm2", 95)) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["outputs"] == ["wavepacket_ir95.csv"]
+
+
+# ---------------------------------------------------------------------------
+# intensity.i_sat_mw_cm2 is checked by ReadoutParams.from_user_units and
+# named under its own block
+
+@pytest.mark.parametrize("intensity,message", [
+    (None, "intensity: i_sat_mw_cm2 is required with i_r_mw_cm2"),
+    ({"i_sat_mw_cm2": -1}, "intensity: invalid parameter(s): i_sat")])
+def test_i_sat_named_under_intensity(tmp_path, capsys, intensity, message):
+    cfg = {"params": {"delta_mhz": 1.7}, "i_r_mw_cm2": [95]}
+    if intensity is not None:
+        cfg["intensity"] = intensity
+    assert _run(tmp_path, "wavepacket", cfg) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# the manifest
+
+@pytest.mark.parametrize("name", ["wavepacket", "wavepacket-rabi",
+                                  "sweep-intensity", "sweep-detuning", "chi",
+                                  "synth", "stats", "fit"])
+def test_manifest_records_versions(tmp_path, base, name):
+    assert _run(tmp_path, name, base[name]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["versions"] == {
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 # ---------------------------------------------------------------------------
