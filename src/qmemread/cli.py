@@ -259,8 +259,17 @@ def _readout(cfg, i_r=None, source="i_r_mw_cm2") -> ReadoutParams:
         raise ConfigError(f"{block}: {exc}") from exc
 
 
+def _write_json(path, obj) -> str:
+    """Write ``obj`` to ``path`` as key-sorted, 2-space-indented JSON and a
+    final newline; return the JSON text without that newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
+    path.write_text(text + "\n", encoding="utf-8")
+    return text
+
+
 class _Run:
-    """Tracks declared outputs so a failed run leaves nothing behind."""
+    """Writes a command's output files, and tracks them so a failed run
+    leaves nothing behind."""
 
     def __init__(self, outdir: Path, quiet: bool):
         self.outdir = outdir
@@ -272,6 +281,21 @@ class _Run:
         p = self.outdir / name
         self.outputs.append(p)
         return p
+
+    def csv(self, name, header, row_format, *columns) -> Path:
+        """Write the CSV ``name``: the ``header`` row, then one row per index
+        of the equal-length ``columns``, rendered as ``row_format % row``."""
+        out = self.path(name)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "\n")
+            fh.writelines(row_format % row + "\n" for row in rows)
+        return out
+
+    def json(self, name, obj) -> Path:
+        out = self.path(name)
+        _write_json(out, obj)
+        return out
 
     def note(self, msg):
         if not self.quiet:
@@ -287,7 +311,7 @@ class _Run:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: ``cfg`` is the command's table read by
-# read_config; each returns a dict for the manifest
+# read_config; each writes its outputs through ``run``
 
 def cmd_wavepacket(cfg, run, seed):
     win = cfg["window"]
@@ -309,10 +333,9 @@ def cmd_wavepacket(cfg, run, seed):
     for tag, params in curves:
         curve = pc_curve(params, t_start=t0 * 1e-3, t_end=t1 * 1e-3,
                          n_points=n_points)
-        out = run.path(f"wavepacket_{tag}.csv")
-        curve.to_csv(out)
+        out = run.csv(f"wavepacket_{tag}.csv", "t_ns,pc_per_ns", "%.12g,%.12g",
+                      curve.t_ns, curve.pc_per_ns)
         run.note(f"wrote {out}")
-    return {}
 
 
 def cmd_sweep_intensity(cfg, run, seed):
@@ -321,10 +344,9 @@ def cmd_sweep_intensity(cfg, run, seed):
         params, IntensityModel(cfg["intensity"]["i_sat_mw_cm2"],
                                params.gamma_nat),
         np.asarray(cfg["i_r_grid_mw_cm2"]), horizon=cfg["horizon_ns"] * 1e-3)
-    out = run.path("sweep_intensity.csv")
-    curve.to_csv(out)
+    out = run.csv("sweep_intensity.csv", "I_mW_cm2,Pc", "%.12g,%.12g",
+                  curve.abscissa, curve.ordinate)
     run.note(f"wrote {out}")
-    return {}
 
 
 def cmd_sweep_detuning(cfg, run, seed):
@@ -334,10 +356,9 @@ def cmd_sweep_detuning(cfg, run, seed):
                                params.gamma_nat),
         cfg["i_r_mw_cm2"], np.asarray(cfg["delta_grid_mhz"]),
         horizon=cfg["horizon_ns"] * 1e-3)
-    out = run.path("sweep_detuning.csv")
-    curve.to_csv(out)
+    out = run.csv("sweep_detuning.csv", "Delta_MHz,Pc", "%.12g,%.12g",
+                  curve.abscissa, curve.ordinate)
     run.note(f"wrote {out}")
-    return {}
 
 
 def cmd_chi(cfg, run, seed):
@@ -355,11 +376,7 @@ def cmd_chi(cfg, run, seed):
         "extraction_ceiling": extraction_ceiling(cf.value),
         "regime_flags": geom.regime_flags,
     }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    out = run.path("chi.json")
-    out.write_text(text + "\n", encoding="utf-8")
-    return {}
+    run.note(_write_json(run.path("chi.json"), report))
 
 
 def cmd_synth(cfg, run, seed):
@@ -368,13 +385,10 @@ def cmd_synth(cfg, run, seed):
     store = synthesize_log(params, design, seed)
     out = run.path("synth_log.csv")
     write_log(store, out)
-    meta = {"n_trials": design.n_trials, "trial_window_ns": design.window_ns,
-            "seed": seed, "n_events": len(store)}
-    meta_out = run.path("synth_meta.json")
-    meta_out.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+    run.json("synth_meta.json", {
+        "n_trials": design.n_trials, "trial_window_ns": design.window_ns,
+        "seed": seed, "n_events": len(store)})
     run.note(f"wrote {out} ({len(store)} events)")
-    return {}
 
 
 def cmd_stats(cfg, run, seed):
@@ -391,13 +405,11 @@ def cmd_stats(cfg, run, seed):
                         "n_rejected_channel": store.n_rejected_channel,
                         "n_parse_errors": len(store.parse_errors),
                         "parse_errors_by_reason": store.parse_errors_by_reason()}
-    out = run.path("stats_summary.json")
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    wp_out = run.path("stats_wavepacket.csv")
-    binned.to_csv(wp_out)
+    out = run.json("stats_summary.json", report)
+    wp_out = run.csv("stats_wavepacket.csv", "t_lo_ns,t_hi_ns,pc,g12,n_coinc",
+                     "%d,%d,%.12g,%.12g,%d", binned.t_lo_ns, binned.t_hi_ns,
+                     binned.pc, binned.g12, binned.n_coinc)
     run.note(f"wrote {out} and {wp_out}")
-    return {}
 
 
 def cmd_fit(cfg, run, seed):
@@ -431,12 +443,9 @@ def cmd_fit(cfg, run, seed):
                        ("errors_user_units", result.errors)):
         payload[field] = {n: angular_to_mhz(got[k]) if k == "gamma_deph"
                           else got[k] for n, k in _FIT_KEYS.items() if k in got}
-    out = run.path("fit_result.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
+    out = run.json("fit_result.json", payload)
     run.note(f"wrote {out} (converged={result.converged}, "
              f"red_chi2={result.red_chi2:.4g})")
-    return {}
 
 
 def _read_dataset_csv(path):
@@ -521,8 +530,7 @@ def main(argv=None) -> int:
                      "numpy": np.__version__, "scipy": scipy.__version__},
     }
     run.outdir.mkdir(parents=True, exist_ok=True)
-    (run.outdir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(run.outdir / "manifest.json", manifest)
     if not args.quiet:
         print(f"manifest: {run.outdir / 'manifest.json'}")
     return 0

@@ -529,14 +529,6 @@ class BinnedWavepacket:
     n_heralds: int
     n_trials: int
 
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t_lo_ns,t_hi_ns,pc,g12,n_coinc\n")
-            for lo, hi, pc, g, c in zip(self.t_lo_ns.tolist(), self.t_hi_ns.tolist(),
-                                        self.pc.tolist(), self.g12.tolist(),
-                                        self.n_coinc.tolist()):
-                fh.write(f"{lo},{hi},{pc:.12g},{g:.12g},{c}\n")
-
 
 def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
                            t_range=None) -> BinnedWavepacket:

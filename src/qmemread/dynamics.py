@@ -2,19 +2,14 @@
 
 Independent numerical route to the closed form in ``wavepacket``: integrate
 
-    dA/dt = i (Omega/2) exp(-i Delta t - chi Gamma t/2) b
-    db/dt = i (Omega/2) exp(+i Delta t + chi Gamma t/2) A
-
-with A(0) = 1, b(0) = 0 for a single representative atom (the collective
-weights and static phases are a common multiplicative factor).  The decay
-bookkeeping is analytic, beta(t) = exp(-chi Gamma t/2), and the physical
-coherence amplitude is B(t) = beta(t) b(t).
-
-The factor exp(+chi Gamma t/2) in db/dt grows; when chi Gamma t_end > 40
-the algebraically identical bounded system in (A, B) is integrated instead:
-
     dA/dt = i (Omega/2) exp(-i Delta t) B
     dB/dt = i (Omega/2) exp(+i Delta t) A - (chi Gamma / 2) B
+
+with A(0) = 1, B(0) = 0 for a single representative atom (the collective
+weights and static phases are a common multiplicative factor).  Both
+amplitudes stay bounded for any horizon.  B(t) = beta(t) b(t) is the
+physical coherence amplitude, with beta(t) = exp(-chi Gamma t/2) the
+analytic decay and b(t) the co-rotating excited amplitude.
 
 The only loss channel gives the conservation law
 d/dt(|A|^2 + |B|^2) = -chi Gamma |B|^2, monitored by ``norm_decay_check``.
@@ -27,9 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import ParamError, ReadoutParams
-
-# above this chi*Gamma*t_end, integrate the bounded (A, B) system
-_GROWTH_LIMIT = 40.0
 
 
 class IntegrationError(RuntimeError):
@@ -62,15 +54,6 @@ class AmplitudeTrajectory:
         """|A|^2 + |B|^2, nonincreasing for these loss-only dynamics."""
         return np.abs(self.a_vals) ** 2 + np.abs(self.b_field) ** 2
 
-    def to_csv(self, path):
-        bb = self.b_field
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("t_ns,re_A,im_A,re_B,im_B,norm\n")
-            for row in zip((self.t * 1e3).tolist(), self.a_vals.real.tolist(),
-                           self.a_vals.imag.tolist(), bb.real.tolist(),
-                           bb.imag.tolist(), self.norm.tolist()):
-                fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
-
 
 def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
            n_report=2001) -> AmplitudeTrajectory:
@@ -86,18 +69,11 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
         raise ParamError(["rel_tol", "abs_tol"], "tolerances must be in (0, 1e-3]")
     om, de, cg = params.omega, params.delta, params.chi_gamma
     half_om = 0.5 * om
-    bounded = cg * t_end > _GROWTH_LIMIT
 
-    if bounded:
-        def rhs(t, y):
-            a, bb = y
-            return [1j * half_om * np.exp(-1j * de * t) * bb,
-                    1j * half_om * np.exp(1j * de * t) * a - 0.5 * cg * bb]
-    else:
-        def rhs(t, y):
-            a, b = y
-            return [1j * half_om * np.exp((-1j * de - 0.5 * cg) * t) * b,
-                    1j * half_om * np.exp((1j * de + 0.5 * cg) * t) * a]
+    def rhs(t, y):
+        a, b = y
+        return [1j * half_om * np.exp(-1j * de * t) * b,
+                1j * half_om * np.exp(1j * de * t) * a - 0.5 * cg * b]
 
     t_eval = np.linspace(0.0, t_end, int(n_report))
     # imported here, so importing the package does not pay for scipy.integrate
@@ -108,12 +84,9 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
         raise IntegrationError(f"integration failed: {sol.message} "
                                f"(reached t = {sol.t[-1] if sol.t.size else 0.0:g} us)")
 
-    beta = np.exp(-0.5 * cg * t_eval)
-    # the bounded system integrates B itself, the growing one b = B/beta
-    a_vals, b = sol.y
-    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals,
-                               b_field=b if bounded else beta * b,
-                               beta_vals=beta)
+    a_vals, b_field = sol.y
+    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals, b_field=b_field,
+                               beta_vals=np.exp(-0.5 * cg * t_eval))
 
 
 def reconstruct_B(traj: AmplitudeTrajectory) -> np.ndarray:

@@ -68,6 +68,26 @@ _CONTOUR_FRAC = 0.6
 _HALF_CIRCLE = np.exp(0.5j * np.pi * (np.arange(16) + 0.5) / 16)
 
 
+def _flat(*values):
+    """``values`` as float arrays broadcast together and flattened to 1-d,
+    and ``unwrap``, which gives a result over them the broadcast shape, or
+    a Python scalar when that shape is ().
+
+    numpy computes on 0-d values with other code than its array loops, and
+    a complex product can differ in the last bit between the two; working
+    on 1-d arrays only gives a scalar call the bits of the matching element
+    of an array call.
+    """
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    shape = np.broadcast(*arrays).shape
+
+    def unwrap(out):
+        return out.item() if shape == () else out.reshape(shape)
+
+    return [(a if a.shape == shape else np.full(shape, a)).ravel()
+            for a in arrays], unwrap
+
+
 @dataclass(frozen=True)
 class AlphaPair:
     """Damping correction alpha_+ and oscillation rate alpha_-, rad/us."""
@@ -86,9 +106,7 @@ def alpha_pair(omega, delta, chi_gamma) -> AlphaPair:
 
     Accepts scalars or broadcastable arrays; chi_gamma must be > 0.
     """
-    om = np.asarray(omega, dtype=float)
-    de = np.asarray(delta, dtype=float)
-    cg = np.asarray(chi_gamma, dtype=float)
+    (om, de, cg), unwrap = _flat(omega, delta, chi_gamma)
     if np.any(cg <= 0):
         raise ParamError(["chi_gamma"], "chi_gamma must be > 0")
 
@@ -102,10 +120,7 @@ def alpha_pair(omega, delta, chi_gamma) -> AlphaPair:
     ap2 = np.where(t_mid >= 0, small, big)
     am2 = np.where(t_mid >= 0, big, small)
 
-    a_plus, a_minus = np.sqrt(ap2), np.sqrt(am2)
-    if a_plus.ndim == 0:
-        return AlphaPair(float(a_plus), float(a_minus))
-    return AlphaPair(a_plus, a_minus)
+    return AlphaPair(unwrap(np.sqrt(ap2)), unwrap(np.sqrt(am2)))
 
 
 def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
@@ -124,11 +139,10 @@ def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
     cancels in |B|^2.  Returns a complex scalar or an ndarray of the
     broadcast shape.
     """
-    t_arr = np.asarray(t, dtype=float)
+    (t_arr, om, de), unwrap = _flat(t, params.omega if omega is None else omega,
+                                    params.delta if delta is None else delta)
     if np.any(t_arr < 0):
         raise ParamError(["t"], "amplitude_B requires t >= 0")
-    om = params.omega if omega is None else np.asarray(omega, dtype=float)
-    de = params.delta if delta is None else np.asarray(delta, dtype=float)
     cg = params.chi_gamma
     pair = alpha_pair(om, de, cg)
     z = pair.alpha_plus + 1j * pair.alpha_minus
@@ -142,8 +156,7 @@ def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
         direct = (np.exp(base + w) - np.exp(base - w)) / (2.0 * np.where(small, 1.0, z))
     w2 = w * w
     series = 0.5 * t_arr * np.exp(base) * (1.0 + w2 / 6.0 + w2 * w2 / 120.0)
-    out = 1j * om * np.where(small, series, direct)
-    return out if out.ndim else complex(out)
+    return unwrap(1j * om * np.where(small, series, direct))
 
 
 def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
@@ -155,13 +168,11 @@ def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
     in ``amplitude_B``; each point's value is the one a scalar call with
     that point's drive gives, bit for bit.
     """
-    t_arr = np.asarray(t, dtype=float)
-    b = amplitude_B(t_arr, params, omega=omega, delta=delta)
-    # np.square, not ** 2: on a numpy scalar ** goes through pow, which can
-    # differ in the last bit from the ufunc an array goes through
+    (t_arr, om, de), unwrap = _flat(t, params.omega if omega is None else omega,
+                                    params.delta if delta is None else delta)
+    b = amplitude_B(t_arr, params, omega=om, delta=de)
     env = np.exp(-np.square(params.gamma_deph * (t_arr + params.tau)))
-    out = params.scale_f * env * np.square(np.abs(b))
-    return out if out.ndim else float(out)
+    return unwrap(params.scale_f * env * np.square(np.abs(b)))
 
 
 @dataclass(frozen=True)
@@ -170,32 +181,14 @@ class WavepacketCurve:
 
     t_ns: np.ndarray
     pc_per_ns: np.ndarray
-    params: ReadoutParams
-
-    def to_csv(self, path):
-        write_curve_csv(path, "t_ns", self.t_ns, "pc_per_ns", self.pc_per_ns)
 
 
 @dataclass(frozen=True)
 class SweepCurve:
     """Integrated extraction probability versus intensity or detuning."""
 
-    abscissa: np.ndarray   # mW/cm^2 or MHz, per ``abscissa_label``
+    abscissa: np.ndarray   # mW/cm^2 (intensity) or MHz (detuning)
     ordinate: np.ndarray   # P_c, dimensionless
-    abscissa_label: str    # 'I_mW_cm2' or 'Delta_MHz'
-    params: ReadoutParams  # fixed parameters of the sweep
-
-    def to_csv(self, path):
-        write_curve_csv(path, self.abscissa_label, self.abscissa,
-                        "Pc", self.ordinate)
-
-
-def write_curve_csv(path, xname, x, yname, y):
-    """Two-column CSV with a header row; %.12g floats, newline-delimited."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{xname},{yname}\n")
-        for xi, yi in zip(np.asarray(x).tolist(), np.asarray(y).tolist()):
-            fh.write(f"{xi:.12g},{yi:.12g}\n")
 
 
 def pc_curve(params: ReadoutParams, t_start=0.0, t_end=0.160,
@@ -210,8 +203,7 @@ def pc_curve(params: ReadoutParams, t_start=0.0, t_end=0.160,
     if n_points < 2:
         raise ParamError(["n_points"], "need n_points >= 2")
     t = np.linspace(t_start, t_end, int(n_points))
-    return WavepacketCurve(t_ns=t * 1e3, pc_per_ns=pc_at(t, params) / 1e3,
-                           params=params)
+    return WavepacketCurve(t_ns=t * 1e3, pc_per_ns=pc_at(t, params) / 1e3)
 
 
 def _gauss_laplace(s, gamma, tau, horizon):
@@ -274,18 +266,14 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
     """
     if not (horizon > 0):
         raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
-    om = np.asarray(params.omega if omega is None else omega, dtype=float)
-    de = np.asarray(params.delta if delta is None else delta, dtype=float)
-    shape = np.broadcast_shapes(om.shape, de.shape)
-    om = np.broadcast_to(om, shape).ravel()
-    de = np.broadcast_to(de, shape).ravel()
+    (om, de), unwrap = _flat(params.omega if omega is None else omega,
+                             params.delta if delta is None else delta)
     cg, gd, tau = params.chi_gamma, params.gamma_deph, params.tau
     pair = alpha_pair(om, de, cg)
     if gd < _FLAT_GAMMA and math.isinf(horizon):
         # norm-decay law: d(|A|^2 + |B|^2)/dt = -chi Gamma |B|^2 and the state
         # decays completely for Omega > 0, so |B|^2 integrates to 1/(chi Gamma)
-        out = np.where(om == 0, 0.0, params.scale_f / cg)
-        return float(out[0]) if shape == () else out.reshape(shape)
+        return unwrap(np.where(om == 0, 0.0, params.scale_f / cg))
     ap, am = pair.alpha_plus, pair.alpha_minus
     beta = 0.5 * cg
     # -s_1 = beta - alpha_+ = (beta^2 - alpha_+^2)/(beta + alpha_+), with the
@@ -312,8 +300,8 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
             bracket[crit] = np.mean(
                 even * u / ((u - ap[crit, None] ** 2)
                             * (u + am[crit, None] ** 2)), axis=1).real
-    out = np.where(rate < _TINY, 0.0, 0.5 * params.scale_f * om * om * bracket)
-    return float(out[0]) if shape == () else out.reshape(shape)
+    return unwrap(np.where(rate < _TINY, 0.0,
+                           0.5 * params.scale_f * om * om * bracket))
 
 
 def integrate_Pc(params: ReadoutParams, horizon=math.inf) -> float:
@@ -344,8 +332,7 @@ def saturation_curve(base_params: ReadoutParams, intensity_model: IntensityModel
     i_r_arr = np.asarray(i_r_list, dtype=float)
     omega = rabi_from_intensity(i_r_arr, intensity_model)
     return SweepCurve(abscissa=i_r_arr,
-                      ordinate=pc_integral(base_params, horizon, omega=omega),
-                      abscissa_label="I_mW_cm2", params=base_params)
+                      ordinate=pc_integral(base_params, horizon, omega=omega))
 
 
 def detuning_spectrum(base_params: ReadoutParams, intensity_model: IntensityModel,
@@ -360,5 +347,4 @@ def detuning_spectrum(base_params: ReadoutParams, intensity_model: IntensityMode
     de_mhz = np.asarray(delta_mhz_list, dtype=float)
     return SweepCurve(abscissa=de_mhz,
                       ordinate=pc_integral(params, horizon,
-                                           delta=mhz_to_angular(de_mhz)),
-                      abscissa_label="Delta_MHz", params=params)
+                                           delta=mhz_to_angular(de_mhz)))

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
+from qmemread import (IntensityModel, ReadoutParams, conditional_wavepacket,
+                      detuning_spectrum, ingest, pc_curve, saturation_curve)
 from qmemread.cli import _read_dataset_csv, main
 
 PAPER_BLOCK = {
@@ -157,6 +159,88 @@ class TestSweepCommands:
         assert pc[0] == pytest.approx(pc[4], rel=1e-10)  # symmetric
 
 
+def old_csv(header, row, *columns):
+    """The CSV text the result types' own writers rendered before the CLI
+    wrote every file: ``row`` is an f-string renderer of one row."""
+    return header + "\n" + "".join(
+        row(*r) + "\n" for r in zip(*(np.asarray(c).tolist() for c in columns)))
+
+
+def old_json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def two_columns(x, y):
+    return f"{x:.12g},{y:.12g}"
+
+
+def user_params(**extra):
+    return ReadoutParams.from_user_units(**PAPER_BLOCK["params"],
+                                         i_sat_mw_cm2=12.0, **extra)
+
+
+class TestOutputFiles:
+    """Each CSV kind, byte for byte, against the old per-type rendering."""
+
+    def test_wavepacket_csv(self, tmp_path):
+        out = tmp_path / "wp"
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                                   "window": {"t_start_ns": 4, "t_end_ns": 60,
+                                              "step_ns": 0.5}})
+        assert run(["wavepacket", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        curve = pc_curve(user_params(i_r_mw_cm2=95), 4e-3, 60e-3, 113)
+        assert (out / "wavepacket_ir95.csv").read_text() == old_csv(
+            "t_ns,pc_per_ns", two_columns, curve.t_ns, curve.pc_per_ns)
+
+    def test_sweep_csvs(self, tmp_path):
+        model = IntensityModel(12.0, user_params(i_r_mw_cm2=0.0).gamma_nat)
+        grid = [0, 0.5, 24, 95, 1e4]
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_grid_mw_cm2": grid,
+                                   "horizon_ns": "inf"})
+        assert run(["sweep-intensity", "--config", cfg, "--out",
+                    str(tmp_path / "sat"), "--quiet"]) == 0
+        sat = saturation_curve(user_params(i_r_mw_cm2=0.0), model, grid)
+        assert (tmp_path / "sat" / "sweep_intensity.csv").read_text() == \
+            old_csv("I_mW_cm2,Pc", two_columns, sat.abscissa, sat.ordinate)
+
+        deltas = [-33.3, -1, 0, 2.5, 1e3]
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": 127.0,
+                                   "delta_grid_mhz": deltas,
+                                   "horizon_ns": 160}, "spec.json")
+        assert run(["sweep-detuning", "--config", cfg, "--out",
+                    str(tmp_path / "spec"), "--quiet"]) == 0
+        spec = detuning_spectrum(user_params(i_r_mw_cm2=127.0), model, 127.0,
+                                 deltas, horizon=0.160)
+        assert (tmp_path / "spec" / "sweep_detuning.csv").read_text() == \
+            old_csv("Delta_MHz,Pc", two_columns, spec.abscissa, spec.ordinate)
+
+    def test_stats_csv_integer_columns_and_nan_g12(self, tmp_path):
+        log = tmp_path / "log.csv"
+        log.write_text("trial,channel,t_ns\n0,F1A,20\n0,F2A,60\n1,F2B,61\n"
+                       "2,F1B,20\n2,F2A,60\n3,F2B,65\n")
+        cfg = write_cfg(tmp_path, {
+            "log_path": str(log), "n_trials": 4, "window1_ns": [20, 20],
+            "window2_ns": [50, 70], "bin_width_ns": 2,
+            "wavepacket_range_ns": [56, 66]}, "stats.json")
+        out = tmp_path / "stats"
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        binned = conditional_wavepacket(ingest(str(log), n_trials=4), (20, 20),
+                                        bin_width_ns=2, t_range=(56, 66))
+        assert np.isnan(binned.g12).sum() == 3
+        text = (out / "stats_wavepacket.csv").read_text()
+        assert text == old_csv(
+            "t_lo_ns,t_hi_ns,pc,g12,n_coinc",
+            lambda lo, hi, pc, g, c: f"{lo},{hi},{pc:.12g},{g:.12g},{c}",
+            binned.t_lo_ns, binned.t_hi_ns, binned.pc, binned.g12,
+            binned.n_coinc)
+        assert text.splitlines()[1:3] == ["56,58,0,nan,0", "58,60,0,nan,0"]
+        for name in ("stats_summary.json", "manifest.json"):
+            saved = (out / name).read_text()
+            assert saved == old_json(json.loads(saved))
+
+
 class TestChiCommand:
     def test_prints_and_writes_consistent_json(self, tmp_path, capsys):
         out = tmp_path / "chi"
@@ -173,6 +257,18 @@ class TestChiCommand:
         assert saved["branching_ratio"] == pytest.approx(3.0)
         assert saved["extraction_ceiling"] == pytest.approx(0.75)
         assert saved["monte_carlo"]["seed"] == 5
+
+    def test_quiet_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 2_000})
+        assert run(["chi", "--config", cfg, "--out", str(out), "--seed", "5",
+                    "--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        saved = (out / "chi.json").read_text()
+        assert saved == old_json(json.loads(saved))
 
     @pytest.mark.parametrize("n_batches", [0, 1, -3, 201])
     def test_rejects_bad_batch_count(self, tmp_path, capsys, n_batches):

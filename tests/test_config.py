@@ -413,6 +413,11 @@ def test_readme_examples_pass_their_table(tmp_path):
             assert _run(tmp_path, accepted[0], block) == 0
 
 
+def test_readme_library_example_runs():
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def _dotted(table, prefix=""):
     """{dotted key: required} over every leaf of a table."""
     out = {}
