@@ -395,10 +395,16 @@ def cmd_stats(cfg, run, seed):
     w1 = cfg["window1_ns"]
     store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
                    trial_window_ns=cfg["trial_window_ns"])
-    summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
-    binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
-                                    bin_width_ns=cfg["bin_width_ns"],
-                                    t_range=cfg["wavepacket_range_ns"])
+    try:
+        summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
+        binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
+                                        bin_width_ns=cfg["bin_width_ns"],
+                                        t_range=cfg["wavepacket_range_ns"])
+    except ParamError as exc:   # name the config key of a library argument
+        key = {"window1": "window1_ns", "window2": "window2_ns",
+               "herald_window": "herald_window_ns",
+               "t_range": "wavepacket_range_ns"}.get(exc.fields[0], exc.fields[0])
+        raise ConfigError(f"{key}: {exc}") from exc
     report = summary.to_json()
     report["ingest"] = {"n_events": len(store),
                         "n_duplicates": store.n_duplicates,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamError, ReadoutParams
-from .wavepacket import pc_at
+from .wavepacket import pc_integral
 
 CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
@@ -537,13 +537,19 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
     p_c per bin counts field-2 detections in heralded trials divided by the
     number of heralds; g12(t) = p_c(t) / p2(t) with p2(t) the unconditional
     per-bin field-2 probability.  ``bin_width_ns`` >= 1 (use 1 ns for
-    wavepackets, wider bins for correlation traces).
+    wavepackets, wider bins for correlation traces).  ``herald_window``
+    (inclusive) and ``t_range`` (half-open) must lie in the trial window.
     """
     if bin_width_ns < 1:
         raise ParamError(["bin_width_ns"], "bin width must be >= 1 ns")
     if store.n_trials <= 0:
         raise StatsError("no trials")
     lo_h, hi_h = herald_window
+    lo, hi = t_range if t_range is not None else (0, store.trial_window_ns)
+    if not (0 <= lo_h <= hi_h < store.trial_window_ns):
+        raise ParamError(["herald_window"], "herald_window must lie within the trial window")
+    if not (0 <= lo and hi <= store.trial_window_ns):
+        raise ParamError(["t_range"], "t_range must lie within the trial window")
     herald_mask = np.zeros(store.n_trials, dtype=bool)
     # codes follow the order of CHANNELS: field 1 is 0-1, field 2 is 2-3
     sel = ((store.channel < 2) &
@@ -553,7 +559,6 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
     if n_heralds == 0:
         raise StatsError("empty herald set: conditional wavepacket undefined")
 
-    lo, hi = t_range if t_range is not None else (0, store.trial_window_ns)
     n_bins = int((hi - lo) // bin_width_ns)
     if n_bins < 1:
         raise ParamError(["t_range"], "range shorter than one bin")
@@ -620,55 +625,46 @@ class SynthDesign:
 def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventStore:
     """Generate a detection log from the closed-form wavepacket.
 
-    Deterministic for a fixed seed (fixed draw order: heralds, herald
-    channels, emissions, emission times, field-2 channels, then backgrounds
-    channel by channel).  Raises ModelError if the integrated wavepacket
-    exceeds 1, which would make the per-trial emission draw inconsistent.
+    A heralded emission lands in each 1 ns bin of the read window with the
+    model's exact probability (``_emission_cdf``).  Each channel's
+    background is one Poisson(background_per_ns window_ns n_trials) total
+    spread uniformly over trials and times: an independent Poisson count
+    per trial.  Deterministic for a fixed seed (fixed draw order: heralds,
+    herald channels, emissions, emission times, field-2 channels, then
+    backgrounds channel by channel).  Raises ModelError if the integrated
+    wavepacket exceeds 1, which would make the emission draw inconsistent.
     """
     rng = np.random.default_rng(seed)
-    t_max_ns = min(design.read_window_ns, design.window_ns - design.read_start_ns)
-    grid = np.linspace(0.0, t_max_ns * 1e-3, 4 * t_max_ns + 1)
-    dens = pc_at(grid, params)
-    cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
-                                           * np.diff(grid))])
+    cdf = _emission_cdf(params, min(design.read_window_ns,
+                                    design.window_ns - design.read_start_ns))
     total_pc = float(cdf[-1])
     if total_pc > 1.0:
         raise ModelError(f"integrated wavepacket P_c = {total_pc:.4g} > 1; "
                          "reduce scale_f or the sampling window")
 
-    herald_mask = rng.random(design.n_trials) < design.p1
-    her_trials = np.flatnonzero(herald_mask)
-    n_her = her_trials.size
-    her_chan = rng.integers(0, 2, n_her).astype(np.int8)
+    her_trials = np.flatnonzero(rng.random(design.n_trials) < design.p1)
+    her_chan = rng.integers(0, 2, her_trials.size).astype(np.int8)
+    sig_trials = her_trials[rng.random(her_trials.size) < total_pc]
+    u = rng.random(sig_trials.size) * total_pc
+    t2 = design.read_start_ns + np.searchsorted(cdf, u, side="right")
+    sig_chan = (2 + rng.integers(0, 2, sig_trials.size)).astype(np.int8)
 
-    if total_pc > 0 and n_her:
-        emit = rng.random(n_her) < total_pc
-        u = rng.random(int(np.count_nonzero(emit)))
-        t_sig = np.interp(u * total_pc, cdf, grid)
-        t2 = design.read_start_ns + np.floor(t_sig * 1e3).astype(np.int64)
-        t2 = np.minimum(t2, design.window_ns - 1)
-        sig_trials = her_trials[emit]
-        sig_chan = (2 + rng.integers(0, 2, sig_trials.size)).astype(np.int8)
-    else:
-        sig_trials = np.empty(0, dtype=np.int64)
-        sig_chan = np.empty(0, dtype=np.int8)
-        t2 = np.empty(0, dtype=np.int64)
+    parts = [(her_trials, her_chan,
+               np.full(her_trials.size, design.herald_t_ns, dtype=np.int64)),
+             (sig_trials, sig_chan, t2)]
+    lam = design.background_per_ns * design.window_ns * design.n_trials
+    for code in range(4):
+        tot = int(rng.poisson(lam))
+        # sorted trials keep the store's argsort on nearly ordered keys
+        parts.append((np.sort(rng.integers(0, design.n_trials, tot)),
+                      np.full(tot, code, dtype=np.int8),
+                      rng.integers(0, design.window_ns, tot)))
+    trial, channel, t_ns = (np.concatenate(col) for col in zip(*parts))
+    return _sorted_store(trial, channel, t_ns, design.n_trials,
+                         design.window_ns, 0, [], warn_duplicates=False)
 
-    all_trials = [her_trials, sig_trials]
-    all_chans = [her_chan, sig_chan]
-    all_times = [np.full(n_her, design.herald_t_ns, dtype=np.int64), t2]
 
-    if design.background_per_ns > 0:
-        lam = design.background_per_ns * design.window_ns
-        for code in range(4):
-            counts = rng.poisson(lam, design.n_trials)
-            tot = int(counts.sum())
-            all_trials.append(np.repeat(np.arange(design.n_trials), counts))
-            all_chans.append(np.full(tot, code, dtype=np.int8))
-            all_times.append(rng.integers(0, design.window_ns, tot))
-
-    return _sorted_store(np.concatenate(all_trials),
-                         np.concatenate(all_chans),
-                         np.concatenate(all_times),
-                         design.n_trials, design.window_ns, 0, [],
-                         warn_duplicates=False)
+def _emission_cdf(params: ReadoutParams, n_ns):
+    """P_c over the first 1, 2, ..., ``n_ns`` ns, in one ``pc_integral``
+    call, made nondecreasing: late increments can fall below rounding."""
+    return np.maximum.accumulate(pc_integral(params, np.arange(1, n_ns + 1) * 1e-3))

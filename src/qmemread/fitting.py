@@ -15,11 +15,11 @@ does not pay for it.
 
 ``fit`` compiles its datasets once into flat arrays: every wavepacket
 point with its time, read intensity and detuning, and every P_c point
-with its intensity and detuning, grouped by integration horizon.  A
-residual evaluation is then one ``wavepacket.pc_at`` call over all
-wavepacket points and one closed-form ``wavepacket.pc_integral`` call per
-horizon, whatever the number of datasets.  The P_c models are exact, with
-no quadrature, so they carry no discretisation error into the fit.  Each
+with its horizon, intensity and detuning.  A residual evaluation is then
+one ``wavepacket.pc_at`` call over all wavepacket points and one
+closed-form ``wavepacket.pc_integral`` call over all P_c points, whatever
+the datasets and horizons.  The P_c models are exact, with no
+quadrature, so they carry no discretisation error into the fit.  Each
 point gets the value a per-dataset evaluation gives, bit for bit.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
@@ -173,31 +173,30 @@ class _Design:
     order.
 
     ``wave`` holds every wavepacket point's position in that order, time
-    (us), read intensity and detuning (rad/us); ``groups`` one such tuple
-    of P_c points per horizon, led by the horizon and without times.
-    Units are converted per dataset and then broadcast, so every point sees
-    the same floating-point operations as in a per-dataset evaluation.
+    (us), read intensity and detuning (rad/us); ``pc`` every P_c point's
+    position, horizon (us), read intensity and detuning.  Units are
+    converted per dataset and then broadcast, so every point sees the same
+    floating-point operations as in a per-dataset evaluation.
     """
 
     def __init__(self, datasets):
         self.datasets = list(datasets)
         sizes = [ds.x.size for ds in self.datasets]
         starts = np.cumsum([0] + sizes)
-        wave, groups = [], {}
+        wave, pc = [], []
         for ds, lo, n in zip(self.datasets, starts, sizes):
             pos = np.arange(lo, lo + n)
             if ds.kind == "wavepacket":
                 wave.append((pos, ds.x * 1e-3, np.full(n, float(ds.i_r)),
                              np.full(n, mhz_to_angular(ds.delta_mhz))))
             elif ds.kind == "saturation":
-                groups.setdefault(ds.horizon_us, []).append(
-                    (pos, ds.x, np.full(n, mhz_to_angular(ds.delta_mhz))))
+                pc.append((pos, np.full(n, ds.horizon_us), ds.x,
+                           np.full(n, mhz_to_angular(ds.delta_mhz))))
             else:
-                groups.setdefault(ds.horizon_us, []).append(
-                    (pos, np.full(n, float(ds.i_r)), mhz_to_angular(ds.x)))
+                pc.append((pos, np.full(n, ds.horizon_us),
+                           np.full(n, float(ds.i_r)), mhz_to_angular(ds.x)))
         self.wave = tuple(np.concatenate(col) for col in zip(*wave))
-        self.groups = [(h,) + tuple(np.concatenate(col) for col in zip(*g))
-                       for h, g in groups.items()]
+        self.pc = tuple(np.concatenate(col) for col in zip(*pc))
         self.y = np.concatenate([ds.y for ds in self.datasets] or [[]])
         self.sigma = np.concatenate([ds.sigma for ds in self.datasets] or [[]])
         masked = any(ds.mask is not None for ds in self.datasets)
@@ -217,7 +216,8 @@ def _model(theta, design, gamma_nat, tau):
         pos, t, i_r, delta = design.wave
         m[pos] = pc_at(t, base, omega=rabi_from_intensity(i_r, model),
                        delta=delta) / 1e3
-    for horizon, pos, i_r, delta in design.groups:
+    if design.pc:
+        pos, horizon, i_r, delta = design.pc
         m[pos] = pc_integral(base, horizon,
                              omega=rabi_from_intensity(i_r, model), delta=delta)
     return m
@@ -279,7 +279,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     ``init``/``fixed`` are dicts over FREE_KEYS (internal units: gamma_deph
     in rad/us); missing entries fall back to DEFAULT_INIT.  ``bounds`` maps
     a key to a (lo, hi) box in natural units, applied on top of the built-in
-    positivity/chi > 1 transforms; lo == hi is rejected (use ``fixed``).
+    positivity/chi > 1 transforms; lo >= hi is rejected (use ``fixed``).
     ``ftol`` is scipy's test dF < ftol * F; below machine epsilon it is off
     (scipy warns).  ``cost_history`` (chi^2 at the start and after each
     iteration) never rises.  ``message`` is scipy's termination message, or
@@ -315,6 +315,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
                 u_lo[i] = _to_u(k, lo)
             if hi is not None and math.isfinite(hi):
                 u_hi[i] = _to_u(k, hi)
+        if u_lo[i] > u_hi[i]:
+            raise ParamError([k], f"bounds for {k} have lo > hi")
         if u_lo[i] == u_hi[i]:
             raise ParamError([k], f"bounds for {k} have lo == hi; use fixed")
         if not (u_lo[i] <= u[i] <= u_hi[i]):

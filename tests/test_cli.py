@@ -616,3 +616,43 @@ class TestFitCommand:
                           "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}],
             "free": ["tau_ns"]}, "fit.json")
         assert run(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+class TestStatsWindowRanges:
+    """Windows outside the trial window exit 2 naming their config key."""
+
+    LOG = "trial,channel,t_ns\n0,F1A,20\n0,F2A,60\n1,F1B,20\n"
+
+    @pytest.mark.parametrize("key,window", [
+        ("herald_window_ns", [2000, 2100]), ("herald_window_ns", [-50, -10]),
+        ("wavepacket_range_ns", [1400, 1600]),
+        ("wavepacket_range_ns", [-10, 100]), ("window1_ns", [1600, 1700])])
+    def test_outside_trial_window_exit_2(self, tmp_path, capsys, key, window):
+        log = tmp_path / "log.csv"
+        log.write_text(self.LOG)
+        payload = {"log_path": str(log), "n_trials": 2,
+                   "window1_ns": [20, 20], "window2_ns": [50, 349],
+                   key: window}
+        out = tmp_path / "stats"
+        cfg = write_cfg(tmp_path, payload, "stats.json")
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and key in err
+        assert not out.exists()
+
+
+def test_fit_inverted_bounds_exit_2(tmp_path, capsys):
+    data_path = tmp_path / "wp.csv"
+    data_path.write_text("t_ns,pc_per_ns,sigma\n"
+                         + "".join(f"{t:g},0.001,0.0001\n"
+                                   for t in np.arange(0.0, 161.0, 4.0)))
+    cfg = write_cfg(tmp_path, {
+        "datasets": [{"kind": "wavepacket", "path": str(data_path),
+                      "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}],
+        "free": ["scale_f", "chi"], "init": {"scale_f": 1.0, "chi": 2.7},
+        "bounds": {"chi": [5, 2]}}, "fit.json")
+    out = tmp_path / "fit"
+    assert run(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "bounds for chi have lo > hi" in capsys.readouterr().err
+    assert not out.exists()

@@ -7,8 +7,9 @@ import pytest
 from qmemread import (CorrelationSummary, ModelError, ParamError,
                       ReadoutParams, StatsError, SynthDesign,
                       conditional_wavepacket, correlations, ingest,
-                      integrate_Pc, mhz_to_angular, pc_at, probabilities,
-                      synthesize_log, write_log)
+                      integrate_Pc, mhz_to_angular, pc_at, pc_integral,
+                      probabilities, synthesize_log, write_log)
+from qmemread.counting import _emission_cdf
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -273,3 +274,91 @@ class TestSynthesize:
         store = synthesize_log(PAPER_STYLE, design, seed=14)
         s = correlations(probabilities(store, (0, 49), (50, 349)))
         assert abs(s.g12 - 1.0) <= 0.1
+
+
+class TestConditionalWavepacketWindows:
+    STORE_LINES = ["0,F1A,20", "0,F2A,60", "1,F1B,20"]
+
+    @pytest.mark.parametrize("window", [(2000, 2100), (-50, -10), (20, 1500),
+                                        (30, 20)])
+    def test_herald_window_outside_trial_window(self, window):
+        store = make_store(self.STORE_LINES, n_trials=4)
+        with pytest.raises(ParamError) as info:
+            conditional_wavepacket(store, window, 1)
+        assert info.value.fields == ("herald_window",)
+
+    @pytest.mark.parametrize("t_range", [(1400, 1600), (-10, 100)])
+    def test_range_outside_trial_window(self, t_range):
+        store = make_store(self.STORE_LINES, n_trials=4)
+        with pytest.raises(ParamError) as info:
+            conditional_wavepacket(store, (0, 49), 1, t_range=t_range)
+        assert info.value.fields == ("t_range",)
+
+    def test_whole_window_accepted(self):
+        store = make_store(self.STORE_LINES, n_trials=4)
+        bw = conditional_wavepacket(store, (0, 1499), 1, t_range=(0, 1500))
+        assert bw.t_hi_ns[-1] == 1500 and bw.n_coinc.sum() == 1
+
+
+class TestExactSynthesis:
+    """The emission law and the background process of ``synthesize_log``."""
+
+    def test_emission_cdf_ends_at_window_pc(self):
+        cdf = _emission_cdf(PAPER_STYLE, 300)
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf[-1] == pc_integral(PAPER_STYLE, 300 * 1e-3)
+
+    @pytest.mark.parametrize("gamma_deph_mhz", [5.0, 10.0])
+    def test_emission_cdf_nondecreasing_below_rounding(self, gamma_deph_mhz):
+        # fast dephasing: past ~100 ns the true increments fall below one
+        # ulp, and the rounded P_c(k ns) can step down
+        params = PAPER_STYLE.replace(gamma_deph=mhz_to_angular(gamma_deph_mhz))
+        horizons = np.arange(1, 301) * 1e-3
+        assert np.any(np.diff(pc_integral(params, horizons)) < 0)
+        cdf = _emission_cdf(params, 300)
+        assert np.all(np.diff(cdf) >= 0)
+        assert cdf[-1] == pytest.approx(pc_integral(params, 0.3), rel=1e-14)
+
+    def test_heralded_emission_bins_follow_exact_probabilities(self):
+        from scipy.stats import chi2
+        params = PAPER_STYLE.replace(scale_f=4.1 * 20)
+        design = SynthDesign(n_trials=200_000, p1=1.0)
+        store = synthesize_log(params, design, seed=21)
+        k = store.t_ns[store.channel >= 2] - design.read_start_ns
+        assert k.min() >= 0 and k.max() < design.read_window_ns
+        counts = np.bincount(k, minlength=design.read_window_ns)
+        expect = design.n_trials * np.diff(
+            _emission_cdf(params, design.read_window_ns), prepend=0.0)
+        assert np.all(counts[expect == 0] == 0)
+        # bins with >= 5 expected counts, the rest pooled, and the trials
+        # without an emission as the last category of the multinomial
+        keep = expect >= 5
+        obs = np.append(counts[keep], [counts[~keep].sum(),
+                                       design.n_trials - counts.sum()])
+        exp = np.append(expect[keep], [expect[~keep].sum(),
+                                       design.n_trials - expect.sum()])
+        stat = float(np.sum((obs - exp) ** 2 / exp))
+        assert chi2.sf(stat, obs.size - 1) > 1e-3
+
+    def test_background_counts_are_poisson_per_trial(self):
+        # no drive: field 2 holds background counts only
+        params = PAPER_STYLE.replace(omega=0.0)
+        lam = 1.0
+        design = SynthDesign(n_trials=50_000, p1=0.01,
+                             background_per_ns=lam / 1500)
+        counts = []
+        for seed in range(4):
+            store = synthesize_log(params, design, seed=seed)
+            for code in (2, 3):
+                counts.append(np.bincount(store.trial[store.channel == code],
+                                          minlength=design.n_trials))
+        n = np.concatenate(counts)
+        size = n.size
+        assert abs(n.mean() - lam) <= 5 * math.sqrt(lam / size)
+        assert abs(n.var() - lam) <= 5 * math.sqrt((lam + 2 * lam ** 2) / size)
+        # the distribution of a trial's count is Poisson(lam), and the
+        # seeds draw different logs
+        freq = np.bincount(n, minlength=4)[:4] / size
+        pmf = np.exp(-lam) * lam ** np.arange(4) / [1, 1, 2, 6]
+        assert np.allclose(freq, pmf, atol=5 * math.sqrt(0.25 / size))
+        assert not np.array_equal(counts[0], counts[2])

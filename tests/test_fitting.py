@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -488,3 +489,38 @@ class TestProfile:
     def test_unknown_parameter(self):
         with pytest.raises(ParamError):
             profile("tau", [0.1], paper_design())
+
+
+class TestFlatPcDesign:
+    def test_one_pc_integral_call_for_three_horizons(self):
+        sets = [Dataset(kind="saturation", x=[10.0, 95.0], y=[0.0, 0.0],
+                        sigma=[1.0, 1.0], delta_mhz=1.7, horizon_us=h)
+                for h in (0.05, 0.160, math.inf)]
+        sets.append(Dataset(kind="spectrum", x=[-1.7, 1.7], y=[0.0, 0.0],
+                            sigma=[1.0, 1.0], i_r=95.0, horizon_us=0.05))
+        sets.append(noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
+                                      delta=1.7, i_r=95.0))
+        with mock.patch.object(fitting, "pc_integral",
+                               wraps=fitting.pc_integral) as pc_integral, \
+                mock.patch.object(fitting, "pc_at",
+                                  wraps=fitting.pc_at) as pc_at:
+            got = residuals(TRUTH, sets, GAMMA_NAT, TAU)
+        assert pc_integral.call_count == 1 and pc_at.call_count == 1
+        assert np.array_equal(got,
+                              oracle_residuals(TRUTH, sets, GAMMA_NAT, TAU))
+
+    def test_no_pc_integral_call_without_pc_points(self):
+        ds = noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
+                               delta=1.7, i_r=95.0)
+        with mock.patch.object(fitting, "pc_integral") as pc_integral:
+            residuals(TRUTH, [ds], GAMMA_NAT, TAU)
+        assert pc_integral.call_count == 0
+
+
+@pytest.mark.parametrize("key,box", [("chi", (5.0, 2.0)), ("i_sat", (50.0, 5.0))])
+@pytest.mark.parametrize("init", [None, 3.0, 20.0])
+def test_inverted_bounds_rejected(key, box, init):
+    with pytest.raises(ParamError, match=f"bounds for {key} have lo > hi") as info:
+        fit(paper_design(), init=None if init is None else {key: init},
+            bounds={key: box}, gamma_nat=GAMMA_NAT, tau=TAU)
+    assert info.value.fields == (key,)

@@ -565,3 +565,60 @@ class TestSweeps:
         half = len(deltas)
         assert np.allclose(curve.ordinate[:half], curve.ordinate[half:],
                            rtol=1e-12)
+
+
+st_horizons = st.lists(st.one_of(st.just(math.inf),
+                                 st.floats(1e-3, 2.0, **finite)),
+                       min_size=1, max_size=12)
+CRITICAL_FLAT = ReadoutParams(omega=2.7 * GAMMA / 2, delta=0.0,
+                              gamma_nat=GAMMA, chi=2.7, gamma_deph=0.0,
+                              tau=0.05, scale_f=4.1)
+
+
+class TestPerPointHorizon:
+    """A horizon array gives every point the value of a call with that
+    point's horizon, to the last bit, as omega and delta arrays do."""
+
+    @property_settings
+    @given(st_params, st_horizons)
+    @example(CRITICAL_FLAT, [math.inf, 0.001, 0.160, math.inf])
+    @example(CRITICAL_FLAT.replace(gamma_deph=mhz_to_angular(1.55)),
+             [0.002, math.inf, 0.003, 0.300])
+    def test_array_call_equals_scalar_calls(self, p, horizons):
+        got = pc_integral(p, np.array(horizons))
+        assert np.array_equal(got, [pc_integral(p, h) for h in horizons])
+
+    @pytest.mark.parametrize("gamma_deph_mhz", [0.0, 1.55])
+    def test_critical_points_with_mixed_horizons(self, gamma_deph_mhz):
+        cases = list(critical_cases(gamma_deph_mhz, 0.05))
+        p = cases[0].replace(chi=2.7)
+        omega = np.array([c.omega for c in cases if c.chi == 2.7])[:, None]
+        horizon = np.array([0.001, 0.003, 0.160, math.inf])
+        got = pc_integral(p, horizon, omega=omega)
+        assert got.shape == (omega.size, horizon.size)
+        for (i, j), val in np.ndenumerate(got):
+            assert val == pc_integral(p.replace(omega=omega[i, 0]), horizon[j])
+
+    @pytest.mark.parametrize("ns", [1, 2, 3])
+    def test_short_horizons_match_oracle(self, ns):
+        rng = np.random.default_rng(ns)
+        for i in range(30):
+            chi = rng.uniform(1.0, 5.0)
+            near_critical = i % 5 == 0
+            omega = (chi * GAMMA / 2 * (1 + rng.uniform(-1e-3, 1e-3))
+                     if near_critical else rng.uniform(0.05, 20.0) * GAMMA)
+            p = ReadoutParams(
+                omega=omega,
+                delta=0.0 if near_critical else rng.uniform(-20, 20) * GAMMA,
+                gamma_nat=GAMMA, chi=chi, tau=rng.uniform(0.0, 0.2),
+                gamma_deph=0.0 if i % 3 == 0
+                else mhz_to_angular(rng.uniform(0.0, 5.0)),
+                scale_f=rng.uniform(0.1, 10.0))
+            ref = adaptive_pc(p, ns * 1e-3, 1e-13)
+            assert rel_err(pc_integral(p, ns * 1e-3), ref) <= 1e-11
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+    def test_every_horizon_checked(self, bad):
+        with pytest.raises(ParamError) as info:
+            pc_integral(PAPER_STYLE, np.array([0.160, bad, math.inf]))
+        assert info.value.fields == ("horizon",)
