@@ -387,7 +387,8 @@ def cmd_synth(cfg, run, seed):
     write_log(store, out)
     run.json("synth_meta.json", {
         "n_trials": design.n_trials, "trial_window_ns": design.window_ns,
-        "seed": seed, "n_events": len(store)})
+        "seed": seed, "n_events": len(store),
+        "n_merged": store.n_duplicates})
     run.note(f"wrote {out} ({len(store)} events)")
 
 

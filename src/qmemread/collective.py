@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
-from scipy.special import wofz
 
 from .params import ParamError
 
@@ -213,6 +212,8 @@ def _mean_kernel(a, b) -> float:
     if a + abs(c) < 1.0:
         v = 1.0 + _GL_NODES
         return 0.5 * float(np.dot(_GL_WEIGHTS, np.exp(-2.0 * a * v - c * v * v)))
+    # imported here, so importing the package does not pay for scipy.special
+    from scipy.special import wofz
     root = cmath.sqrt(c)
     return float((_QUARTER_SQRT_PI / root
                   * (wofz(1j * a / root)

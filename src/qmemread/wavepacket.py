@@ -19,7 +19,8 @@ a sum of three exponentials e^{s t}, each integrating under the envelope to
         = sqrt(pi)/(2 gamma) exp(s t - gamma^2 (t + tau)^2)
           w(i (gamma (t + tau) - s / (2 gamma))),
 
-w the Faddeeva function (``scipy.special.wofz``; Abramowitz & Stegun 7.1.3).
+w the Faddeeva function (``scipy.special.wofz``, imported on the first call
+that needs it; Abramowitz & Stegun 7.1.3).
 At gamma = 0 the tail is -e^{s t}/s, and with no horizon P_c = F/(chi Gamma)
 exactly.  Near the critically damped point the three terms cancel, and a
 Cauchy-integral form of their divided difference replaces them.  Measured
@@ -44,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .params import (IntensityModel, ParamError, ReadoutParams,
                      mhz_to_angular, rabi_from_intensity)
@@ -225,6 +225,8 @@ def _gauss_laplace(s, gamma, tau, horizon):
     """
     if gamma < _FLAT_GAMMA:
         return np.expm1(s * horizon) / s
+    # imported here, so importing the package does not pay for scipy.special
+    from scipy.special import wofz
     c = s / (2.0 * gamma)
     finite = np.isfinite(horizon)
     end = np.where(finite, horizon, 0.0)

@@ -4,12 +4,11 @@ Each test asserts its tolerance and runtime budget inline and prints one
 `[criterion N] PASS/FAIL` line (visible with ``pytest -s`` and in captured
 output on failure).  Criterion 4 is split:
 the kernel-quadrature check and the statistical consistency check pass; the
-5%-agreement clause between the sampled-pair estimator and the closed form
-is strictly expected to fail and is marked xfail accordingly - the closed
-form 1 + N/(2 W^2 k^2) exceeds the population mean of the pair kernel,
-1 + N<K>, by a factor ~2 in (chi - 1) on the reference geometry, while the
-sampler and the exact continuum average of the same kernel agree with each
-other.
+5%-agreement clause between the exact continuum average of the pair kernel
+and the closed form is strictly expected to fail and is marked xfail
+accordingly - the closed form 1 + N/(2 W^2 k^2) exceeds the population mean
+of the pair kernel, 1 + N<K>, by a factor ~2 in (chi - 1) on the reference
+geometry, while the sampler and the exact continuum agree with each other.
 """
 
 import math
@@ -147,15 +146,17 @@ def test_criterion_4_monte_carlo_vs_closed_form_3se():
 @pytest.mark.xfail(
     strict=True,
     reason="closed form 1 + N/(2 W^2 k^2) sits a factor ~2 above the pair-"
-           "kernel population mean 1 + N<K> in (chi - 1) on this geometry; "
-           "the sampler instead agrees with the exact continuum average of the "
-           "same kernel, so 5% agreement with the closed form is unattainable")
-def test_criterion_4_monte_carlo_vs_closed_form_5pct():
-    with criterion(4, "pair sampler vs closed form within 5% (known gap)"):
-        mc = chi_monte_carlo(REF_GEOMETRY, 1_000_000, seed=2718)
+           "kernel population mean 1 + N<K> in (chi - 1) on this geometry "
+           "(2.000 vs the exact continuum's 1.49998, which the sampler agrees "
+           "with), so 5% agreement with the closed form is unattainable")
+def test_criterion_4_continuum_vs_closed_form_5pct():
+    # the exact continuum, not one sampler draw (SE ~0.25), so the outcome
+    # does not depend on a seed
+    with criterion(4, "exact continuum vs closed form within 5% (known gap)"):
+        qd = chi_quadrature(REF_GEOMETRY)
         cf = chi_closed_form(REF_GEOMETRY)
-        assert abs(mc.value - cf.value) <= 0.05 * cf.value, \
-            f"mc {mc.value:.4f} vs cf {cf.value:.4f}"
+        assert abs(qd.value - cf.value) <= 0.05 * cf.value, \
+            f"continuum {qd.value:.4f} vs cf {cf.value:.4f}"
 
 
 def test_criterion_4_sampler_quadrature_cross_check():

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from qmemread import (IntensityModel, ReadoutParams, conditional_wavepacket,
-                      detuning_spectrum, ingest, pc_curve, saturation_curve)
+from qmemread import (IntensityModel, ReadoutParams, SynthDesign,
+                      conditional_wavepacket, detuning_spectrum, ingest,
+                      pc_curve, saturation_curve, synthesize_log)
 from qmemread.cli import _read_dataset_csv, main
 
 PAPER_BLOCK = {
@@ -413,6 +414,22 @@ class TestPipeline:
                         "--seed", "7", "--quiet"]) == 0
         assert (out_a / "synth_log.csv").read_bytes() == \
             (out_b / "synth_log.csv").read_bytes()
+
+    def test_synth_meta_reports_merged_counts(self, tmp_path):
+        # about 30 background counts per trial and channel in 1500 ns, so
+        # some share an ns and are merged into one logged event
+        cfg = self.synth_cfg(tmp_path, n_trials=1000, bg=0.02)
+        out = tmp_path / "synth"
+        assert run(["synth", "--config", cfg, "--out", str(out),
+                    "--seed", "11", "--quiet"]) == 0
+        store = synthesize_log(
+            user_params(i_r_mw_cm2=95.0),
+            SynthDesign(n_trials=1000, p1=0.0036, background_per_ns=0.02), 11)
+        meta = json.loads((out / "synth_meta.json").read_text())
+        assert store.n_duplicates > 0
+        assert meta == {"n_trials": 1000, "trial_window_ns": 1500, "seed": 11,
+                        "n_events": len(store),
+                        "n_merged": store.n_duplicates}
 
 
 class TestFitCommand:
