@@ -24,4 +24,4 @@ from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
                        conditional_wavepacket, correlations, ingest,
                        probabilities, synthesize_log, write_log)
 from .fitting import (Dataset, FitResult, RankDeficiencyError, fit,
-                      model_eval, profile, residuals)
+                      model_eval, residuals)

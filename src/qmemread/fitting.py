@@ -15,12 +15,21 @@ does not pay for it.
 
 ``fit`` compiles its datasets once into flat arrays: every wavepacket
 point with its time, read intensity and detuning, and every P_c point
-with its horizon, intensity and detuning.  A residual evaluation is then
-one ``wavepacket.pc_at`` call over all wavepacket points and one
-closed-form ``wavepacket.pc_integral`` call over all P_c points, whatever
-the datasets and horizons.  The P_c models are exact, with no
+with its horizon, intensity and detuning.  A model evaluation is then one
+call of the ``wavepacket.pc_at`` core over all wavepacket points and one
+of the closed-form ``wavepacket.pc_integral`` core over all P_c points,
+whatever the datasets and horizons.  The P_c models are exact, with no
 quadrature, so they carry no discretisation error into the fit.  Each
 point gets the value a per-dataset evaluation gives, bit for bit.
+
+One evaluation covers k parameter sets at once: the design is tiled k
+times, with chi Gamma, gamma_deph and scale_f given per point.
+``residuals`` is the case k = 1.  scipy's 2-point Jacobian perturbs one
+free parameter per point; ``fit`` passes ``least_squares`` a map-like
+``workers`` callable that evaluates all of them in one call, so a paper
+fit (four free parameters) makes 7 trial-point and 7 Jacobian
+evaluations, not 7 + 28.  Each row equals a k = 1 evaluation at its own
+parameters, bit for bit, so the fit is the one scipy's serial map gives.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
 its data on construction, and ``IntensityModel`` and ``ReadoutParams``
@@ -41,7 +50,7 @@ import numpy as np
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
                      ParamError, ReadoutParams, mhz_to_angular,
                      rabi_from_intensity)
-from .wavepacket import pc_at, pc_integral
+from .wavepacket import _pc_at, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
 
@@ -125,7 +134,16 @@ class Dataset:
 
 @dataclass
 class FitResult:
-    """Best-fit values, 1-sigma errors, covariance and diagnostics."""
+    """Best-fit values, 1-sigma errors, covariance and diagnostics.
+
+    Besides ``n_iter`` and ``cost_history``: ``nfev`` (trial points, the
+    start included) and ``njev`` (Jacobians) as scipy counts them,
+    ``optimality`` (the infinity norm of the gradient of the cost in the
+    fit variables, scaled at active bounds), ``at_bound`` (each free
+    parameter at a bound box edge, "lower" or "upper"), ``jtj_cond`` (the
+    condition number of J^T J at the returned point) and ``correlation``
+    (``cov`` normalised to unit diagonal).
+    """
 
     values: dict
     errors: dict
@@ -134,6 +152,12 @@ class FitResult:
     red_chi2: float
     n_iter: int
     converged: bool
+    nfev: int
+    njev: int
+    optimality: float
+    at_bound: dict
+    jtj_cond: float
+    correlation: np.ndarray
     message: str = ""
     cost_history: list = field(default_factory=list)
 
@@ -143,6 +167,10 @@ class FitResult:
             "covariance": self.cov.tolist(), "param_order": list(self.param_order),
             "reduced_chi2": self.red_chi2, "n_iter": self.n_iter,
             "converged": self.converged, "message": self.message,
+            "nfev": self.nfev, "njev": self.njev,
+            "optimality": self.optimality, "at_bound": self.at_bound,
+            "jtj_cond": self.jtj_cond,
+            "correlation": self.correlation.tolist(),
         }
 
 
@@ -151,7 +179,7 @@ def model_eval(theta: dict, dataset: Dataset, gamma_nat, tau) -> np.ndarray:
 
     The compiled design of ``[dataset]``, evaluated as in ``residuals``.
     """
-    return _model(theta, _Design([dataset]), gamma_nat, tau)
+    return _model([theta], _Design([dataset]), gamma_nat, tau)[0]
 
 
 def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ),
@@ -164,8 +192,14 @@ def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_
     ParamError of ``IntensityModel`` or ``ReadoutParams`` naming them.
     """
     design = datasets if isinstance(datasets, _Design) else _Design(datasets)
-    r = (_model(theta, design, gamma_nat, tau) - design.y) / design.sigma
-    return r if design.keep is None else r[design.keep]
+    return _residuals_batch([theta], design, gamma_nat, tau)[0]
+
+
+def _residuals_batch(thetas, design, gamma_nat, tau):
+    """``residuals`` of the compiled ``design`` at each of ``thetas``, one
+    row each, from one model evaluation."""
+    r = (_model(thetas, design, gamma_nat, tau) - design.y) / design.sigma
+    return r if design.keep is None else r[:, design.keep]
 
 
 class _Design:
@@ -205,21 +239,40 @@ class _Design:
              for ds in self.datasets]) if masked else None
 
 
-def _model(theta, design, gamma_nat, tau):
-    """Model ordinates of every point of ``design``, in dataset order."""
-    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
-    base = ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
-                         chi=theta["chi"], gamma_deph=theta["gamma_deph"],
-                         tau=tau, scale_f=theta["scale_f"])
-    m = np.empty(design.y.size)
+def _model(thetas, design, gamma_nat, tau):
+    """Model ordinates of every point of ``design`` at each of the k
+    parameter sets ``thetas``, shape (k, points) in dataset order.
+
+    The design is tiled k times and evaluated in one ``wavepacket`` core
+    call per kind, chi Gamma, gamma_deph and scale_f given per point; each
+    row has the bits of a k = 1 call at its own ``theta``.
+    """
+    models = [IntensityModel(i_sat=th["i_sat"], gamma_nat=gamma_nat)
+              for th in thetas]
+    params = [ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
+                            chi=th["chi"], gamma_deph=th["gamma_deph"],
+                            tau=tau, scale_f=th["scale_f"]) for th in thetas]
+
+    k = len(thetas)
+    per_theta = np.array([[p.chi_gamma, p.gamma_deph, p.scale_f]
+                          for p in params]).T
+
+    def tiled(i_r, *columns):
+        """Each theta in turn: the drive, the design's ``columns``, and chi
+        Gamma, gamma_deph and scale_f."""
+        return (np.concatenate([rabi_from_intensity(i_r, mod) for mod in models]),
+                *(np.concatenate([col] * k) for col in columns),
+                *per_theta.repeat(i_r.size, axis=1))
+
+    m = np.empty((k, design.y.size))
     if design.wave:
         pos, t, i_r, delta = design.wave
-        m[pos] = pc_at(t, base, omega=rabi_from_intensity(i_r, model),
-                       delta=delta) / 1e3
+        om, t_k, de, cg, gd, f = tiled(i_r, t, delta)
+        m[:, pos] = _pc_at(t_k, om, de, cg, gd, tau, f).reshape(k, -1) / 1e3
     if design.pc:
         pos, horizon, i_r, delta = design.pc
-        m[pos] = pc_integral(base, horizon,
-                             omega=rabi_from_intensity(i_r, model), delta=delta)
+        om, hz, de, cg, gd, f = tiled(i_r, horizon, delta)
+        m[:, pos] = _pc_integral(hz, om, de, cg, gd, tau, f).reshape(k, -1)
     return m
 
 
@@ -284,6 +337,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     (scipy warns).  ``cost_history`` (chi^2 at the start and after each
     iteration) never rises.  ``message`` is scipy's termination message, or
     "max_iter reached" with ``converged`` False and the best point found.
+    ``FitResult`` lists the other diagnostics.
 
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
@@ -347,9 +401,14 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         # least_squares opens at the start point, which is evaluated above
         return r if np.array_equal(u_vec, u) else resid_of(u_vec)
 
+    def jacobian_points(_fun, u_vecs):
+        # the perturbed points of one 2-point Jacobian, evaluated together
+        return _residuals_batch([theta_of(v) for v in u_vecs], design,
+                                gamma_nat, tau)
+
     from scipy.optimize import least_squares
     sol = least_squares(fun, u, bounds=(u_lo, u_hi), ftol=ftol,
-                        callback=record)
+                        callback=record, workers=jacobian_points)
     _check_rank(sol.jac, free)
 
     theta_fit = theta_of(sol.x)
@@ -360,10 +419,18 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     errors = {k: float(math.sqrt(max(cov_theta[i, i], 0.0)))
               for i, k in enumerate(free)}
     message = "max_iter reached" if sol.status == -2 else sol.message
+    sv = np.linalg.svd(sol.jac, compute_uv=False)
+    sd = np.sqrt(np.diag(cov_theta))     # > 0: no Jacobian column is zero
     return FitResult(values=values, errors=errors, cov=cov_theta,
                      param_order=free, red_chi2=2.0 * sol.cost / (m - len(free)),
                      n_iter=len(history) - 1, converged=sol.status > 0,
-                     message=message, cost_history=history)
+                     message=message, cost_history=history,
+                     nfev=int(sol.nfev), njev=int(sol.njev),
+                     optimality=float(sol.optimality),
+                     at_bound={k: "lower" if a < 0 else "upper"
+                               for k, a in zip(free, sol.active_mask) if a},
+                     jtj_cond=float((sv[0] / sv[-1]) ** 2),
+                     correlation=cov_theta / np.outer(sd, sd))
 
 
 def _check_rank(J, free):
@@ -383,25 +450,3 @@ def _check_rank(J, free):
             raise RankDeficiencyError(
                 "degenerate parameter pair(s): "
                 + ", ".join(f"({a}, {b})" for a, b in pairs), pairs=pairs)
-
-
-def profile(param, grid, datasets, free=FREE_KEYS, **fit_kwargs):
-    """Profile objective: minimum chi^2 at each fixed value of ``param``.
-
-    The remaining free parameters are re-fitted at every grid point
-    (warm-started from the previous solution).  Returns (grid, chi2) arrays.
-    """
-    if param not in FREE_KEYS:
-        raise ParamError([param], f"unknown parameter {param!r}")
-    others = tuple(k for k in free if k != param)
-    grid = np.asarray(grid, dtype=float)
-    chi2 = np.empty_like(grid)
-    warm = dict(fit_kwargs.pop("init", None) or {})
-    fixed = dict(fit_kwargs.pop("fixed", None) or {})
-    for i, val in enumerate(grid):
-        fixed_i = dict(fixed)
-        fixed_i[param] = float(val)
-        res = fit(datasets, free=others, init=warm, fixed=fixed_i, **fit_kwargs)
-        chi2[i] = res.cost_history[-1]
-        warm.update(res.values)
-    return grid, chi2

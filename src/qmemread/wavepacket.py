@@ -143,24 +143,29 @@ def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
     cancels in |B|^2.  Returns a complex scalar or an ndarray of the
     broadcast shape.
     """
-    (t_arr, om, de), unwrap = _flat(t, params.omega if omega is None else omega,
-                                    params.delta if delta is None else delta)
+    (t_arr, om, de, cg), unwrap = _flat(
+        t, params.omega if omega is None else omega,
+        params.delta if delta is None else delta, params.chi_gamma)
     if np.any(t_arr < 0):
         raise ParamError(["t"], "amplitude_B requires t >= 0")
-    cg = params.chi_gamma
+    return unwrap(_amplitude(t_arr, om, de, cg))
+
+
+def _amplitude(t, om, de, cg):
+    """``amplitude_B`` over 1-d arrays of one length, with no checks."""
     ap, am = _alpha(om, de, cg)
     z = ap + 1j * am
 
     # common decaying/oscillating prefactor exponent: -chi Gamma/4 - i Delta/2
-    base = (-0.25 * cg - 0.5j * de) * t_arr
-    w = 0.5 * z * t_arr
+    base = (-0.25 * cg - 0.5j * de) * t
+    w = 0.5 * z * t
     small = np.abs(w) < 0.5 * _SERIES_CUTOFF
 
     with np.errstate(invalid="ignore", divide="ignore"):
         direct = (np.exp(base + w) - np.exp(base - w)) / (2.0 * np.where(small, 1.0, z))
     w2 = w * w
-    series = 0.5 * t_arr * np.exp(base) * (1.0 + w2 / 6.0 + w2 * w2 / 120.0)
-    return unwrap(1j * om * np.where(small, series, direct))
+    series = 0.5 * t * np.exp(base) * (1.0 + w2 / 6.0 + w2 * w2 / 120.0)
+    return 1j * om * np.where(small, series, direct)
 
 
 def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
@@ -172,11 +177,21 @@ def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
     in ``amplitude_B``; each point's value is the one a scalar call with
     that point's drive gives, bit for bit.
     """
-    (t_arr, om, de), unwrap = _flat(t, params.omega if omega is None else omega,
-                                    params.delta if delta is None else delta)
-    b = amplitude_B(t_arr, params, omega=om, delta=de)
-    env = np.exp(-np.square(params.gamma_deph * (t_arr + params.tau)))
-    return unwrap(params.scale_f * env * np.square(np.abs(b)))
+    (t_arr, om, de, cg, gd, f), unwrap = _flat(
+        t, params.omega if omega is None else omega,
+        params.delta if delta is None else delta, params.chi_gamma,
+        params.gamma_deph, params.scale_f)
+    if np.any(t_arr < 0):
+        raise ParamError(["t"], "amplitude_B requires t >= 0")
+    return unwrap(_pc_at(t_arr, om, de, cg, gd, params.tau, f))
+
+
+def _pc_at(t, om, de, cg, gd, tau, f):
+    """``pc_at`` over 1-d arrays of one length (t >= 0, omega, delta, chi
+    Gamma, gamma_deph, scale_f: one value per point) and a scalar tau, with
+    no checks."""
+    env = np.exp(-np.square(gd * (t + tau)))
+    return f * env * np.square(np.abs(_amplitude(t, om, de, cg)))
 
 
 @dataclass(frozen=True)
@@ -212,7 +227,8 @@ def pc_curve(params: ReadoutParams, t_start=0.0, t_end=0.160,
 
 def _gauss_laplace(s, gamma, tau, horizon):
     """integral_0^T exp(s t - gamma^2 (t + tau)^2) dt, elementwise over
-    complex s and the horizons T (finite or not) broadcast against it.
+    complex s and the rates gamma and horizons T (finite or not) broadcast
+    against it.
 
     gamma = 0 (below 1e-150 rad/us, where the envelope is 1 to 1e-16 over
     any window shorter than 1e142 us) needs a finite T: expm1(s T)/s.
@@ -221,10 +237,19 @@ def _gauss_laplace(s, gamma, tau, horizon):
     the middle of the window.  For Re s < 0 (every physical exponent) w is
     then evaluated in the upper half plane, where |w| <= 1.  Elsewhere on
     the contour of ``pc_integral`` it can reach the lower half plane, by at
-    most 0.5 for the radius used there, where |w| < 4.
+    most 0.5 for the radius used there, where |w| < 4.  The choice is made
+    per element; a call whose rates are all below 1e-150 loads no scipy.
     """
-    if gamma < _FLAT_GAMMA:
+    flat = gamma < _FLAT_GAMMA
+    if flat.all():
         return np.expm1(s * horizon) / s
+    if flat.any():
+        s, gamma, horizon = np.broadcast_arrays(s, gamma, horizon)
+        flat = gamma < _FLAT_GAMMA
+        out = np.empty(s.shape, complex)
+        for part in (flat, ~flat):
+            out[part] = _gauss_laplace(s[part], gamma[part], tau, horizon[part])
+        return out
     # imported here, so importing the package does not pay for scipy.special
     from scipy.special import wofz
     c = s / (2.0 * gamma)
@@ -273,12 +298,19 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
     300 MHz, tau to 200 ns, horizons from 3 ns to infinite, z down to 0),
     and below 2e-12 against adaptive quadrature at 1 to 3 ns.
     """
-    (om, de, hz), unwrap = _flat(params.omega if omega is None else omega,
-                                 params.delta if delta is None else delta,
-                                 horizon)
+    (hz, om, de, cg, gd, f), unwrap = _flat(
+        horizon, params.omega if omega is None else omega,
+        params.delta if delta is None else delta, params.chi_gamma,
+        params.gamma_deph, params.scale_f)
     if not (hz > 0).all():
         raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
-    cg, gd, tau = params.chi_gamma, params.gamma_deph, params.tau
+    return unwrap(_pc_integral(hz, om, de, cg, gd, params.tau, f))
+
+
+def _pc_integral(hz, om, de, cg, gd, tau, f):
+    """``pc_integral`` over 1-d arrays of one length (horizon > 0, omega,
+    delta, chi Gamma, gamma_deph, scale_f: one value per point) and a
+    scalar tau, with no checks."""
     ap, am = _alpha(om, de, cg)
     beta = 0.5 * cg
     # -s_1 = beta - alpha_+ = (beta^2 - alpha_+^2)/(beta + alpha_+), with the
@@ -289,7 +321,7 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
     rate = 2.0 * (beta * om) ** 2 / (
         (beta * beta + om * om + de * de
          + np.hypot(beta - om, de) * np.hypot(beta + om, de)) * (beta + ap))
-    lam = np.maximum(max(beta + 2.0 * gd * gd * tau, gd), 1.0 / hz)
+    lam = np.maximum(np.maximum(beta + 2.0 * gd * gd * tau, gd), 1.0 / hz)
     z2 = ap * ap + am * am
     crit = z2 < (_CRIT_FRAC * lam) ** 2
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -299,18 +331,21 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
         if crit.any():
             root = (_CONTOUR_FRAC * lam[crit])[:, None] * _HALF_CIRCLE  # sqrt u
             u = root * root
-            lap = _gauss_laplace(np.stack([root - beta, -root - beta]),
-                                 gd, tau, hz[crit, None])
+            b = beta[crit, None]
+            lap = _gauss_laplace(np.stack([root - b, -root - b]),
+                                 gd[crit, None], tau, hz[crit, None])
             even = 0.5 * (lap[0] + lap[1])
             bracket[crit] = np.mean(
                 even * u / ((u - ap[crit, None] ** 2)
                             * (u + am[crit, None] ** 2)), axis=1).real
-        pc = np.where(rate < _TINY, 0.0, 0.5 * params.scale_f * om * om * bracket)
-    if gd < _FLAT_GAMMA:
-        # norm-decay law: d(|A|^2 + |B|^2)/dt = -chi Gamma |B|^2 and the state
-        # decays completely for Omega > 0, so |B|^2 integrates to 1/(chi Gamma)
-        pc = np.where(np.isinf(hz), np.where(om == 0, 0.0, params.scale_f / cg), pc)
-    return unwrap(pc)
+        pc = np.where(rate < _TINY, 0.0, 0.5 * f * om * om * bracket)
+    # norm-decay law at gamma_deph = 0: d(|A|^2 + |B|^2)/dt = -chi Gamma |B|^2
+    # and the state decays completely for Omega > 0, so |B|^2 integrates to
+    # 1/(chi Gamma) over an infinite horizon
+    flat_inf = (gd < _FLAT_GAMMA) & np.isinf(hz)
+    if flat_inf.any():
+        pc = np.where(flat_inf, np.where(om == 0, 0.0, f / cg), pc)
+    return pc
 
 
 def integrate_Pc(params: ReadoutParams, horizon=math.inf) -> float:

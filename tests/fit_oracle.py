@@ -9,14 +9,20 @@ of a design with one ``pc_at`` call and one ``pc_integral`` call per
 horizon, and must agree with this loop to the last bit.
 
 ``design_residuals`` has the signature of ``qmemread.fitting.residuals``
-as ``fit`` calls it, with the compiled design in place of the list, so a
-test can drive ``fit`` through the oracle.
+as ``fit`` calls it, with the compiled design in place of the list, and
+``design_residuals_batch`` that of the private batch evaluator ``fit``
+calls for the points of each finite-difference Jacobian, so a test can
+drive every evaluation of ``fit`` through the oracle.
+
+``profile`` scans the fit objective over one parameter, re-fitting the
+others at each grid point; it checks that the combined design pins chi.
 """
 
 import numpy as np
 
-from qmemread.params import (IntensityModel, ReadoutParams, mhz_to_angular,
-                             rabi_from_intensity)
+from qmemread.fitting import FREE_KEYS, fit
+from qmemread.params import (IntensityModel, ParamError, ReadoutParams,
+                             mhz_to_angular, rabi_from_intensity)
 from qmemread.wavepacket import detuning_spectrum, pc_at, saturation_curve
 
 
@@ -52,3 +58,31 @@ def oracle_residuals(theta, datasets, gamma_nat, tau):
 def design_residuals(theta, design, gamma_nat, tau):
     """``oracle_residuals`` over the datasets of a compiled design."""
     return oracle_residuals(theta, design.datasets, gamma_nat, tau)
+
+
+def design_residuals_batch(thetas, design, gamma_nat, tau):
+    """``design_residuals`` at each of ``thetas``, one row each."""
+    return np.array([design_residuals(theta, design, gamma_nat, tau)
+                     for theta in thetas])
+
+
+def profile(param, grid, datasets, free=FREE_KEYS, **fit_kwargs):
+    """Profile objective: minimum chi^2 at each fixed value of ``param``.
+
+    The remaining free parameters are re-fitted at every grid point
+    (warm-started from the previous solution).  Returns (grid, chi2) arrays.
+    """
+    if param not in FREE_KEYS:
+        raise ParamError([param], f"unknown parameter {param!r}")
+    others = tuple(k for k in free if k != param)
+    grid = np.asarray(grid, dtype=float)
+    chi2 = np.empty_like(grid)
+    warm = dict(fit_kwargs.pop("init", None) or {})
+    fixed = dict(fit_kwargs.pop("fixed", None) or {})
+    for i, val in enumerate(grid):
+        fixed_i = dict(fixed)
+        fixed_i[param] = float(val)
+        res = fit(datasets, free=others, init=warm, fixed=fixed_i, **fit_kwargs)
+        chi2[i] = res.cost_history[-1]
+        warm.update(res.values)
+    return grid, chi2

@@ -465,6 +465,11 @@ class TestFitCommand:
         assert result["converged"] is True
         assert result["values_user_units"]["scale_f"] == pytest.approx(4.1,
                                                                        rel=0.05)
+        # the diagnostics of a one-parameter fit
+        assert result["nfev"] >= 1 and result["njev"] >= 1
+        assert result["optimality"] >= 0 and result["at_bound"] == {}
+        assert result["jtj_cond"] == 1.0
+        assert result["correlation"] == [[pytest.approx(1.0, abs=1e-15)]]
 
     def test_fit_on_synthesized_pipeline_output(self, tmp_path):
         # synth -> stats -> rebuild a dataset file from the binned

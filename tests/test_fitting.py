@@ -4,15 +4,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from fit_oracle import design_residuals, oracle_model_eval, oracle_residuals
+from fit_oracle import (design_residuals, design_residuals_batch,
+                        oracle_model_eval, oracle_residuals, profile)
 from qmemread import (IntensityModel, ParamError, RankDeficiencyError,
                       ReadoutParams, integrate_Pc, mhz_to_angular,
                       rabi_from_intensity)
 import qmemread.fitting as fitting
-from qmemread.fitting import (DEFAULT_INIT, Dataset, fit, model_eval,
-                              profile, residuals)
+from qmemread.fitting import DEFAULT_INIT, Dataset, fit, model_eval, residuals
 
 GAMMA_NAT = mhz_to_angular(5.2)
 TAU = 0.05
@@ -254,11 +255,29 @@ class TestCompiledDesign:
                                                         TAU))
 
     def test_fit_equals_oracle_driven_fit(self, monkeypatch):
+        # both evaluators fit looks up, trial points and Jacobian columns
         for seed in range(1, 31):
             sets = paper_design(seed=seed)
             got = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
             with monkeypatch.context() as patch:
                 patch.setattr(fitting, "residuals", design_residuals)
+                patch.setattr(fitting, "_residuals_batch",
+                              design_residuals_batch)
+                ref = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
+                          tau=TAU)
+            assert got.to_json() == ref.to_json(), f"seed {seed}"
+            assert got.cost_history == ref.cost_history, f"seed {seed}"
+
+    def test_batched_jacobian_equals_serial_map(self, monkeypatch):
+        # workers=None makes scipy evaluate each Jacobian column alone,
+        # through fun, as without a batch evaluator
+        real = scipy.optimize.least_squares
+        for seed in range(1, 31):
+            sets = paper_design(seed=seed)
+            got = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
+            with monkeypatch.context() as patch:
+                patch.setattr(scipy.optimize, "least_squares",
+                              lambda *a, **k: real(*a, **dict(k, workers=None)))
                 ref = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
                           tau=TAU)
             assert got.to_json() == ref.to_json(), f"seed {seed}"
@@ -280,18 +299,27 @@ class TestFit:
         assert np.all(diffs <= 0)
 
     def test_start_point_evaluated_once(self, monkeypatch):
-        # cost_history[0] and least_squares' opening f0 share one evaluation
-        thetas = []
-        real = fitting.residuals
+        # cost_history[0] and least_squares' opening f0 share one evaluation;
+        # each Jacobian's 4 columns are one batched evaluation, and each
+        # residuals call is a batch of one
+        thetas, batches = [], []
+        real, real_batch = fitting.residuals, fitting._residuals_batch
 
         def counting(theta, *args, **kwargs):
             thetas.append(dict(theta))
             return real(theta, *args, **kwargs)
+
+        def counting_batch(batch, *args):
+            batches.append([dict(theta) for theta in batch])
+            return real_batch(batch, *args)
         monkeypatch.setattr(fitting, "residuals", counting)
-        fit(paper_design(seed=5), init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
-            tau=TAU)
+        monkeypatch.setattr(fitting, "_residuals_batch", counting_batch)
+        res = fit(paper_design(seed=5), init=DEFAULT_INIT,
+                  gamma_nat=GAMMA_NAT, tau=TAU)
         assert thetas.count(thetas[0]) == 1
-        assert len(thetas) == 35
+        assert len(thetas) == 7 == res.nfev
+        assert [len(batch) for batch in batches] == [1, 4] * 7
+        assert res.njev == 7
 
     def test_round_trip_quick(self):
         for seed in (1, 2, 3):
@@ -468,6 +496,59 @@ class TestFit:
         assert 0.5 <= scatter / typical <= 2.0
 
 
+class TestDiagnostics:
+    """The fit's diagnostics against the scipy result they are read from."""
+
+    @staticmethod
+    def fit_with_solution(monkeypatch, sets, **kwargs):
+        real, sols = scipy.optimize.least_squares, []
+
+        def keep(*args, **kw):
+            sols.append(real(*args, **kw))
+            return sols[-1]
+        monkeypatch.setattr(scipy.optimize, "least_squares", keep)
+        return fit(sets, gamma_nat=GAMMA_NAT, tau=TAU, **kwargs), sols[0]
+
+    def test_counts_and_optimality(self, monkeypatch):
+        res, sol = self.fit_with_solution(monkeypatch, paper_design(seed=5),
+                                          init=DEFAULT_INIT)
+        assert (res.nfev, res.njev) == (sol.nfev, sol.njev) == (7, 7)
+        # no bound: the infinity norm of the cost's gradient J^T r
+        assert res.optimality == pytest.approx(
+            np.linalg.norm(sol.jac.T @ sol.fun, np.inf), rel=1e-12)
+        assert res.at_bound == {}
+
+    def test_at_bound_names_the_edge(self):
+        res = fit(paper_design(seed=4), init=dict(DEFAULT_INIT, chi=1.8),
+                  bounds={"chi": (1.5, 2.0)}, gamma_nat=GAMMA_NAT, tau=TAU)
+        assert res.values["chi"] == pytest.approx(2.0)
+        assert res.at_bound == {"chi": "upper"}
+
+    def test_condition_and_correlation(self, monkeypatch):
+        res, sol = self.fit_with_solution(monkeypatch, paper_design(seed=5),
+                                          init=DEFAULT_INIT)
+        assert res.jtj_cond == pytest.approx(
+            np.linalg.cond(sol.jac.T @ sol.jac), rel=1e-8)
+        sd = np.sqrt(np.diag(res.cov))
+        assert np.allclose(res.correlation * np.outer(sd, sd), res.cov,
+                           rtol=1e-12, atol=0)
+        assert np.allclose(np.diag(res.correlation), 1.0, rtol=0, atol=1e-12)
+        assert np.all(np.abs(res.correlation[~np.eye(4, dtype=bool)]) < 1)
+
+    def test_json_adds_diagnostics_to_the_existing_keys(self):
+        res = fit(paper_design(seed=5), init=DEFAULT_INIT,
+                  gamma_nat=GAMMA_NAT, tau=TAU)
+        out = res.to_json()
+        assert set(out) == {
+            "values", "errors", "covariance", "param_order", "reduced_chi2",
+            "n_iter", "converged", "message", "nfev", "njev", "optimality",
+            "at_bound", "jtj_cond", "correlation"}
+        assert (out["nfev"], out["njev"], out["at_bound"]) == (7, 7, {})
+        assert out["optimality"] == res.optimality
+        assert out["jtj_cond"] == res.jtj_cond
+        assert out["correlation"] == res.correlation.tolist()
+
+
 class TestProfile:
     def test_minimum_at_truth(self):
         sets = paper_design()
@@ -502,10 +583,10 @@ class TestFlatPcDesign:
                             sigma=[1.0, 1.0], i_r=95.0, horizon_us=0.05))
         sets.append(noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
                                       delta=1.7, i_r=95.0))
-        with mock.patch.object(fitting, "pc_integral",
-                               wraps=fitting.pc_integral) as pc_integral, \
-                mock.patch.object(fitting, "pc_at",
-                                  wraps=fitting.pc_at) as pc_at:
+        with mock.patch.object(fitting, "_pc_integral",
+                               wraps=fitting._pc_integral) as pc_integral, \
+                mock.patch.object(fitting, "_pc_at",
+                                  wraps=fitting._pc_at) as pc_at:
             got = residuals(TRUTH, sets, GAMMA_NAT, TAU)
         assert pc_integral.call_count == 1 and pc_at.call_count == 1
         assert np.array_equal(got,
@@ -514,7 +595,7 @@ class TestFlatPcDesign:
     def test_no_pc_integral_call_without_pc_points(self):
         ds = noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
                                delta=1.7, i_r=95.0)
-        with mock.patch.object(fitting, "pc_integral") as pc_integral:
+        with mock.patch.object(fitting, "_pc_integral") as pc_integral:
             residuals(TRUTH, [ds], GAMMA_NAT, TAU)
         assert pc_integral.call_count == 0
 

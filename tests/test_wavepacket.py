@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from pc_oracle import adaptive_pc
+import qmemread.wavepacket as wavepacket
 from qmemread import (IntensityModel, ParamError, ReadoutParams, alpha_pair,
                       amplitude_B, detuning_spectrum, integrate_Pc,
                       mhz_to_angular, pc_at, pc_curve, pc_integral,
@@ -512,6 +514,52 @@ class TestPerPointDrive:
         batch = pc_integral(p, horizon, omega=omega, delta=delta)
         for om, de, val in zip(omega, delta, batch):
             assert val == pc_integral(p, horizon, omega=om, delta=de)
+
+
+@st.composite
+def st_points(draw):
+    """One point of a core call: (t, omega, delta, chi, gamma_deph, scale_f,
+    horizon); a third of them at or next to the critical point."""
+    chi = draw(st.floats(1.0, 5.0, **finite))
+    if draw(st.integers(0, 2)) == 0:
+        eps = draw(st.sampled_from([0.0, 1e-12, -1e-8, 1e-3]))
+        omega, delta = chi * GAMMA / 2 * (1 + eps), 0.0
+    else:
+        omega = draw(st.floats(0.0, 20 * GAMMA, **finite))
+        delta = draw(st.floats(-20 * GAMMA, 20 * GAMMA, **finite))
+    return (draw(st.floats(0.0, 0.3, **finite)), omega, delta, chi,
+            draw(st.one_of(st.just(0.0),
+                           st.floats(0.0, mhz_to_angular(5.0), **finite))),
+            draw(st.floats(0.0, 10.0, **finite)), draw(st_horizon))
+
+
+class TestPerPointCores:
+    """The private flat-array cores with every parameter given per point,
+    as ``fitting`` calls them, against the public scalar calls."""
+
+    @property_settings
+    @given(st.lists(st_points(), min_size=1, max_size=12),
+           st.floats(0.0, 0.2, **finite))
+    @example([(0.01, 2.7 * GAMMA / 2, 0.0, 2.7, 0.0, 4.1, math.inf),
+              (0.05, 2.7 * GAMMA / 2, 0.0, 2.7, mhz_to_angular(1.55), 4.1,
+               math.inf),
+              (0.16, 30.0, 10.0, 1.0, 0.0, 1.0, 0.160),
+              (0.0, 0.0, 5.0, 3.0, mhz_to_angular(3.0), 2.0, math.inf)], 0.05)
+    def test_each_point_equals_scalar_call(self, points, tau):
+        t, om, de, chi, gd, f, hz = (np.array(col) for col in zip(*points))
+        params = [ReadoutParams(omega=p[1], delta=p[2], gamma_nat=GAMMA,
+                                chi=p[3], gamma_deph=p[4], tau=tau,
+                                scale_f=p[5]) for p in points]
+        cg = chi * GAMMA
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            b = wavepacket._amplitude(t, om, de, cg)
+            dens = wavepacket._pc_at(t, om, de, cg, gd, tau, f)
+            total = wavepacket._pc_integral(hz, om, de, cg, gd, tau, f)
+        for i, p in enumerate(params):
+            assert b[i] == amplitude_B(t[i], p)
+            assert dens[i] == pc_at(t[i], p)
+            assert total[i] == pc_integral(p, hz[i])
 
 
 class TestSweeps:
