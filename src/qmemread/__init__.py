@@ -18,7 +18,7 @@ from .dynamics import (AmplitudeTrajectory, IntegrationError, evolve,
                        norm_decay_check, reconstruct_B)
 from .collective import (ChiEstimate, EnsembleGeometry, branching_ratio,
                          chi_closed_form, chi_monte_carlo, chi_quadrature,
-                         extraction_ceiling, pair_kernel)
+                         extraction_ceiling)
 from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
                        ModelError, StatsError, SynthDesign,
                        conditional_wavepacket, correlations, ingest,

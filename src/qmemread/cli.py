@@ -407,7 +407,9 @@ def cmd_stats(cfg, run, seed):
                "t_range": "wavepacket_range_ns"}.get(exc.fields[0], exc.fields[0])
         raise ConfigError(f"{key}: {exc}") from exc
     report = summary.to_json()
-    report["ingest"] = {"n_events": len(store),
+    report["ingest"] = {"n_records": store.n_records,
+                        "n_validated": store.n_validated,
+                        "n_events": len(store),
                         "n_duplicates": store.n_duplicates,
                         "n_rejected_channel": store.n_rejected_channel,
                         "n_parse_errors": len(store.parse_errors),

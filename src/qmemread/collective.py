@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -43,6 +42,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .counting import _usable_cpus
 from .params import ParamError
 
 # validity thresholds for the closed form (ratios that must be << 1)
@@ -123,25 +123,10 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
 
 
 def _kernel_xyz(dx, dy, dz, k):
-    """Pair kernel on the three separation components, each an array."""
+    """Pair kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] (sinc x = sin x / x,
+    K(0) = 1) on the three separation components, each an array."""
     r = np.sqrt(dx * dx + dy * dy + dz * dz)
     return np.cos(k * dz) * np.sinc(k * r / np.pi)
-
-
-def pair_kernel(d, k) -> np.ndarray:
-    """Angular emission kernel for atom-pair separation(s) d (…, 3) in m.
-
-    K(d) = Re[exp(-i k d_z) sinc(k |d|)] with sinc x = sin x / x; K(0) = 1.
-    """
-    d_arr = np.asarray(d, dtype=float)
-    return _kernel_xyz(d_arr[..., 0], d_arr[..., 1], d_arr[..., 2], k)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _batch_mean(size, seed_seq, scales, k) -> float:

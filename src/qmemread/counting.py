@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,9 @@ class EventStore:
     ``parse_errors`` lists (line_number, reason) for rejected malformed
     lines; ``n_rejected_channel`` counts well-formed rows with an unknown
     channel; exact duplicate rows are collapsed into ``n_duplicates``.
+    ``ingest`` also sets ``n_records``, the csv records it read (the
+    numbering of ``parse_errors``), and ``n_validated``, how many of them
+    went through the per-line validator rather than the vectorised parse.
     """
 
     trial: np.ndarray
@@ -57,6 +63,8 @@ class EventStore:
     n_duplicates: int = 0
     n_rejected_channel: int = 0
     parse_errors: list = field(default_factory=list)
+    n_records: int = 0
+    n_validated: int = 0
 
     def __len__(self):
         return self.trial.size
@@ -79,8 +87,17 @@ _ERROR_REASONS = {"expected 3 fields": "field_count",
                   "time ": "outside_window",
                   "trial ": "trial_out_of_range"}
 
-_CHUNK_BYTES = 1 << 22      # log bytes parsed per vectorised pass
-_WRITE_ROWS = 100_000       # rows rendered per write
+# Work per pool task.  Small tasks keep each worker thread's malloc arena
+# small: memory freed on a worker stays resident in its arena.
+_CHUNK_BYTES = 1 << 18      # log bytes parsed per vectorised pass
+_WRITE_ROWS = 1 << 14       # rows rendered per write
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_starts(*sorted_cols):
@@ -137,6 +154,7 @@ class _Tally:
         self.n_trials = n_trials
         self.window = window
         self.records = 0        # csv records (lines) read
+        self.validated = 0      # records judged by _check_row
         self.columns = []       # (trial, channel, t_ns) arrays of strict lines
         self.rows = []          # (trial, channel, t_ns) from _check_row
         self.errors = []
@@ -147,6 +165,7 @@ def _check_row(tally, lineno, row):
     """Validate one csv record of a log.  Every line that the vectorised
     path of ``ingest`` does not accept is judged, and its error worded,
     here."""
+    tally.validated += 1
     if not row or (len(row) == 1 and not row[0].strip()):
         return
     if lineno == 1 and row[0].strip().lower() == "trial":
@@ -256,11 +275,16 @@ def _digits(a, end, length):
     return value, ~bad
 
 
-def _strict_lines(chunk, tally):
-    """Read a chunk without quotes or lone carriage returns.  Lines of the
-    strict grammar are parsed and checked as arrays; every other line, and
-    every line that fails the window or ``n_trials`` check, goes through
-    ``_check_row`` with its own line number."""
+def _strict_chunk(chunk, window, n_trials):
+    """Parse a chunk without quotes or lone carriage returns.  Lines of the
+    strict grammar are parsed and checked as arrays.  Returns the
+    (trial, code, t) columns of those that pass the window and
+    ``n_trials`` checks, the chunk's line count, and the (index in the
+    chunk, text) of every other line, for ``_check_row``.
+
+    Runs on a worker thread, so it reads no state and calls no public
+    function of this module (those may be wrapped by callers that are not
+    thread-safe)."""
     if not chunk.endswith(b"\n"):
         chunk += b"\n"
     a = np.frombuffer(chunk, dtype=np.uint8)
@@ -268,8 +292,6 @@ def _strict_lines(chunk, tally):
     nl = np.flatnonzero(a[marks] == 10)             # line ends, in marks
     ends = marks[nl]
     starts = np.concatenate(([0], ends[:-1] + 1))
-    first = tally.records + 1                       # the chunk's first line
-    tally.records += ends.size
 
     line = np.flatnonzero(np.diff(nl, prepend=-1) == 3)     # two commas
     c1, c2 = marks[nl[line] - 2], marks[nl[line] - 1]
@@ -284,18 +306,28 @@ def _strict_lines(chunk, tally):
     line, c1, stop, n1, n2 = (x[shape] for x in (line, c1, stop, n1, n2))
     trial, ok_trial = _digits(a, c1, n1)
     t, ok_t = _digits(a, stop, n2)
-    ok = ok_trial & ok_t & (t < tally.window)
-    if tally.n_trials is not None:
-        ok &= trial < tally.n_trials
+    ok = ok_trial & ok_t & (t < window)
+    if n_trials is not None:
+        ok &= trial < n_trials
     code = (2 * field[shape] + side[shape]).astype(np.int8)
-    tally.columns.append((trial[ok], code[ok], t[ok]))
 
-    # the rest, and lines that fail a check, in line order; _check_row
-    # words every parse error
     accepted = np.zeros(ends.size, dtype=bool)
     accepted[line[ok]] = True
-    for i in np.flatnonzero(~accepted).tolist():
-        text = chunk[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8")
+    judged = [(i, chunk[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8"))
+              for i in np.flatnonzero(~accepted).tolist()]
+    return trial[ok], code[ok], t[ok], ends.size, judged
+
+
+def _take_chunk(tally, trial, code, t, n_lines, judged):
+    """Add a chunk parsed by ``_strict_chunk`` to the tally: copies of its
+    kept columns, and its other lines through ``_check_row`` in line
+    order, numbered on from the records read before.  The copies are made
+    here, on the calling thread: an array allocated on a worker and kept
+    to the end would pin that worker's malloc arena resident."""
+    first = tally.records + 1                       # the chunk's first line
+    tally.records += n_lines
+    tally.columns.append((trial.copy(), code.copy(), t.copy()))
+    for i, text in judged:
         _check_row(tally, first + i, next(csv.reader((text,))))
 
 
@@ -308,34 +340,51 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
     ``parse_errors``; rows with an unknown channel are tallied; duplicate
     rows are collapsed with a warning.
 
-    The log is read in chunks of a few MB cut at newlines, so memory grows
+    The log is read in chunks of 256 KB cut at newlines, so memory grows
     with the events kept, not with the file.  In each chunk, lines of the
     strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` (optionally
-    ending in ``\\r``) are parsed and checked as arrays.  Every other line
-    (the header, blanks, signs, spaces, underscores, other digits, unknown
-    channels, wrong field counts) is judged by the per-line validator, and
-    a chunk holding a quote or a lone ``\\r`` is read record by record
-    through ``csv``.  Both routes give the same events, rejects, duplicate
-    count and ``parse_errors`` (in line order, numbered as csv records)
-    as reading every line through ``csv``.
+    ending in ``\\r``) are parsed and checked as arrays, on a thread pool
+    sized to the CPUs this process may use, with at most two chunks per
+    worker in flight.  Every other line (the header, blanks, signs, spaces,
+    underscores, other digits, unknown channels, wrong field counts) is
+    judged by the per-line validator on the calling thread, in line order,
+    and a chunk holding a quote or a lone ``\\r`` is read record by record
+    through ``csv`` there, once the chunks before it are taken in.  Both
+    routes give the same events, rejects, duplicate count and
+    ``parse_errors`` (in line order, numbered as csv records) as reading
+    every line through ``csv``, for any worker count or scheduling.
     """
     tally = _Tally(n_trials, trial_window_ns)
     carry = b""
-    for chunk in _chunks(source):
-        chunk, carry = carry + chunk, b""
-        if b'"' in chunk or (b"\r" in chunk and
-                             chunk.count(b"\r") != chunk.count(b"\r\n")):
-            carry = _csv_records(chunk, tally, final=False)
-        else:
-            _strict_lines(chunk, tally)
+    pending = deque()               # parsed chunks, in log order
+
+    def take(limit):
+        while len(pending) > limit:
+            _take_chunk(tally, *pending.popleft().result())
+
+    workers = _usable_cpus()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for chunk in _chunks(source):
+            chunk, carry = carry + chunk, b""
+            if b'"' in chunk or (b"\r" in chunk and
+                                 chunk.count(b"\r") != chunk.count(b"\r\n")):
+                take(0)
+                carry = _csv_records(chunk, tally, final=False)
+            else:
+                pending.append(pool.submit(_strict_chunk, chunk,
+                                           trial_window_ns, n_trials))
+                take(2 * workers)
+        take(0)
     if carry:
         _csv_records(carry, tally, final=True)
     rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
     tally.columns.append((rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2]))
     columns = [np.concatenate(c) for c in zip(*tally.columns)]
     tally.columns.clear()           # free the chunks' arrays before sorting
-    return _sorted_store(*columns, n_trials, trial_window_ns,
-                         tally.rejected, tally.errors)
+    store = _sorted_store(*columns, n_trials, trial_window_ns,
+                          tally.rejected, tally.errors)
+    store.n_records, store.n_validated = tally.records, tally.validated
+    return store
 
 
 # byte rows of the writer: row k holds digit k of 000..999, or letter k of
@@ -367,28 +416,42 @@ def _decimal(values):
     return text, keep
 
 
+def _render(store, rows):
+    """The bytes that ``write_log`` writes for the ``rows`` slice of a
+    store.  Runs on a worker thread, so it calls no public function."""
+    trial, trial_keep = _decimal(store.trial[rows])
+    t_ns, t_keep = _decimal(store.t_ns[rows])
+    n = t_ns.shape[1]
+    middle = np.full((5, n), 44, dtype=np.uint8)    # ",F1A,"
+    np.take(_CHANNEL_BYTES, store.channel[rows], axis=1, out=middle[1:4])
+    text = np.concatenate([trial, middle, t_ns,
+                           np.full((1, n), 10, dtype=np.uint8)])
+    keep = np.concatenate([trial_keep, np.ones((5, n), dtype=bool),
+                           t_keep, np.ones((1, n), dtype=bool)])
+    return text.T[keep.T]
+
+
 def write_log(store: EventStore, path):
     """Write a store back to ``trial,channel,t_ns`` CSV (with header).
 
-    Rows are rendered as arrays, ``_WRITE_ROWS`` at a time, into one byte
-    buffer per block, so the memory used does not grow with the log.  The
-    bytes are those of ``f"{trial},{CHANNELS[channel]},{t_ns}\\n"`` per row.
+    Rows are rendered as arrays, ``_WRITE_ROWS`` (16 384) at a time, into
+    one byte buffer per block, on a thread pool sized to the CPUs this
+    process may use.  The blocks are written in row order with at most two
+    per worker in flight, so the memory used does not grow with the log
+    and the file does not depend on the worker count.  The bytes are those
+    of ``f"{trial},{CHANNELS[channel]},{t_ns}\\n"`` per row.
     """
-    with open(path, "wb") as fh:
+    pending = deque()               # rendered blocks, in row order
+    workers = _usable_cpus()
+    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=workers) as pool:
         fh.write(b"trial,channel,t_ns\n")
         for lo in range(0, len(store), _WRITE_ROWS):
-            rows = slice(lo, lo + _WRITE_ROWS)
-            trial, trial_keep = _decimal(store.trial[rows])
-            t_ns, t_keep = _decimal(store.t_ns[rows])
-            n = t_ns.shape[1]
-            middle = np.full((5, n), 44, dtype=np.uint8)    # ",F1A,"
-            np.take(_CHANNEL_BYTES, store.channel[rows], axis=1,
-                    out=middle[1:4])
-            text = np.concatenate([trial, middle, t_ns,
-                                   np.full((1, n), 10, dtype=np.uint8)])
-            keep = np.concatenate([trial_keep, np.ones((5, n), dtype=bool),
-                                   t_keep, np.ones((1, n), dtype=bool)])
-            fh.write(text.T[keep.T])
+            pending.append(pool.submit(_render, store,
+                                       slice(lo, lo + _WRITE_ROWS)))
+            while len(pending) > 2 * workers:
+                fh.write(pending.popleft().result())
+        while pending:
+            fh.write(pending.popleft().result())
 
 
 @dataclass

@@ -10,6 +10,10 @@ a per-component kernel, so the two must agree to the last bit.
 angular emission factor for a single separation and serves as the oracle
 for the sinc reduction used by the sampler.
 
+``pair_kernel`` is the sampler's kernel on separation vectors (..., 3),
+the form in which the tests compare it with the formula and the
+quadrature.
+
 ``grid_chi_continuum`` is the continuum chi by composite Simpson on a
 graded grid, the numerical counterpart of ``chi_quadrature``'s closed form.
 """
@@ -20,6 +24,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from qmemread import ParamError
+from qmemread.collective import _kernel_xyz
 
 
 class QuadratureError(RuntimeError):
@@ -44,6 +49,15 @@ def serial_chi_monte_carlo(geom, n_samples, seed, n_batches=30):
     overall = float(np.dot(means, sizes) / sizes.sum())
     se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
     return 1.0 + geom.n_atoms * overall, geom.n_atoms * se
+
+
+def pair_kernel(d, k) -> np.ndarray:
+    """Angular emission kernel for atom-pair separation(s) d (..., 3) in m.
+
+    K(d) = Re[exp(-i k d_z) sinc(k |d|)] with sinc x = sin x / x; K(0) = 1.
+    """
+    d_arr = np.asarray(d, dtype=float)
+    return _kernel_xyz(d_arr[..., 0], d_arr[..., 1], d_arr[..., 2], k)
 
 
 def chi_quadrature_kernel(d, k, rel_tol=1e-8, max_order=2048) -> float:

@@ -18,7 +18,8 @@ _CODE = {name: i for i, name in enumerate(CHANNELS)}
 
 def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
     """(trial, channel, t_ns, n_trials, n_duplicates, n_rejected_channel,
-    parse_errors) of a log, with the duplicate warning it raises."""
+    parse_errors, n_records) of a log, with the duplicate warning it
+    raises; ``n_records`` counts the csv records read."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return oracle_ingest(fh, n_trials, trial_window_ns)
@@ -26,8 +27,10 @@ def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
     trials, chans, times = [], [], []
     rejected = 0
     errors = []
+    n_records = 0
     reader = csv.reader(source)
     for lineno, row in enumerate(reader, start=1):
+        n_records = lineno
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if lineno == 1 and row[0].strip().lower() == "trial":
@@ -73,7 +76,8 @@ def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
     trial, channel, t_ns = trial[keep], channel[keep], t_ns[keep]
     if n_trials is None:
         n_trials = int(trial[-1]) + 1 if trial.size else 0
-    return trial, channel, t_ns, int(n_trials), dups, rejected, errors
+    return (trial, channel, t_ns, int(n_trials), dups, rejected, errors,
+            n_records)
 
 
 def oracle_write(trial, channel, t_ns) -> bytes:

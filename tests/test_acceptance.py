@@ -23,12 +23,12 @@ from qmemread import (EnsembleGeometry, IntensityModel, ReadoutParams,
                       chi_monte_carlo, chi_quadrature, conditional_wavepacket,
                       correlations, detuning_spectrum, evolve,
                       extraction_ceiling, ingest, mhz_to_angular,
-                      norm_decay_check, pair_kernel, pc_at, pc_curve,
-                      probabilities, reconstruct_B, saturation_curve,
-                      synthesize_log, write_log)
+                      norm_decay_check, pc_at, pc_curve, probabilities,
+                      reconstruct_B, saturation_curve, synthesize_log,
+                      write_log)
 from qmemread.counting import SynthDesign
 from qmemread.fitting import Dataset, fit, model_eval
-from chi_oracle import chi_quadrature_kernel
+from chi_oracle import chi_quadrature_kernel, pair_kernel
 
 GAMMA = mhz_to_angular(5.2)
 

@@ -399,7 +399,10 @@ class TestPipeline:
             assert run(["stats", "--config", cfg, "--out", str(out),
                         "--quiet"]) == 0
         block = json.loads((out / "stats_summary.json").read_text())["ingest"]
+        # 10 csv records; all but the three clean rows (the duplicate
+        # among them) go through the per-line validator
         assert block == {
+            "n_records": 10, "n_validated": 7,
             "n_events": 2, "n_duplicates": 1, "n_rejected_channel": 1,
             "n_parse_errors": 5,
             "parse_errors_by_reason": {

@@ -10,9 +10,9 @@ import pytest
 import qmemread.collective as collective
 from qmemread import (ChiEstimate, EnsembleGeometry, ParamError,
                       branching_ratio, chi_closed_form, chi_monte_carlo,
-                      chi_quadrature, extraction_ceiling, pair_kernel)
+                      chi_quadrature, extraction_ceiling)
 from chi_oracle import (chi_quadrature_kernel, grid_chi_continuum,
-                        serial_chi_monte_carlo)
+                        pair_kernel, serial_chi_monte_carlo)
 
 # reference geometry: typical cold-ensemble memory scales
 GEOM = EnsembleGeometry(n_atoms=2e6, waist_m=1e-4, length_m=1e-3,

@@ -2,12 +2,14 @@
 
 ``ingest`` parses lines of the strict grammar as arrays and sends every
 other line through the per-line validator; ``write_log`` renders rows as
-arrays.  These tests hold both to ``tests/ingest_oracle.py``: the csv
-reader and f-string writer they replaced.
+arrays.  Both run their array work on a thread pool.  These tests hold
+both, on pools of one and of three workers, to ``tests/ingest_oracle.py``:
+the csv reader and f-string writer they replaced.
 """
 
 import io
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -25,6 +27,8 @@ WINDOW = 100
 # the packed sort key (trial * span + t) * 4 + channel overflows int64 here
 # for span = WINDOW, so the sort must fall back to lexsort
 BIG_TRIAL = 10 ** 17
+# pool sizes every result must be the same for
+WORKERS = (1, 3)
 
 
 def _outcome(fn):
@@ -40,26 +44,37 @@ def _outcome(fn):
 
 def _as_tuple(store):
     return (store.trial, store.channel, store.t_ns, store.n_trials,
-            store.n_duplicates, store.n_rejected_channel, store.parse_errors)
+            store.n_duplicates, store.n_rejected_channel, store.parse_errors,
+            store.n_records)
+
+
+def _workers(n):
+    """Patch the CPU count that sizes the counting pools to ``n``."""
+    return mock.patch.object(counting, "_usable_cpus", lambda: n)
 
 
 def assert_same_as_oracle(source_for, n_trials, window=WINDOW):
-    """Ingest a fresh source from ``source_for()`` with the program and
-    with the oracle, and compare everything they report."""
-    got = _outcome(lambda: _as_tuple(ingest(source_for(), n_trials, window)))
+    """Ingest a fresh source from ``source_for()`` with the oracle and with
+    the program on each pool size of WORKERS, and compare everything they
+    report."""
     want = _outcome(lambda: oracle_ingest(source_for(), n_trials, window))
-    if isinstance(want, type):
-        assert got is want
-        return
-    (trial, channel, t_ns, *counts), got_warn = got
-    (w_trial, w_channel, w_t_ns, *w_counts), want_warn = want
-    assert trial.dtype == np.int64 and t_ns.dtype == np.int64
-    assert channel.dtype == np.int8
-    assert np.array_equal(trial, w_trial)
-    assert np.array_equal(channel, w_channel)
-    assert np.array_equal(t_ns, w_t_ns)
-    assert counts == w_counts       # n_trials, duplicates, rejects, errors
-    assert got_warn == want_warn
+    for workers in WORKERS:
+        with _workers(workers):
+            got = _outcome(
+                lambda: _as_tuple(ingest(source_for(), n_trials, window)))
+        if isinstance(want, type):
+            assert got is want
+            continue
+        (trial, channel, t_ns, *counts), got_warn = got
+        (w_trial, w_channel, w_t_ns, *w_counts), want_warn = want
+        assert trial.dtype == np.int64 and t_ns.dtype == np.int64
+        assert channel.dtype == np.int8
+        assert np.array_equal(trial, w_trial)
+        assert np.array_equal(channel, w_channel)
+        assert np.array_equal(t_ns, w_t_ns)
+        # n_trials, duplicates, rejects, errors, records
+        assert counts == w_counts
+        assert got_warn == want_warn
 
 
 _valid = st.builds(lambda tr, ch, t: f"{tr},{ch},{t}",
@@ -187,6 +202,33 @@ class TestDifferential:
         back = ingest(path, n_trials=design.n_trials)
         assert seen == [(1, ["trial", "channel", "t_ns"])]
         assert len(back) == len(store) > 10_000
+        assert (back.n_records, back.n_validated) == (len(store) + 1, 1)
+
+    def test_validator_runs_on_the_calling_thread(self, monkeypatch):
+        # every third line is signed, so it leaves the vectorised parse for
+        # the validator; 64-byte chunks spread them over many pool tasks
+        lines = [f"+{i},F1B,3" if i % 3 == 0 else f"{i},F2A,{i % WINDOW}"
+                 for i in range(300)]
+        parsers, validators = set(), set()
+        strict_chunk, check_row = counting._strict_chunk, counting._check_row
+
+        def parse(*args):
+            parsers.add(threading.current_thread())
+            return strict_chunk(*args)
+
+        def judge(*args):
+            validators.add(threading.current_thread())
+            return check_row(*args)
+
+        monkeypatch.setattr(counting, "_strict_chunk", parse)
+        monkeypatch.setattr(counting, "_check_row", judge)
+        monkeypatch.setattr(counting, "_CHUNK_BYTES", 64)
+        with _workers(3):
+            store = ingest(iter(lines), None, WINDOW)
+        assert validators == {threading.current_thread()}
+        assert parsers and threading.current_thread() not in parsers
+        assert (len(store), store.n_records, store.n_validated) == (300, 300,
+                                                                    100)
 
 
 _stores = st.lists(
@@ -212,21 +254,23 @@ class TestRoundTrip:
              chunk=1 << 22, block=100_000)
     def test_write_then_ingest_is_identity(self, rows, chunk, block):
         store = _store(rows)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "log.csv"
-            with mock.patch.object(counting, "_WRITE_ROWS", block):
-                write_log(store, path)
-            assert path.read_bytes() == oracle_write(store.trial,
-                                                     store.channel, store.t_ns)
-            with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
-                back = ingest(path, n_trials=store.n_trials,
-                              trial_window_ns=WINDOW)
-        assert np.array_equal(back.trial, store.trial)
-        assert np.array_equal(back.channel, store.channel)
-        assert np.array_equal(back.t_ns, store.t_ns)
-        assert back.n_trials == store.n_trials
-        assert (back.parse_errors, back.n_duplicates,
-                back.n_rejected_channel) == ([], 0, 0)
+        want = oracle_write(store.trial, store.channel, store.t_ns)
+        for workers in WORKERS:
+            with tempfile.TemporaryDirectory() as tmp, _workers(workers):
+                path = Path(tmp) / "log.csv"
+                with mock.patch.object(counting, "_WRITE_ROWS", block):
+                    write_log(store, path)
+                assert path.read_bytes() == want
+                with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                    back = ingest(path, n_trials=store.n_trials,
+                                  trial_window_ns=WINDOW)
+            assert np.array_equal(back.trial, store.trial)
+            assert np.array_equal(back.channel, store.channel)
+            assert np.array_equal(back.t_ns, store.t_ns)
+            assert back.n_trials == store.n_trials
+            assert (back.parse_errors, back.n_duplicates,
+                    back.n_rejected_channel) == ([], 0, 0)
+            assert (back.n_records, back.n_validated) == (len(store) + 1, 1)
 
     def test_writer_signs_and_int64_extremes(self, tmp_path):
         # no program store holds these; the writer still prints them as
