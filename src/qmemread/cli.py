@@ -129,8 +129,10 @@ def _bound_pair(v, path) -> tuple:
 
 
 def _free(v, path) -> list:
-    """A list of distinct fit parameter names."""
-    for name in _exact((list,), "a list of parameter names")(v, path):
+    """A non-empty list of distinct fit parameter names."""
+    if not _exact((list,), "a list of parameter names")(v, path):
+        raise ConfigError(f"{path}: name at least one parameter to fit")
+    for name in v:
         if not (isinstance(name, str) and name in _FIT_KEYS):
             raise ConfigError(f"{path}: unknown parameter {name!r}")
         if v.count(name) > 1:
@@ -394,9 +396,9 @@ def cmd_synth(cfg, run, seed):
 
 def cmd_stats(cfg, run, seed):
     w1 = cfg["window1_ns"]
-    store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
-                   trial_window_ns=cfg["trial_window_ns"])
     try:
+        store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
+                       trial_window_ns=cfg["trial_window_ns"])
         summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
         binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
                                         bin_width_ns=cfg["bin_width_ns"],

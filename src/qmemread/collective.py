@@ -22,8 +22,8 @@ cloud geometry.  Three independent estimators are provided:
   for kW from 1e-6 to 3e3;
 * ``chi_monte_carlo``   : direct sampling of atom pairs with the pair
   kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] summed as 1 + N <K>; its
-  independently seeded batches run on a thread pool sized to the usable
-  CPUs, and the result does not depend on worker count or scheduling.
+  seeded batches run on the package's one worker pool (``_in_order``),
+  and the result does not depend on worker count or scheduling.
 
 A cooperativity chi implies a branching ratio 2 chi - 1 between the decay
 back to the initial ground state (photon extracted) and the decay that
@@ -36,13 +36,12 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-from .counting import _usable_cpus
+from .counting import _in_order
 from .params import ParamError
 
 # validity thresholds for the closed form (ratios that must be << 1)
@@ -154,10 +153,10 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
     averages the pair kernel and reports 1 + N <K>.  The standard error
     comes from the scatter of ``n_batches`` near-equal batches
     (2 <= n_batches <= n_samples), each with its own seed derived from
-    ``seed``.  The batches run on a thread pool sized to the CPUs this
-    process may use; since each batch owns its seed and the batch means are
-    combined in batch order, the result is the same to the last bit for any
-    worker count or scheduling.
+    ``seed``.  The batches run on ``counting._in_order``'s thread pool,
+    sized to the CPUs this process may use, which yields the batch means
+    in batch order; since each batch owns its seed, the result is the
+    same to the last bit for any worker count or scheduling.
     """
     if n_samples < 100:
         raise ParamError(["n_samples"], "need n_samples >= 100")
@@ -171,10 +170,9 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
     sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
     sizes[: n_samples % n_batches] += 1
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    with ThreadPoolExecutor(max_workers=min(n_batches, _usable_cpus())) as pool:
-        means = np.fromiter(pool.map(_batch_mean, sizes, children,
-                                     repeat(scales), repeat(k)),
-                            dtype=float, count=n_batches)
+    tasks = zip(sizes, children, repeat(scales), repeat(k))
+    means = np.fromiter(_in_order(_batch_mean, tasks), dtype=float,
+                        count=n_batches)
     overall = float(np.dot(means, sizes) / sizes.sum())
     se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
     return ChiEstimate(value=1.0 + geom.n_atoms * overall,

@@ -100,6 +100,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _in_order(fn, tasks):
+    """Yield ``fn(*task)`` for each of ``tasks``, in task order, from a
+    thread pool of ``_usable_cpus()`` workers, with at most two tasks per
+    worker submitted and not yet taken.  ``tasks`` is read lazily on the
+    consumer's thread; a task's exception is raised at its position.
+    ``fn`` runs on a worker, so it reads no shared state and calls no
+    public function (callers may wrap those with thread-unsafe recorders).
+    """
+    workers = _usable_cpus()
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for task in tasks:
+            pending.append(pool.submit(fn, *task))
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
 def _run_starts(*sorted_cols):
     """Mask of the rows that differ from the row before in some column."""
     first, *rest = sorted_cols
@@ -194,6 +213,9 @@ def _check_row(tally, lineno, row):
         tally.errors.append((lineno,
                              f"trial {tr} >= n_trials {tally.n_trials}"))
         return
+    if tr >= 1 << 63:
+        tally.errors.append((lineno, f"trial {tr} beyond the int64 range"))
+        return
     tally.rows.append((tr, _CODE[ch], t))
 
 
@@ -276,18 +298,20 @@ def _digits(a, end, length):
 
 
 def _strict_chunk(chunk, window, n_trials):
-    """Parse a chunk without quotes or lone carriage returns.  Lines of the
-    strict grammar are parsed and checked as arrays.  Returns the
-    (trial, code, t) columns of those that pass the window and
-    ``n_trials`` checks, the chunk's line count, and the (index in the
-    chunk, text) of every other line, for ``_check_row``.
+    """``(chunk, parse)``: ``parse`` is None if the chunk holds a quote or
+    a lone carriage return.  Otherwise its lines of the strict grammar are
+    parsed and checked as arrays, and ``parse`` is the (trial, code, t)
+    columns of those that pass the window and ``n_trials`` checks, the
+    line count, and the (index, text) of every other line, for ``_check_row``.
 
     Runs on a worker thread, so it reads no state and calls no public
     function of this module (those may be wrapped by callers that are not
     thread-safe)."""
-    if not chunk.endswith(b"\n"):
-        chunk += b"\n"
-    a = np.frombuffer(chunk, dtype=np.uint8)
+    if b'"' in chunk or (b"\r" in chunk and
+                         chunk.count(b"\r") != chunk.count(b"\r\n")):
+        return chunk, None
+    text = chunk if chunk.endswith(b"\n") else chunk + b"\n"
+    a = np.frombuffer(text, dtype=np.uint8)
     marks = np.flatnonzero((a == 44) | (a == 10))   # commas and newlines
     nl = np.flatnonzero(a[marks] == 10)             # line ends, in marks
     ends = marks[nl]
@@ -313,9 +337,9 @@ def _strict_chunk(chunk, window, n_trials):
 
     accepted = np.zeros(ends.size, dtype=bool)
     accepted[line[ok]] = True
-    judged = [(i, chunk[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8"))
+    judged = [(i, text[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8"))
               for i in np.flatnonzero(~accepted).tolist()]
-    return trial[ok], code[ok], t[ok], ends.size, judged
+    return chunk, (trial[ok], code[ok], t[ok], ends.size, judged)
 
 
 def _take_chunk(tally, trial, code, t, n_lines, judged):
@@ -344,37 +368,31 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
     with the events kept, not with the file.  In each chunk, lines of the
     strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` (optionally
     ending in ``\\r``) are parsed and checked as arrays, on a thread pool
-    sized to the CPUs this process may use, with at most two chunks per
-    worker in flight.  Every other line (the header, blanks, signs, spaces,
-    underscores, other digits, unknown channels, wrong field counts) is
-    judged by the per-line validator on the calling thread, in line order,
-    and a chunk holding a quote or a lone ``\\r`` is read record by record
-    through ``csv`` there, once the chunks before it are taken in.  Both
-    routes give the same events, rejects, duplicate count and
-    ``parse_errors`` (in line order, numbered as csv records) as reading
-    every line through ``csv``, for any worker count or scheduling.
+    sized to the CPUs this process may use (``_in_order``).  The calling
+    thread takes the chunks in log order.  Every other line (the header,
+    blanks, signs, spaces, underscores, other digits, unknown channels,
+    wrong field counts) is judged by the per-line validator there, and a
+    chunk holding a quote or a lone ``\\r``, or any chunk while a quoted
+    record cut by a chunk's end is open, is read record by record through
+    ``csv`` there.  Both routes give the same events, rejects, duplicate
+    count and ``parse_errors`` (in line order, numbered as csv records) as
+    reading every line through ``csv``, for any worker count or scheduling.
+
+    ``n_trials`` (when given) and ``trial_window_ns`` below 1 raise
+    ParamError naming the argument, before ``source`` is read.
     """
+    for name, value in (("n_trials", n_trials),
+                        ("trial_window_ns", trial_window_ns)):
+        if value is not None and value < 1:
+            raise ParamError([name], f"{name} must be >= 1, got {value}")
     tally = _Tally(n_trials, trial_window_ns)
-    carry = b""
-    pending = deque()               # parsed chunks, in log order
-
-    def take(limit):
-        while len(pending) > limit:
-            _take_chunk(tally, *pending.popleft().result())
-
-    workers = _usable_cpus()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for chunk in _chunks(source):
-            chunk, carry = carry + chunk, b""
-            if b'"' in chunk or (b"\r" in chunk and
-                                 chunk.count(b"\r") != chunk.count(b"\r\n")):
-                take(0)
-                carry = _csv_records(chunk, tally, final=False)
-            else:
-                pending.append(pool.submit(_strict_chunk, chunk,
-                                           trial_window_ns, n_trials))
-                take(2 * workers)
-        take(0)
+    carry = b""                     # a csv record cut by a chunk's end
+    tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(source))
+    for chunk, parse in _in_order(_strict_chunk, tasks):
+        if parse is None or carry:
+            carry = _csv_records(carry + chunk, tally, final=False)
+        else:
+            _take_chunk(tally, *parse)
     if carry:
         _csv_records(carry, tally, final=True)
     rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
@@ -436,22 +454,16 @@ def write_log(store: EventStore, path):
 
     Rows are rendered as arrays, ``_WRITE_ROWS`` (16 384) at a time, into
     one byte buffer per block, on a thread pool sized to the CPUs this
-    process may use.  The blocks are written in row order with at most two
-    per worker in flight, so the memory used does not grow with the log
-    and the file does not depend on the worker count.  The bytes are those
-    of ``f"{trial},{CHANNELS[channel]},{t_ns}\\n"`` per row.
+    process may use (``_in_order``).  The blocks are written in row order
+    with at most two per worker in flight, so the memory used does not grow
+    with the log and the file does not depend on the worker count.  The
+    bytes are those of ``f"{trial},{CHANNELS[channel]},{t_ns}\\n"`` per row.
     """
-    pending = deque()               # rendered blocks, in row order
-    workers = _usable_cpus()
-    with open(path, "wb") as fh, ThreadPoolExecutor(max_workers=workers) as pool:
+    blocks = ((store, slice(lo, lo + _WRITE_ROWS))
+              for lo in range(0, len(store), _WRITE_ROWS))
+    with open(path, "wb") as fh:
         fh.write(b"trial,channel,t_ns\n")
-        for lo in range(0, len(store), _WRITE_ROWS):
-            pending.append(pool.submit(_render, store,
-                                       slice(lo, lo + _WRITE_ROWS)))
-            while len(pending) > 2 * workers:
-                fh.write(pending.popleft().result())
-        while pending:
-            fh.write(pending.popleft().result())
+        fh.writelines(_in_order(_render, blocks))
 
 
 @dataclass

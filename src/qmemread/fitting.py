@@ -352,6 +352,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         raise ParamError(["datasets"], "need at least one dataset")
     datasets = _canonical(datasets)
     free = tuple(free)
+    if not free:
+        raise ParamError(["free"], "need at least one free parameter")
     for key in free:
         if key not in FREE_KEYS:
             raise ParamError([key], f"unknown free parameter {key!r}")

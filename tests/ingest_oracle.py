@@ -58,6 +58,9 @@ def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
         if n_trials is not None and tr >= n_trials:
             errors.append((lineno, f"trial {tr} >= n_trials {n_trials}"))
             continue
+        if tr >= 2 ** 63:
+            errors.append((lineno, f"trial {tr} beyond the int64 range"))
+            continue
         trials.append(tr)
         chans.append(_CODE[ch])
         times.append(t)

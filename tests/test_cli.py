@@ -666,6 +666,23 @@ class TestStatsWindowRanges:
         assert "validation error" in err and key in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("n_trials", 0), ("n_trials", -3),
+        ("trial_window_ns", 0), ("trial_window_ns", -5)])
+    def test_nonpositive_count_exit_2_before_reading(self, tmp_path, capsys,
+                                                     key, value):
+        # the log does not exist: reading it would exit 1
+        payload = {"log_path": str(tmp_path / "missing.csv"), "n_trials": 2,
+                   "window1_ns": [20, 20], "window2_ns": [50, 349],
+                   key: value}
+        out = tmp_path / "stats"
+        cfg = write_cfg(tmp_path, payload, "stats.json")
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: {key}: ")
+        assert not out.exists()
+
 
 def test_fit_inverted_bounds_exit_2(tmp_path, capsys):
     data_path = tmp_path / "wp.csv"

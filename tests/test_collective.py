@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qmemread.collective as collective
+import qmemread.counting as counting
 from qmemread import (ChiEstimate, EnsembleGeometry, ParamError,
                       branching_ratio, chi_closed_form, chi_monte_carlo,
                       chi_quadrature, extraction_ceiling)
@@ -226,6 +227,13 @@ class TestSerialOracle:
         value, se = serial_chi_monte_carlo(geom, n_samples, seed, n_batches)
         assert est.value == value
         assert est.standard_error == se
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bit_identical_for_any_worker_count(self, monkeypatch, workers):
+        monkeypatch.setattr(counting, "_usable_cpus", lambda: workers)
+        est = chi_monte_carlo(SMALL, 20_000, 123, n_batches=30)
+        assert (est.value, est.standard_error) == serial_chi_monte_carlo(
+            SMALL, 20_000, 123, 30)
 
     def test_bit_identical_at_full_size(self):
         est = chi_monte_carlo(GEOM, 1_000_000, seed=2718)

@@ -206,6 +206,7 @@ PROBES = [
     ("synth", "design.n_trials", 100.5, ["design.n_trials"]),
     ("fit", "init", [1], ["init"]),
     ("fit", "free", ["scale_f", "scale_f"], ["free"]),
+    ("fit", "free", [], ["free: name at least one parameter"]),
     ("stats", "log_path", 5, ["log_path"]),
     ("wavepacket", "window.t_end_ns", "200", ["window.t_end_ns"]),
     ("wavepacket-rabi", "params.rabi_mhz", "10", ["params.rabi_mhz"]),

@@ -410,6 +410,11 @@ class TestFit:
             fit(sets, init=dict(DEFAULT_INIT, chi=5.0),
                 bounds={"chi": (2.0, 2.5)}, gamma_nat=GAMMA_NAT, tau=TAU)
 
+    def test_no_free_parameter_rejected(self):
+        with pytest.raises(ParamError) as info:
+            fit(paper_design(), free=(), gamma_nat=GAMMA_NAT, tau=TAU)
+        assert info.value.fields == ("free",)
+
     def test_resonance_mask_excludes_points(self):
         # spectra can mask the resonance region where the model is known to
         # overshoot; masked points must not pull the fit

@@ -2,14 +2,16 @@
 
 ``ingest`` parses lines of the strict grammar as arrays and sends every
 other line through the per-line validator; ``write_log`` renders rows as
-arrays.  Both run their array work on a thread pool.  These tests hold
-both, on pools of one and of three workers, to ``tests/ingest_oracle.py``:
-the csv reader and f-string writer they replaced.
+arrays.  Both run their array work on a thread pool through
+``counting._in_order``.  These tests hold both, on pools of one and of three
+workers, to ``tests/ingest_oracle.py``: the csv reader and f-string writer
+they replaced, and test ``_in_order`` itself.
 """
 
 import io
 import tempfile
 import threading
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -20,8 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ingest_oracle import CHANNELS, oracle_ingest, oracle_write
-from qmemread import (EventStore, ReadoutParams, SynthDesign, counting,
-                      ingest, synthesize_log, write_log)
+from qmemread import (EventStore, ParamError, ReadoutParams, SynthDesign,
+                      counting, ingest, synthesize_log, write_log)
 
 WINDOW = 100
 # the packed sort key (trial * span + t) * 4 + channel overflows int64 here
@@ -230,6 +232,78 @@ class TestDifferential:
         assert (len(store), store.n_records, store.n_validated) == (300, 300,
                                                                     100)
 
+    @pytest.mark.parametrize("n_trials", [None, 50])
+    def test_trial_beyond_int64_is_a_parse_error(self, n_trials):
+        lines = ["9223372036854775808,F1A,5", "3,F1B,7",
+                 f"{10 ** 19},F2A,7", f"{2 ** 63 - 1},F2B,7"]
+        assert_same_as_oracle(lambda: iter(lines), n_trials)
+        store = ingest(iter(lines), n_trials, WINDOW)
+        assert store.trial.tolist() == ([3, 2 ** 63 - 1] if n_trials is None
+                                        else [3])
+        assert [line for line, _ in store.parse_errors] == (
+            [1, 3] if n_trials is None else [1, 3, 4])
+        assert store.parse_errors_by_reason()["trial_out_of_range"] == len(
+            store.parse_errors)
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_trials", 0), ("n_trials", -3),
+        ("trial_window_ns", 0), ("trial_window_ns", -5)])
+    def test_nonpositive_count_raises_before_reading(self, tmp_path, key,
+                                                    value):
+        kwargs = {"n_trials": 10, "trial_window_ns": WINDOW, key: value}
+        with pytest.raises(ParamError) as info:
+            ingest(tmp_path / "missing.csv", **kwargs)
+        assert info.value.fields == (key,)
+
+
+class TestInOrder:
+    """``_in_order`` yields in task order, bounds the tasks in flight and
+    raises a task's exception at that task's position."""
+
+    @staticmethod
+    def _run(workers, n, fail_at=None):
+        """Consume ``_in_order`` over ``n`` tasks that finish out of order;
+        return (results, most tasks drawn ahead of the consumer, error)."""
+        drawn = 0
+
+        def tasks():
+            nonlocal drawn
+            for i in range(n):
+                drawn += 1
+                yield i, 0.004 * ((5 * i) % 7)      # later tasks often faster
+
+        def task(i, delay):
+            time.sleep(delay)
+            if i == fail_at:
+                raise KeyError(i)
+            return i * i
+
+        got, ahead, error = [], 0, None
+        with _workers(workers):
+            try:
+                for i, result in enumerate(counting._in_order(task, tasks())):
+                    ahead = max(ahead, drawn - i)
+                    got.append(result)
+            except KeyError as exc:
+                error = exc.args[0]
+        return got, ahead, error
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_task_order_and_bound(self, workers):
+        got, ahead, error = self._run(workers, 20)
+        assert got == [i * i for i in range(20)] and error is None
+        # the result being taken counts as in flight
+        assert ahead == 2 * workers
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("fail_at", [0, 4, 11])
+    def test_exception_at_its_position(self, workers, fail_at):
+        got, _ahead, error = self._run(workers, 12, fail_at)
+        assert got == [i * i for i in range(fail_at)] and error == fail_at
+
+    def test_empty(self):
+        assert list(counting._in_order(pow, iter([]))) == []
+
 
 _stores = st.lists(
     st.tuples(st.integers(0, 10 ** 14), st.integers(0, 3),
@@ -262,7 +336,7 @@ class TestRoundTrip:
                     write_log(store, path)
                 assert path.read_bytes() == want
                 with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
-                    back = ingest(path, n_trials=store.n_trials,
+                    back = ingest(path, n_trials=store.n_trials or None,
                                   trial_window_ns=WINDOW)
             assert np.array_equal(back.trial, store.trial)
             assert np.array_equal(back.channel, store.channel)
