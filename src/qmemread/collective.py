@@ -7,22 +7,18 @@ cloud geometry.  Three independent estimators are provided:
 * ``chi_closed_form``   : chi = 1 + N / (2 W^2 k^2), valid in the paraxial,
   pencil-shaped regime 1/W << k and L/(W^2 k) << 1;
 * ``chi_quadrature``    : the exact continuum value 1 + N <K>, the pair
-  kernel averaged over the Gaussian cloud in closed form.  With
-  a = (kW)^2, b = (kL)^2 and c = b - a,
-
-      <K> = 1/2 int_0^2 exp(-2 a v - c v^2) dv
-          = Re{ sqrt(pi) / (4 sqrt(c)) [w(i a/sqrt(c))
-                                        - e^{-4b} w(i (2c + a)/sqrt(c))] } ,
-
-  w the Faddeeva function (erfcx(x) = w(i x)) and sqrt(c) complex, so one
-  form covers c > 0 and c < 0; c = 0 gives (1 - e^{-4a}) / (4a).  Where
-  the integrand is nearly flat (a + |c| < 1) the two terms cancel, and a
-  12-node Gauss-Legendre rule, exact to rounding there, replaces them.
-  Measured relative error in <K> below 2e-15 against 40-digit quadrature
-  for kW from 1e-6 to 3e3;
-* ``chi_monte_carlo``   : direct sampling of atom pairs with the pair
-  kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] summed as 1 + N <K>; its
-  seeded batches run on the package's one worker pool (``_in_order``),
+  kernel averaged over the Gaussian cloud in closed form: one Faddeeva
+  expression in a = (kW)^2 and b = (kL)^2 (see its docstring), good to
+  2e-15 relative in <K> against 40-digit quadrature for kW from 1e-6 to 3e3;
+* ``chi_monte_carlo``   : 1 + N <K> with <K> the mean of the pair kernel
+  K(d) = Re[exp(-i k d_z) sinc(k |d|)] over sampled pairs.  Two positions
+  drawn independently from the cloud, N(0, diag(W^2, W^2, L^2)), differ by
+  d ~ N(0, diag(2W^2, 2W^2, 2L^2)).  K depends on d only through d_z and
+  rho^2 = d_x^2 + d_y^2, and the sum of two squared N(0, 2W^2) variables is
+  2W^2 times a chi-square with two degrees of freedom, i.e. 4W^2 E with
+  E ~ Exp(1).  So each pair is drawn exactly as rho^2 = 4W^2 E and
+  d_z = sqrt(2) L Z, Z ~ N(0, 1) independent of E: two draws, not six.
+  Its seeded batches run on the package's one worker pool (``_in_order``),
   and the result does not depend on worker count or scheduling.
 
 A cooperativity chi implies a branching ratio 2 chi - 1 between the decay
@@ -100,10 +96,11 @@ class ChiEstimate:
     method: str = ""
 
     def __post_init__(self):
-        if not self.value >= 1.0 - 3.0 * self.standard_error:
-            raise ParamError(["value"],
-                             f"chi estimate {self.value:g} below 1 by more than "
-                             f"3 standard errors ({self.standard_error:g})")
+        # an exact chi is >= 1; a sampled one near 1 may land below it by chance
+        if not (self.value >= 1.0 if self.standard_error == 0.0
+                else math.isfinite(self.value)):
+            raise ParamError(["value"], f"chi estimate {self.value:g} (standard "
+                             f"error {self.standard_error:g}) is below 1 or not finite")
 
 
 def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
@@ -121,37 +118,39 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
     return ChiEstimate(value=value, standard_error=0.0, method="closed-form")
 
 
-def _kernel_xyz(dx, dy, dz, k):
-    """Pair kernel K(d) = Re[exp(-i k d_z) sinc(k |d|)] (sinc x = sin x / x,
-    K(0) = 1) on the three separation components, each an array."""
-    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-    return np.cos(k * dz) * np.sinc(k * r / np.pi)
+def _kernel(kz, kr):
+    """Pair kernel K = cos(k d_z) sinc(k |d|) (sinc x = sin x / x, K(0) = 1)
+    on the arrays kz = k d_z and kr = k |d|."""
+    return np.cos(kz) * np.sinc(kr / np.pi)
 
 
-def _batch_mean(size, seed_seq, scales, k) -> float:
+def _batch_mean(size, seed_seq, scales) -> float:
     """Mean pair kernel over one batch of ``size`` sampled pairs.
 
-    Runs on a worker thread, so it calls no public function of this module
-    (those may be wrapped by callers that are not thread-safe).  Scaling a
-    standard-normal column by a scalar gives the same bits as
-    ``rng.normal(0.0, scale)``.
+    A pair's separation d ~ N(0, diag(2W^2, 2W^2, 2L^2)) enters K only as
+    (k rho)^2 = (2kW)^2 E, E ~ Exp(1) (the two squared transverse components
+    sum to 2W^2 times a chi-square with two degrees of freedom, i.e. 4W^2
+    E), and k d_z = sqrt(2) kL Z, Z ~ N(0, 1); ``scales`` holds (2kW)^2 and
+    sqrt(2) kL.  Runs on a worker thread, so it calls no public function of
+    this module (callers may wrap those with recorders not thread-safe).
     """
     rng = np.random.default_rng(seed_seq)
-    r_exc = rng.standard_normal((size, 3))
-    r_atom = rng.standard_normal((size, 3))
-    dx, dy, dz = (r_atom[:, j] * s - r_exc[:, j] * s
-                  for j, s in enumerate(scales))
-    return _kernel_xyz(dx, dy, dz, k).mean()
+    kr2 = rng.standard_exponential(size) * scales[0]
+    kz = rng.standard_normal(size) * scales[1]
+    return _kernel(kz, np.sqrt(kr2 + kz * kz)).mean()
 
 
 def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
                     n_batches=30) -> ChiEstimate:
     """Sampled-pair estimate of chi, deterministic for a fixed seed.
 
-    Draws the stored-excitation position from the excitation distribution
-    (the normalized cloud density) and a partner atom from the same cloud,
-    averages the pair kernel and reports 1 + N <K>.  The standard error
-    comes from the scatter of ``n_batches`` near-equal batches
+    Averages the pair kernel over separations of the stored-excitation
+    position (drawn from the normalized cloud density) and a partner atom
+    of the same cloud, and reports 1 + N <K>.  Their difference is
+    N(0, diag(2W^2, 2W^2, 2L^2)), so each pair draws only rho^2 = 4W^2 E
+    and d_z = sqrt(2) L Z (E ~ Exp(1), Z ~ N(0, 1); rho^2 is 2W^2 times a
+    chi-square with two degrees of freedom).  The standard error comes
+    from the scatter of ``n_batches`` near-equal batches
     (2 <= n_batches <= n_samples), each with its own seed derived from
     ``seed``.  The batches run on ``counting._in_order``'s thread pool,
     sized to the CPUs this process may use, which yields the batch means
@@ -165,12 +164,12 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
                          f"need 2 <= n_batches <= n_samples, got {n_batches}")
     if geom.n_atoms == 0:
         return ChiEstimate(value=1.0, standard_error=0.0, method="monte-carlo")
-    scales = (geom.waist_m, geom.waist_m, geom.length_m)
     k = geom.wavenumber_per_m
+    scales = ((2.0 * k * geom.waist_m) ** 2, math.sqrt(2.0) * k * geom.length_m)
     sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
     sizes[: n_samples % n_batches] += 1
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    tasks = zip(sizes, children, repeat(scales), repeat(k))
+    tasks = zip(sizes, children, repeat(scales))
     means = np.fromiter(_in_order(_batch_mean, tasks), dtype=float,
                         count=n_batches)
     overall = float(np.dot(means, sizes) / sizes.sum())

@@ -378,13 +378,17 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
     count and ``parse_errors`` (in line order, numbered as csv records) as
     reading every line through ``csv``, for any worker count or scheduling.
 
-    ``n_trials`` (when given) and ``trial_window_ns`` below 1 raise
-    ParamError naming the argument, before ``source`` is read.
+    ``n_trials`` (when given) and ``trial_window_ns`` below 1, and a
+    ``trial_window_ns`` above 2**63 (times are int64), raise ParamError
+    naming the argument, before ``source`` is read.
     """
     for name, value in (("n_trials", n_trials),
                         ("trial_window_ns", trial_window_ns)):
         if value is not None and value < 1:
             raise ParamError([name], f"{name} must be >= 1, got {value}")
+    if trial_window_ns > 2 ** 63:
+        raise ParamError(["trial_window_ns"],
+                         f"trial_window_ns must be <= 2**63, got {trial_window_ns}")
     tally = _Tally(n_trials, trial_window_ns)
     carry = b""                     # a csv record cut by a chunk's end
     tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(source))

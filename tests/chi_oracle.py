@@ -1,10 +1,15 @@
 """Brute-force cooperativity oracles (tests only).
 
 ``serial_chi_monte_carlo`` is the sampler as a plain loop: each batch draws
-both positions with ``rng.normal(0.0, scales, (size, 3))`` from its own
-``SeedSequence`` child and averages the kernel over the (size, 3)
-separation array.  The package runs the same draws on a thread pool through
-a per-component kernel, so the two must agree to the last bit.
+(k rho)^2 with ``rng.exponential`` and then k d_z with ``rng.normal`` from
+its own ``SeedSequence`` child and averages the kernel over them.  The
+package runs the same draws on a thread pool, so the two must agree to the
+last bit.
+
+``two_position_chi_monte_carlo`` is the sampler before it drew separations
+from their law: each batch draws both 3-D positions with
+``rng.normal(0.0, scales, (size, 3))`` and averages the kernel over their
+difference.  It estimates the same chi from different draws.
 
 ``chi_quadrature_kernel`` evaluates the two-branch disk integral of the
 angular emission factor for a single separation and serves as the oracle
@@ -24,31 +29,62 @@ import numpy as np
 from scipy.integrate import simpson
 
 from qmemread import ParamError
-from qmemread.collective import _kernel_xyz
+from qmemread.collective import _kernel
 
 
 class QuadratureError(RuntimeError):
     """Kernel quadrature failed to converge within its order budget."""
 
 
-def serial_chi_monte_carlo(geom, n_samples, seed, n_batches=30):
-    """(value, standard_error) of the pair sampler, one batch after another."""
-    scales = np.array([geom.waist_m, geom.waist_m, geom.length_m])
-    k = geom.wavenumber_per_m
+def _batches(n_samples, seed, n_batches):
     sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
     sizes[: n_samples % n_batches] += 1
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    return sizes, np.random.SeedSequence(seed).spawn(n_batches)
+
+
+def _estimate(geom, means, sizes):
+    overall = float(np.dot(means, sizes) / sizes.sum())
+    se = float(np.std(means, ddof=1) / math.sqrt(len(means)))
+    return 1.0 + geom.n_atoms * overall, geom.n_atoms * se
+
+
+def serial_chi_monte_carlo(geom, n_samples, seed, n_batches=30):
+    """(value, standard_error) of the pair sampler, one batch after another.
+
+    Each pair draws (k rho)^2 = (2kW)^2 E, E ~ Exp(1), and k d_z =
+    sqrt(2) kL Z, Z ~ N(0, 1).
+    """
+    k = geom.wavenumber_per_m
+    rho2_scale = (2.0 * k * geom.waist_m) ** 2
+    z_scale = math.sqrt(2.0) * k * geom.length_m
+    sizes, children = _batches(n_samples, seed, n_batches)
     means = np.empty(n_batches)
     for i, (sz, child) in enumerate(zip(sizes, children)):
         rng = np.random.default_rng(child)
-        r_exc = rng.normal(0.0, scales, (sz, 3))
-        r_atom = rng.normal(0.0, scales, (sz, 3))
-        d = r_atom - r_exc
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        means[i] = (np.cos(k * d[..., 2]) * np.sinc(k * r / np.pi)).mean()
-    overall = float(np.dot(means, sizes) / sizes.sum())
-    se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
-    return 1.0 + geom.n_atoms * overall, geom.n_atoms * se
+        kr2 = rng.exponential(rho2_scale, sz)
+        kz = rng.normal(0.0, z_scale, sz)
+        kr = np.sqrt(kr2 + kz * kz)
+        means[i] = (np.cos(kz) * np.sinc(kr / np.pi)).mean()
+    return _estimate(geom, means, sizes)
+
+
+def two_position_chi_monte_carlo(geom, n_samples, seed, n_batches=30):
+    """(value, standard_error) from pairs of independent 3-D positions."""
+    scales = np.array([geom.waist_m, geom.waist_m, geom.length_m])
+    sizes, children = _batches(n_samples, seed, n_batches)
+    means = np.empty(n_batches)
+    for i, (sz, child) in enumerate(zip(sizes, children)):
+        rng = np.random.default_rng(child)
+        d = two_position_separations(rng, scales, sz)
+        means[i] = pair_kernel(d, geom.wavenumber_per_m).mean()
+    return _estimate(geom, means, sizes)
+
+
+def two_position_separations(rng, scales, size):
+    """(size, 3) differences of two positions drawn N(0, diag(scales^2))."""
+    r_exc = rng.normal(0.0, scales, (size, 3))
+    r_atom = rng.normal(0.0, scales, (size, 3))
+    return r_atom - r_exc
 
 
 def pair_kernel(d, k) -> np.ndarray:
@@ -57,7 +93,8 @@ def pair_kernel(d, k) -> np.ndarray:
     K(d) = Re[exp(-i k d_z) sinc(k |d|)] with sinc x = sin x / x; K(0) = 1.
     """
     d_arr = np.asarray(d, dtype=float)
-    return _kernel_xyz(d_arr[..., 0], d_arr[..., 1], d_arr[..., 2], k)
+    dx, dy, dz = d_arr[..., 0], d_arr[..., 1], d_arr[..., 2]
+    return _kernel(k * dz, k * np.sqrt(dx * dx + dy * dy + dz * dz))
 
 
 def chi_quadrature_kernel(d, k, rel_tol=1e-8, max_order=2048) -> float:

@@ -284,6 +284,19 @@ class TestChiCommand:
         assert "validation error" in err and "n_batches" in err
         assert not (out / "chi.json").exists()
 
+    def test_sampled_chi_below_one_exits_0(self, tmp_path):
+        # with one atom chi is 1 + 1e-5; seed 809's draw lands more than 3 SE
+        # below 1, as an unbiased sampler does now and then
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 1, "waist_m": 1e-4, "length_m": 1e-3,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 3_000})
+        assert run(["chi", "--config", cfg, "--out", str(out), "--seed", "809",
+                    "--quiet"]) == 0
+        mc = json.loads((out / "chi.json").read_text())["monte_carlo"]
+        assert mc["chi"] < 1.0 - 3.0 * mc["standard_error"]
+
 
 class TestIntegerConfigKeys:
     """Integer config values: bools, strings and non-integral floats exit 2."""
@@ -681,6 +694,20 @@ class TestStatsWindowRanges:
                     "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: {key}: ")
+        assert not out.exists()
+
+    def test_window_beyond_int64_exit_2(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("trial,channel,t_ns\n0,F1A,20\n")
+        payload = {"log_path": str(log), "n_trials": 2,
+                   "window1_ns": [20, 20], "window2_ns": [50, 349],
+                   "trial_window_ns": 1e20}
+        out = tmp_path / "stats"
+        cfg = write_cfg(tmp_path, payload, "stats.json")
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: trial_window_ns: ")
         assert not out.exists()
 
 

@@ -255,6 +255,22 @@ class TestDifferential:
             ingest(tmp_path / "missing.csv", **kwargs)
         assert info.value.fields == (key,)
 
+    @pytest.mark.parametrize("source", [
+        "missing", iter(["1,F1A,9999999999999999999"])])
+    def test_window_beyond_int64_raises_before_reading(self, tmp_path, source):
+        # a time >= 2**63 would pass the window check and overflow int64
+        if source == "missing":
+            source = tmp_path / "missing.csv"
+        with pytest.raises(ParamError) as info:
+            ingest(source, trial_window_ns=10 ** 20)
+        assert info.value.fields == ("trial_window_ns",)
+
+    def test_window_of_2_63_keeps_every_int64_time(self):
+        store = ingest(iter([f"1,F1A,{2 ** 63 - 1}", f"1,F1B,{2 ** 63}"]),
+                       trial_window_ns=2 ** 63)
+        assert store.t_ns.tolist() == [2 ** 63 - 1]
+        assert [line for line, _ in store.parse_errors] == [2]
+
 
 class TestInOrder:
     """``_in_order`` yields in task order, bounds the tasks in flight and
