@@ -2,8 +2,8 @@
 
 Events are rows ``trial,channel,t_ns`` with channels F1A/F1B (the heralding
 field behind a fiber beamsplitter) and F2A/F2B (the retrieved field).  From
-per-trial occupancies the module derives the single and joint detection
-probabilities, the normalized correlations
+the sorted trials of the events in each field's window the module counts
+the single and joint detection probabilities, the normalized correlations
 
     g11 = p11 / p1^2 ,   g22 = p22 / p2^2 ,   g12 = p12 / (p1 p2) ,
 
@@ -30,7 +30,6 @@ from .wavepacket import pc_integral
 
 CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
-FIELD1_CODES = (0, 1)
 
 DEFAULT_TRIAL_WINDOW_NS = 1500  # detector-on period per trial
 
@@ -129,41 +128,60 @@ def _run_starts(*sorted_cols):
     return keep
 
 
-def _sorted_store(trial, channel, t_ns, n_trials, window, rejected, errors,
-                  warn_duplicates=True):
-    trial = np.asarray(trial, dtype=np.int64)
-    channel = np.asarray(channel, dtype=np.int8)
-    t_ns = np.asarray(t_ns, dtype=np.int64)
-    # (trial * span + t) * 4 + channel orders rows as (trial, t, channel)
-    # when 0 <= t < span and 0 <= channel < 4, and one stable argsort of it
-    # is far cheaper than a three-key lexsort; trials whose key could
-    # overflow int64 fall back to the lexsort.  Exact duplicate rows are
-    # dropped from the sort order, so each column is gathered once.
-    span = int(t_ns.max()) + 1 if t_ns.size else 1
-    if trial.size and int(trial.max()) >= (1 << 62) // (4 * span):
+def _member(values, sorted_set):
+    """Mask of the ``values`` that occur in the sorted array ``sorted_set``."""
+    at = np.searchsorted(sorted_set, values)
+    found = at < sorted_set.size
+    found[found] = sorted_set[at[found]] == values[found]
+    return found
+
+
+def _key(trial, t_ns, channel, span):
+    """The store's sort key: rows in (trial, t, channel) order for t < span."""
+    return (trial * span + t_ns) * 4 + channel
+
+
+def _store(keys, span, n_trials, window):
+    """The store of sorted keys, each key once (``n_duplicates`` counts the
+    repeats).  Works in the buffer of ``keys``, which it leaves undefined."""
+    keep = _run_starts(keys)
+    n = int(np.count_nonzero(keep))
+    if n < keys.size:
+        keys[:n] = keys[keep]
+    dups, keys = keys.size - n, keys[:n]
+    channel = (keys & 3).astype(np.int8)
+    keys >>= 2
+    trial, t_ns = np.divmod(keys, span)
+    return EventStore(trial=trial, channel=channel, t_ns=t_ns, n_trials=n_trials,
+                      trial_window_ns=window, n_duplicates=dups)
+
+
+def _sorted_store(tally):
+    """The store of the events ``ingest`` kept in ``tally``."""
+    rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
+    tally.columns.append((rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2]))
+    trial, channel, t_ns = (np.concatenate(c) for c in zip(*tally.columns))
+    tally.columns.clear()           # free the chunks' arrays before sorting
+    last = int(trial.max(initial=-1))
+    n_trials = int(last + 1 if tally.n_trials is None else tally.n_trials)
+    span = int(t_ns.max(initial=0)) + 1
+    if last >= (1 << 62) // (4 * span):
+        # the key could overflow int64: a three-key lexsort instead
         order = np.lexsort((channel, t_ns, trial))
         order = order[_run_starts(trial[order], t_ns[order], channel[order])]
+        store = EventStore(trial[order], channel[order], t_ns[order], n_trials,
+                           int(tally.window), trial.size - order.size)
     else:
-        key = trial * span
-        key += t_ns
-        key *= 4
-        key += channel
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        del key                     # not alive during the gathers below
-        order = order[_run_starts(sorted_key)]
-        del sorted_key
-    dups = trial.size - order.size
-    trial, channel, t_ns = trial[order], channel[order], t_ns[order]
-    if dups and warn_duplicates:
-        warnings.warn(f"collapsed {dups} duplicate detection record(s)",
-                      stacklevel=3)
-    if n_trials is None:
-        n_trials = int(trial[-1]) + 1 if trial.size else 0
-    return EventStore(trial=trial, channel=channel, t_ns=t_ns,
-                      n_trials=int(n_trials), trial_window_ns=int(window),
-                      n_duplicates=dups, n_rejected_channel=rejected,
-                      parse_errors=errors)
+        key = _key(trial, t_ns, channel, span)
+        del trial, channel, t_ns
+        key.sort(kind="stable")     # nearly free on a log in store order
+        store = _store(key, span, n_trials, int(tally.window))
+    if store.n_duplicates:
+        warnings.warn(f"collapsed {store.n_duplicates} duplicate detection "
+                      "record(s)", stacklevel=3)
+    store.n_rejected_channel, store.parse_errors = tally.rejected, tally.errors
+    store.n_records, store.n_validated = tally.records, tally.validated
+    return store
 
 
 class _Tally:
@@ -399,14 +417,7 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
             _take_chunk(tally, *parse)
     if carry:
         _csv_records(carry, tally, final=True)
-    rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
-    tally.columns.append((rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2]))
-    columns = [np.concatenate(c) for c in zip(*tally.columns)]
-    tally.columns.clear()           # free the chunks' arrays before sorting
-    store = _sorted_store(*columns, n_trials, trial_window_ns,
-                          tally.rejected, tally.errors)
-    store.n_records, store.n_validated = tally.records, tally.validated
-    return store
+    return _sorted_store(tally)
 
 
 # byte rows of the writer: row k holds digit k of 000..999, or letter k of
@@ -517,7 +528,8 @@ def probabilities(store: EventStore, window1, window2) -> CorrelationSummary:
     ``window1``/``window2`` are inclusive (lo, hi) ns ranges applied to the
     heralding and retrieved field respectively.  p11 (p22) is the fraction
     of trials with a count on both detectors of field 1 (2), the
-    beamsplitter-pair coincidence.
+    beamsplitter-pair coincidence.  Trials are counted from the sorted trial
+    indices of the events, so memory grows with the events, not n_trials.
     """
     if store.n_trials <= 0:
         raise StatsError("no trials: probabilities are undefined")
@@ -525,32 +537,29 @@ def probabilities(store: EventStore, window1, window2) -> CorrelationSummary:
         if not (0 <= lo <= hi < store.trial_window_ns):
             raise ParamError([name], f"{name} must lie within the trial window")
 
-    occ = _occupancy(store, window1, window2)
-    f1 = occ[0] | occ[1]
-    f2 = occ[2] | occ[3]
+    trials1, n_pairs1 = _field_trials(store, 1, window1)
+    trials2, n_pairs2 = _field_trials(store, 2, window2)
     n = store.n_trials
     s = CorrelationSummary(n_trials=n)
-    s.p1 = float(np.count_nonzero(f1)) / n
-    s.p2 = float(np.count_nonzero(f2)) / n
-    s.p11 = float(np.count_nonzero(occ[0] & occ[1])) / n
-    s.p22 = float(np.count_nonzero(occ[2] & occ[3])) / n
-    s.p12 = float(np.count_nonzero(f1 & f2)) / n
+    s.p1, s.p2 = trials1.size / n, trials2.size / n     # int / int rounds
+    s.p11, s.p22 = n_pairs1 / n, n_pairs2 / n           # once, for any n
+    s.p12 = int(np.count_nonzero(_member(trials1, trials2))) / n
     s.u_p1, s.u_p2 = _binom_se(s.p1, n), _binom_se(s.p2, n)
     s.u_p11, s.u_p22 = _binom_se(s.p11, n), _binom_se(s.p22, n)
     s.u_p12 = _binom_se(s.p12, n)
     return s
 
 
-def _occupancy(store, window1, window2):
-    """Boolean per-trial occupancy for each channel in its field's window."""
-    occ = []
-    for code in range(4):
-        lo, hi = window1 if code in FIELD1_CODES else window2
-        mask = (store.channel == code) & (store.t_ns >= lo) & (store.t_ns <= hi)
-        flags = np.zeros(store.n_trials, dtype=bool)
-        flags[store.trial[mask]] = True
-        occ.append(flags)
-    return occ
+def _field_trials(store, which, window):
+    """Sorted distinct trials with a count of field ``which`` (1: codes 0-1,
+    2: 2-3) in the inclusive ``window``; how many have one on both detectors."""
+    lo, hi = window
+    t = store.t_ns
+    at = np.flatnonzero((store.channel >> 1 == which - 1) & (t >= lo) & (t <= hi))
+    trial, channel = store.trial[at], store.channel[at]
+    runs = np.flatnonzero(_run_starts(trial))
+    both = np.minimum.reduceat(channel, runs) != np.maximum.reduceat(channel, runs)
+    return trial[runs], int(np.count_nonzero(both))
 
 
 def _ratio_err(value, parts):
@@ -618,6 +627,8 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
     per-bin field-2 probability.  ``bin_width_ns`` >= 1 (use 1 ns for
     wavepackets, wider bins for correlation traces).  ``herald_window``
     (inclusive) and ``t_range`` (half-open) must lie in the trial window.
+    Each field-2 event's trial is searched in the sorted herald trials, so
+    memory grows with the events, not with n_trials.
     """
     if bin_width_ns < 1:
         raise ParamError(["bin_width_ns"], "bin width must be >= 1 ns")
@@ -629,13 +640,8 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
         raise ParamError(["herald_window"], "herald_window must lie within the trial window")
     if not (0 <= lo and hi <= store.trial_window_ns):
         raise ParamError(["t_range"], "t_range must lie within the trial window")
-    herald_mask = np.zeros(store.n_trials, dtype=bool)
-    # codes follow the order of CHANNELS: field 1 is 0-1, field 2 is 2-3
-    sel = ((store.channel < 2) &
-           (store.t_ns >= lo_h) & (store.t_ns <= hi_h))
-    herald_mask[store.trial[sel]] = True
-    n_heralds = int(np.count_nonzero(herald_mask))
-    if n_heralds == 0:
+    heralds, _ = _field_trials(store, 1, herald_window)
+    if heralds.size == 0:
         raise StatsError("empty herald set: conditional wavepacket undefined")
 
     n_bins = int((hi - lo) // bin_width_ns)
@@ -643,24 +649,21 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
         raise ParamError(["t_range"], "range shorter than one bin")
     hi = lo + n_bins * bin_width_ns
 
-    is_f2 = store.channel >= 2
-    in_range = (store.t_ns >= lo) & (store.t_ns < hi)
-    f2_all = is_f2 & in_range
-    f2_her = f2_all & herald_mask[store.trial]
+    t = store.t_ns
+    at = np.flatnonzero((store.channel >= 2) & (t >= lo) & (t < hi))
+    idx = (t[at] - lo) // bin_width_ns
+    heralded = _member(store.trial[at], heralds)
+    counts_all = np.bincount(idx, minlength=n_bins).astype(np.int64)
+    counts_her = np.bincount(idx[heralded], minlength=n_bins).astype(np.int64)
 
-    idx_all = (store.t_ns[f2_all] - lo) // bin_width_ns
-    idx_her = (store.t_ns[f2_her] - lo) // bin_width_ns
-    counts_all = np.bincount(idx_all, minlength=n_bins).astype(np.int64)
-    counts_her = np.bincount(idx_her, minlength=n_bins).astype(np.int64)
-
-    pc = counts_her / n_heralds
-    p2 = counts_all / store.n_trials
+    pc = counts_her / heralds.size
+    p2 = counts_all / float(store.n_trials)    # n_trials may exceed int64
     with np.errstate(divide="ignore", invalid="ignore"):
         g12 = np.where(p2 > 0, pc / p2, np.nan)
     edges = lo + bin_width_ns * np.arange(n_bins + 1)
     return BinnedWavepacket(t_lo_ns=edges[:-1], t_hi_ns=edges[1:], pc=pc,
                             g12=g12, n_coinc=counts_her,
-                            n_heralds=n_heralds, n_trials=store.n_trials)
+                            n_heralds=heralds.size, n_trials=store.n_trials)
 
 
 @dataclass(frozen=True)
@@ -687,8 +690,8 @@ class SynthDesign:
             bad.append("n_trials")
         if not (0 < self.p1 <= 1):
             bad.append("p1")
-        if self.window_ns < 2:
-            bad.append("window_ns")
+        if not 2 <= self.window_ns <= 2 ** 61 // max(self.n_trials, 1):
+            bad.append("window_ns")     # int64 keys for every cell
         if not (0 <= self.herald_t_ns < self.window_ns):
             bad.append("herald_t_ns")
         if not (0 <= self.read_start_ns < self.window_ns):
@@ -705,42 +708,38 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
     """Generate a detection log from the closed-form wavepacket.
 
     A heralded emission lands in each 1 ns bin of the read window with the
-    model's exact probability (``_emission_cdf``).  Each channel's
-    background is one Poisson(background_per_ns window_ns n_trials) total
-    spread uniformly over trials and times: an independent Poisson count
-    per trial.  Deterministic for a fixed seed (fixed draw order: heralds,
-    herald channels, emissions, emission times, field-2 channels, then
-    backgrounds channel by channel).  Raises ModelError if the integrated
-    wavepacket exceeds 1, which would make the emission draw inconsistent.
+    model's exact probability (``_emission_cdf``).  The background is one
+    Poisson(4 background_per_ns window_ns n_trials) total, uniform over
+    the (trial, t, channel) cells: an independent Poisson count per trial
+    and channel.  Events are drawn as store keys, sorted once, and a key
+    drawn twice is one event (``n_duplicates``).  Deterministic for a fixed
+    seed (draw order: heralds, herald channels, emissions, emission times,
+    field-2 channels, background total, background keys).  Raises
+    ModelError if the integrated wavepacket exceeds 1.
     """
     rng = np.random.default_rng(seed)
+    window = design.window_ns
     cdf = _emission_cdf(params, min(design.read_window_ns,
-                                    design.window_ns - design.read_start_ns))
+                                    window - design.read_start_ns))
     total_pc = float(cdf[-1])
     if total_pc > 1.0:
         raise ModelError(f"integrated wavepacket P_c = {total_pc:.4g} > 1; "
                          "reduce scale_f or the sampling window")
 
     her_trials = np.flatnonzero(rng.random(design.n_trials) < design.p1)
-    her_chan = rng.integers(0, 2, her_trials.size).astype(np.int8)
+    her_chan = rng.integers(0, 2, her_trials.size)
     sig_trials = her_trials[rng.random(her_trials.size) < total_pc]
     u = rng.random(sig_trials.size) * total_pc
     t2 = design.read_start_ns + np.searchsorted(cdf, u, side="right")
-    sig_chan = (2 + rng.integers(0, 2, sig_trials.size)).astype(np.int8)
+    sig_chan = 2 + rng.integers(0, 2, sig_trials.size)
 
-    parts = [(her_trials, her_chan,
-               np.full(her_trials.size, design.herald_t_ns, dtype=np.int64)),
-             (sig_trials, sig_chan, t2)]
-    lam = design.background_per_ns * design.window_ns * design.n_trials
-    for code in range(4):
-        tot = int(rng.poisson(lam))
-        # sorted trials keep the store's argsort on nearly ordered keys
-        parts.append((np.sort(rng.integers(0, design.n_trials, tot)),
-                      np.full(tot, code, dtype=np.int8),
-                      rng.integers(0, design.window_ns, tot)))
-    trial, channel, t_ns = (np.concatenate(col) for col in zip(*parts))
-    return _sorted_store(trial, channel, t_ns, design.n_trials,
-                         design.window_ns, 0, [], warn_duplicates=False)
+    cells = 4 * design.n_trials * window     # (trial, t, channel) cells
+    keys = np.concatenate([
+        _key(her_trials, design.herald_t_ns, her_chan, window),
+        _key(sig_trials, t2, sig_chan, window),
+        rng.integers(0, cells, rng.poisson(design.background_per_ns * cells))])
+    keys.sort()
+    return _store(keys, window, design.n_trials, window)
 
 
 def _emission_cdf(params: ReadoutParams, n_ns):

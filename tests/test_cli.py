@@ -422,6 +422,23 @@ class TestPipeline:
                 "field_count": 1, "non_integer": 1, "negative_trial": 1,
                 "outside_window": 1, "trial_out_of_range": 1}}
 
+    def test_stats_with_more_trials_than_any_array(self, tmp_path):
+        # nothing in stats has one entry per trial
+        log = tmp_path / "log.csv"
+        log.write_text("trial,channel,t_ns\n0,F1A,20\n0,F2A,60\n")
+        cfg = write_cfg(tmp_path, {
+            "log_path": str(log), "n_trials": 1e20,
+            "window1_ns": [20, 20], "window2_ns": [50, 349]}, "stats.json")
+        out = tmp_path / "stats"
+        assert run(["stats", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        summary = json.loads((out / "stats_summary.json").read_text())
+        assert summary["n_trials"] == 10 ** 20
+        assert summary["p1"] == summary["p2"] == summary["p12"] == 1e-20
+        binned = np.genfromtxt(out / "stats_wavepacket.csv", delimiter=",",
+                               names=True)
+        assert binned["n_coinc"].sum() == 1 and binned["pc"].max() == 1.0
+
     def test_synth_determinism(self, tmp_path):
         cfg = self.synth_cfg(tmp_path, n_trials=20_000, bg=1e-4)
         out_a, out_b = tmp_path / "sa", tmp_path / "sb"

@@ -1,15 +1,19 @@
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemread import (CorrelationSummary, ModelError, ParamError,
                       ReadoutParams, StatsError, SynthDesign,
                       conditional_wavepacket, correlations, ingest,
                       integrate_Pc, mhz_to_angular, pc_at, pc_integral,
                       probabilities, synthesize_log, write_log)
-from qmemread.counting import _emission_cdf
+from qmemread.counting import CHANNELS, _emission_cdf
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -96,6 +100,27 @@ def recount_oracle(store, window1, window2):
     c22 = sum(1 for s in per_trial.values() if {2, 3} <= s)
     c12 = sum(1 for s in per_trial.values() if (s & {0, 1}) and (s & {2, 3}))
     return c1 / n, c2 / n, c11 / n, c22 / n, c12 / n
+
+
+def wavepacket_oracle(store, herald_window, bin_width_ns, t_range):
+    """Independent per-trial scan for ``conditional_wavepacket``: the herald
+    count, and the field-2 counts per bin in all and in heralded trials."""
+    per_trial = {}
+    for tr, ch, t in zip(store.trial.tolist(), store.channel.tolist(),
+                         store.t_ns.tolist()):
+        per_trial.setdefault(tr, []).append((ch, t))
+    lo_h, hi_h = herald_window
+    lo, hi = t_range
+    n_bins = (hi - lo) // bin_width_ns
+    n_heralds, n_all, n_her = 0, [0] * n_bins, [0] * n_bins
+    for events in per_trial.values():
+        heralded = any(ch < 2 and lo_h <= t <= hi_h for ch, t in events)
+        n_heralds += heralded
+        for ch, t in events:
+            if ch >= 2 and lo <= t < lo + n_bins * bin_width_ns:
+                n_all[(t - lo) // bin_width_ns] += 1
+                n_her[(t - lo) // bin_width_ns] += heralded
+    return n_heralds, n_all, n_her
 
 
 class TestProbabilities:
@@ -231,6 +256,102 @@ class TestConditionalWavepacket:
         assert np.nanmedian(g_vals) == pytest.approx(1 / 0.5, rel=0.05)
 
 
+SMALL_WINDOW = 40
+
+
+@st.composite
+def small_logs(draw):
+    """A log of a few trials with several events per trial, repeats, times
+    at both ends of the trial window, and trials far beyond any array."""
+    first = draw(st.sampled_from([0, 10 ** 17]))
+    events = st.tuples(st.integers(first, first + 5), st.sampled_from(CHANNELS),
+                       st.sampled_from([0, 1, 2, 3, SMALL_WINDOW - 1])
+                       | st.integers(0, SMALL_WINDOW - 1))
+    rows = draw(st.lists(events, max_size=40))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    lines = [f"{tr},{ch},{t}" for tr, ch, t in draw(st.permutations(rows))]
+    n_trials = draw(st.sampled_from([None, first + 6, first + 1000]))
+    return lines, n_trials
+
+
+def windows():
+    """Inclusive (lo, hi) windows in the trial window, ends included."""
+    ends = st.sampled_from([0, 1, SMALL_WINDOW - 2, SMALL_WINDOW - 1]) | \
+        st.integers(0, SMALL_WINDOW - 1)
+    return st.tuples(ends, ends).map(sorted).map(tuple)
+
+
+class TestStatsAgainstOracles:
+    """``probabilities`` and ``conditional_wavepacket`` against the per-trial
+    scans ``recount_oracle`` and ``wavepacket_oracle`` above."""
+
+    @staticmethod
+    def store(log):
+        lines, n_trials = log
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # collapsed repeats
+            return make_store(lines, n_trials=n_trials,
+                              trial_window_ns=SMALL_WINDOW)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=small_logs(), w1=windows(), w2=windows())
+    def test_probabilities_match_recount_oracle(self, log, w1, w2):
+        store = self.store(log)
+        if store.n_trials == 0:
+            return
+        s = probabilities(store, w1, w2)
+        assert (s.p1, s.p2, s.p11, s.p22, s.p12) == recount_oracle(store, w1, w2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log=small_logs(), herald=windows(), t_range=windows(),
+           bin_width=st.integers(1, 7))
+    def test_wavepacket_matches_oracle(self, log, herald, t_range, bin_width):
+        store = self.store(log)
+        lo, hi = t_range[0], t_range[1] + 1         # half-open
+        if store.n_trials == 0 or hi - lo < bin_width:
+            return
+        n_heralds, n_all, n_her = wavepacket_oracle(store, herald, bin_width,
+                                                    (lo, hi))
+        if n_heralds == 0:
+            with pytest.raises(StatsError, match="empty herald set"):
+                conditional_wavepacket(store, herald, bin_width, (lo, hi))
+            return
+        bw = conditional_wavepacket(store, herald, bin_width, (lo, hi))
+        assert bw.n_heralds == n_heralds
+        assert bw.n_coinc.tolist() == n_her
+        assert np.array_equal(bw.pc, np.array(n_her) / n_heralds)
+        p2 = np.array(n_all) / store.n_trials
+        populated = p2 > 0
+        assert np.array_equal(bw.g12[populated], bw.pc[populated] / p2[populated])
+        assert np.all(np.isnan(bw.g12[~populated]))
+
+
+class TestTrialCountBeyondArrays:
+    """Nothing in ``stats`` has one entry per trial: a store's counts do not
+    depend on ``n_trials``, and only the divisions do."""
+
+    LINES = ["0,F1A,20", "0,F1B,20", "0,F2A,60", "1,F1B,20", "2,F2B,60",
+             "2,F2A,61", "3,F1A,25", "3,F2B,100"]
+
+    def test_counts_equal_at_4_and_10_to_the_20_trials(self):
+        small = make_store(self.LINES, n_trials=4)
+        big = make_store(self.LINES, n_trials=10 ** 20)
+        s, b = (probabilities(x, (20, 25), (50, 349)) for x in (small, big))
+        for name in ("p1", "p2", "p11", "p22", "p12"):
+            count = getattr(s, name) * 4
+            assert count == int(count) > 0
+            assert getattr(b, name) == count / 10 ** 20
+        ws, wb = (conditional_wavepacket(x, (20, 20), 3, t_range=(50, 110))
+                  for x in (small, big))
+        assert wb.n_trials == 10 ** 20 and wb.n_heralds == ws.n_heralds == 2
+        assert np.array_equal(wb.n_coinc, ws.n_coinc)
+        assert np.array_equal(wb.pc, ws.pc)
+        populated = ~np.isnan(ws.g12)
+        assert np.array_equal(populated, ~np.isnan(wb.g12))
+        assert np.allclose(wb.g12[populated], ws.g12[populated] * 10 ** 20 / 4,
+                           rtol=1e-15)
+
+
 class TestSynthesize:
     def test_no_drive_no_field2(self):
         params = PAPER_STYLE.replace(omega=0.0)
@@ -346,12 +467,22 @@ class TestExactSynthesis:
         lam = 1.0
         design = SynthDesign(n_trials=50_000, p1=0.01,
                              background_per_ns=lam / 1500)
-        counts = []
+        counts, totals, merged = [], [], []
         for seed in range(4):
             store = synthesize_log(params, design, seed=seed)
+            merged.append(store.n_duplicates)
             for code in (2, 3):
                 counts.append(np.bincount(store.trial[store.channel == code],
                                           minlength=design.n_trials))
+            # each channel's total; field 1 without the herald time's ns
+            for code in range(4):
+                keep = store.channel == code
+                if code < 2:
+                    keep &= store.t_ns != design.herald_t_ns
+                totals.append(np.count_nonzero(keep))
+            # the two field-2 channels of a trial are independent
+            r = np.corrcoef(counts[-2], counts[-1])[0, 1]
+            assert abs(r) <= 5 / math.sqrt(design.n_trials)
         n = np.concatenate(counts)
         size = n.size
         assert abs(n.mean() - lam) <= 5 * math.sqrt(lam / size)
@@ -362,3 +493,31 @@ class TestExactSynthesis:
         pmf = np.exp(-lam) * lam ** np.arange(4) / [1, 1, 2, 6]
         assert np.allclose(freq, pmf, atol=5 * math.sqrt(0.25 / size))
         assert not np.array_equal(counts[0], counts[2])
+        # every channel's total is Poisson(lam n_trials), less the field-1
+        # herald ns (and about 17 merged counts per channel, 0.08 SD)
+        from scipy.stats import chi2
+        mean = lam * design.n_trials * np.array([1499 / 1500] * 2 + [1] * 2)
+        z = (np.array(totals).reshape(4, 4) - mean) / np.sqrt(mean)
+        assert np.all(np.abs(z) <= 5)
+        assert chi2.sf(float(np.sum(z ** 2)), z.size) > 1e-3
+        # drawn counts that share a (trial, t, channel) cell are merged: of
+        # Lam = 4 lam n_trials draws over M cells, Lam - M (1 - exp(-Lam/M))
+        # on average (the heralds add about 0.3, a tenth of the SE)
+        cells = 4 * design.n_trials * design.window_ns
+        mu = 4 * lam * design.n_trials / cells          # draws per cell
+        per_cell = mu + math.expm1(-mu)                 # E[merged] per cell
+        var = cells * (mu ** 2 - per_cell - per_cell ** 2)
+        se = math.sqrt(var / len(merged))
+        assert abs(np.mean(merged) - cells * per_cell) <= 5 * se
+
+    def test_zero_background_log_is_pinned(self, tmp_path):
+        # heralds and emissions keep their draws: the bytes of a log
+        # without background are fixed
+        params = PAPER_STYLE.replace(scale_f=4.1 * 10)
+        store = synthesize_log(params, SynthDesign(n_trials=3000, p1=0.2),
+                               seed=2024)
+        path = tmp_path / "log.csv"
+        write_log(store, path)
+        assert len(store) == 716 and store.n_duplicates == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d11280e53bc72916b262257935599706c9f7d50f8939342b53686c596e91a65f")
