@@ -15,7 +15,7 @@ from .wavepacket import (AlphaPair, SweepCurve, WavepacketCurve, alpha_pair,
                          pc_curve, pc_integral, pc_integral_fixed,
                          saturation_curve)
 from .dynamics import (AmplitudeTrajectory, IntegrationError, evolve,
-                       norm_decay_check, reconstruct_B)
+                       reconstruct_B)
 from .collective import (ChiEstimate, EnsembleGeometry, branching_ratio,
                          chi_closed_form, chi_monte_carlo, chi_quadrature,
                          extraction_ceiling)

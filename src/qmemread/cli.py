@@ -321,6 +321,9 @@ def cmd_wavepacket(cfg, run, seed):
     if not (t1 > t0 >= 0 and dt > 0):
         raise ConfigError("window: need t_end_ns > t_start_ns >= 0, step_ns > 0")
     steps = (t1 - t0) / dt
+    if round(steps) < 1:
+        raise ConfigError("window: step_ns must not exceed "
+                          "t_end_ns - t_start_ns")
     if abs(steps - round(steps)) > 1e-9:
         raise ConfigError("window: step_ns must divide t_end_ns - t_start_ns")
     n_points = int(round(steps)) + 1
@@ -352,12 +355,9 @@ def cmd_sweep_intensity(cfg, run, seed):
 
 
 def cmd_sweep_detuning(cfg, run, seed):
-    params = _readout(cfg, cfg["i_r_mw_cm2"])
-    curve = detuning_spectrum(
-        params, IntensityModel(cfg["intensity"]["i_sat_mw_cm2"],
-                               params.gamma_nat),
-        cfg["i_r_mw_cm2"], np.asarray(cfg["delta_grid_mhz"]),
-        horizon=cfg["horizon_ns"] * 1e-3)
+    curve = detuning_spectrum(_readout(cfg, cfg["i_r_mw_cm2"]),
+                              np.asarray(cfg["delta_grid_mhz"]),
+                              horizon=cfg["horizon_ns"] * 1e-3)
     out = run.csv("sweep_detuning.csv", "Delta_MHz,Pc", "%.12g,%.12g",
                   curve.abscissa, curve.ordinate)
     run.note(f"wrote {out}")

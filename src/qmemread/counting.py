@@ -244,9 +244,6 @@ def _blocks(source):
         with open(source, "rb") as fh:
             while block := fh.read(_CHUNK_BYTES):
                 yield block
-    elif hasattr(source, "read"):
-        while block := source.read(_CHUNK_BYTES):
-            yield block.encode("utf-8")
     else:
         batch, size = [], 0
         for line in source:
@@ -284,7 +281,7 @@ def _csv_records(chunk, tally, final):
     def feed():
         nonlocal ran_out
         for line in lines:
-            yield line.decode("utf-8")
+            yield line.decode("utf-8", errors="replace")
         ran_out = True
 
     reader = csv.reader(feed())
@@ -355,7 +352,8 @@ def _strict_chunk(chunk, window, n_trials):
 
     accepted = np.zeros(ends.size, dtype=bool)
     accepted[line[ok]] = True
-    judged = [(i, text[starts[i]:ends[i]].removesuffix(b"\r").decode("utf-8"))
+    judged = [(i, text[starts[i]:ends[i]].removesuffix(b"\r")
+               .decode("utf-8", errors="replace"))
               for i in np.flatnonzero(~accepted).tolist()]
     return chunk, (trial[ok], code[ok], t[ok], ends.size, judged)
 
@@ -376,9 +374,10 @@ def _take_chunk(tally, trial, code, t, n_lines, judged):
 def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
     """Parse a detection log into an EventStore.
 
-    ``source`` is a file path, an open text stream, or an iterable of lines
-    in the format ``trial,channel,t_ns`` (header row optional).  Malformed
-    lines are skipped and reported with their line number in
+    ``source`` is a file path or an iterable of lines (an open text file is
+    one) in the format ``trial,channel,t_ns`` (header row optional).  A
+    path's bytes are decoded as UTF-8, each undecodable byte as U+FFFD.
+    Malformed lines are skipped and reported with their line number in
     ``parse_errors``; rows with an unknown channel are tallied; duplicate
     rows are collapsed with a warning.
 

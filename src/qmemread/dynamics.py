@@ -12,7 +12,8 @@ physical coherence amplitude, with beta(t) = exp(-chi Gamma t/2) the
 analytic decay and b(t) the co-rotating excited amplitude.
 
 The only loss channel gives the conservation law
-d/dt(|A|^2 + |B|^2) = -chi Gamma |B|^2, monitored by ``norm_decay_check``.
+d/dt(|A|^2 + |B|^2) = -chi Gamma |B|^2, which the tests check on the
+reported grid.
 """
 
 from __future__ import annotations
@@ -92,19 +93,3 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
 def reconstruct_B(traj: AmplitudeTrajectory) -> np.ndarray:
     """The coherence amplitude B(t) = beta(t) b(t) driving emission."""
     return traj.b_field
-
-
-def norm_decay_check(traj: AmplitudeTrajectory, params: ReadoutParams) -> float:
-    """Max residual of d/dt(|A|^2 + |B|^2) + chi Gamma |B|^2 on the grid.
-
-    The derivative is estimated by central differences at interior points;
-    the residual is this module's conservation law and shrinks with both the
-    reporting-grid spacing and the integration tolerance.
-    """
-    if traj.t.size < 10:
-        raise ParamError(["traj"], "need at least 10 grid points")
-    n = traj.norm
-    h = traj.t[1] - traj.t[0]
-    dndt = (n[2:] - n[:-2]) / (2.0 * h)
-    b2 = np.abs(traj.b_field[1:-1]) ** 2
-    return float(np.max(np.abs(dndt + params.chi_gamma * b2)))

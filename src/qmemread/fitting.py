@@ -326,13 +326,17 @@ def _du_scale(key, value):
 
 def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ), tau=DEFAULT_TAU_US,
-        fixed=None, max_iter=200, ftol=1e-8) -> FitResult:
+        max_iter=200, ftol=1e-8) -> FitResult:
     """Least squares over the chosen free parameters (scipy's TRF).
 
-    ``init``/``fixed`` are dicts over FREE_KEYS (internal units: gamma_deph
-    in rad/us); missing entries fall back to DEFAULT_INIT.  ``bounds`` maps
-    a key to a (lo, hi) box in natural units, applied on top of the built-in
-    positivity/chi > 1 transforms; lo >= hi is rejected (use ``fixed``).
+    ``init`` is a dict over FREE_KEYS (internal units: gamma_deph in
+    rad/us); missing entries fall back to DEFAULT_INIT.  It gives the start
+    of each free parameter and the held value of each other one.
+    ``bounds`` maps a key to a (lo, hi) box in natural units, applied on
+    top of the built-in positivity/chi > 1 transforms; lo >= hi is
+    rejected (hold the parameter instead: give it in ``init`` and leave it
+    out of ``free``).  A name outside FREE_KEYS in ``free``, ``init`` or
+    ``bounds``, or one listed twice in ``free``, raises ParamError naming it.
     ``ftol`` is scipy's test dF < ftol * F; below machine epsilon it is off
     (scipy warns).  ``cost_history`` (chi^2 at the start and after each
     iteration) never rises.  ``message`` is scipy's termination message, or
@@ -357,8 +361,13 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     for key in free:
         if key not in FREE_KEYS:
             raise ParamError([key], f"unknown free parameter {key!r}")
+        if free.count(key) > 1:
+            raise ParamError([key], f"free parameter {key!r} listed twice")
+    for what, given in (("init", init), ("bounds", bounds)):
+        for key in given or {}:
+            if key not in FREE_KEYS:
+                raise ParamError([key], f"unknown {what} parameter {key!r}")
     theta = dict(DEFAULT_INIT)
-    theta.update(fixed or {})
     theta.update(init or {})
 
     u = np.array([_to_u(k, theta[k]) for k in free])
@@ -374,7 +383,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         if u_lo[i] > u_hi[i]:
             raise ParamError([k], f"bounds for {k} have lo > hi")
         if u_lo[i] == u_hi[i]:
-            raise ParamError([k], f"bounds for {k} have lo == hi; use fixed")
+            raise ParamError([k], f"bounds for {k} have lo == hi; hold it "
+                                  "through init instead")
         if not (u_lo[i] <= u[i] <= u_hi[i]):
             raise ParamError([k], f"init for {k} outside bounds")
 

@@ -127,11 +127,9 @@ def _alpha(om, de, cg):
             np.sqrt(np.where(t_mid >= 0, big, small)))
 
 
-def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
-    """Complex excited-state amplitude B(t) for t >= 0 (us).
-
-    ``omega`` and ``delta`` (rad/us) default to those of ``params`` and may
-    be arrays broadcastable against ``t``, one drive per time point.
+def amplitude_B(t, params: ReadoutParams):
+    """Complex excited-state amplitude B(t) for t >= 0 (us), a scalar or an
+    array of times.
 
     Evaluated as a half-difference of combined exponentials
     exp[((+-alpha_+ - chi Gamma/2)/2 + i(...)/2) t]; both real exponents are
@@ -140,12 +138,11 @@ def amplitude_B(t, params: ReadoutParams, *, omega=None, delta=None):
     removable singularity of sinh(z t/2)/z is handled by its Taylor series.
 
     The constant global phase from the storage interval is dropped; it
-    cancels in |B|^2.  Returns a complex scalar or an ndarray of the
-    broadcast shape.
+    cancels in |B|^2.  Returns a complex scalar or an ndarray of the shape
+    of ``t``.
     """
-    (t_arr, om, de, cg), unwrap = _flat(
-        t, params.omega if omega is None else omega,
-        params.delta if delta is None else delta, params.chi_gamma)
+    (t_arr, om, de, cg), unwrap = _flat(t, params.omega, params.delta,
+                                        params.chi_gamma)
     if np.any(t_arr < 0):
         raise ParamError(["t"], "amplitude_B requires t >= 0")
     return unwrap(_amplitude(t_arr, om, de, cg))
@@ -168,19 +165,16 @@ def _amplitude(t, om, de, cg):
     return 1j * om * np.where(small, series, direct)
 
 
-def pc_at(t, params: ReadoutParams, *, omega=None, delta=None):
+def pc_at(t, params: ReadoutParams):
     """Conditional detection density p_c(t) per us at t (us), t >= 0.
 
     p_c(t) = F exp(-gamma^2 (t+tau)^2) |B(t)|^2.  Probability per 1 ns bin
-    is this value / 1000 (see ``pc_curve``).  ``omega`` and ``delta``
-    (rad/us) default to those of ``params`` and may be per-point arrays, as
-    in ``amplitude_B``; each point's value is the one a scalar call with
-    that point's drive gives, bit for bit.
+    is this value / 1000 (see ``pc_curve``).  ``t`` may be an array; each
+    point's value is the one a scalar call at that time gives, bit for bit.
     """
     (t_arr, om, de, cg, gd, f), unwrap = _flat(
-        t, params.omega if omega is None else omega,
-        params.delta if delta is None else delta, params.chi_gamma,
-        params.gamma_deph, params.scale_f)
+        t, params.omega, params.delta, params.chi_gamma, params.gamma_deph,
+        params.scale_f)
     if np.any(t_arr < 0):
         raise ParamError(["t"], "amplitude_B requires t >= 0")
     return unwrap(_pc_at(t_arr, om, de, cg, gd, params.tau, f))
@@ -367,15 +361,14 @@ def saturation_curve(base_params: ReadoutParams, intensity_model: IntensityModel
                       ordinate=pc_integral(base_params, horizon, omega=omega))
 
 
-def detuning_spectrum(base_params: ReadoutParams, intensity_model: IntensityModel,
-                      i_r, delta_mhz_list, horizon=math.inf) -> SweepCurve:
-    """P_c versus read detuning (MHz) at fixed intensity.
+def detuning_spectrum(params: ReadoutParams, delta_mhz_list,
+                      horizon=math.inf) -> SweepCurve:
+    """P_c versus read detuning (MHz) at the drive of ``params``, whose own
+    detuning is not used.
 
     |B(t)|^2 depends on the detuning only through Delta^2 (the sign enters
     phases alone), so the spectrum is exactly symmetric under Delta -> -Delta.
     """
-    params = base_params.replace(omega=rabi_from_intensity(float(i_r),
-                                                           intensity_model))
     de_mhz = np.asarray(delta_mhz_list, dtype=float)
     return SweepCurve(abscissa=de_mhz,
                       ordinate=pc_integral(params, horizon,

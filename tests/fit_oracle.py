@@ -30,7 +30,7 @@ def oracle_model_eval(theta, dataset, gamma_nat, tau):
     """Model ordinates of one dataset at ``theta``, one sweep call."""
     model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
     kind = dataset.kind
-    omega = rabi_from_intensity(dataset.i_r, model) if kind == "wavepacket" else 0.0
+    omega = rabi_from_intensity(dataset.i_r, model) if kind != "saturation" else 0.0
     delta = 0.0 if kind == "spectrum" else mhz_to_angular(dataset.delta_mhz)
     base = ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
                          chi=theta["chi"], gamma_deph=theta["gamma_deph"],
@@ -40,8 +40,7 @@ def oracle_model_eval(theta, dataset, gamma_nat, tau):
     if kind == "saturation":
         return saturation_curve(base, model, dataset.x,
                                 dataset.horizon_us).ordinate
-    return detuning_spectrum(base, model, dataset.i_r, dataset.x,
-                             dataset.horizon_us).ordinate
+    return detuning_spectrum(base, dataset.x, dataset.horizon_us).ordinate
 
 
 def oracle_residuals(theta, datasets, gamma_nat, tau):
@@ -78,11 +77,9 @@ def profile(param, grid, datasets, free=FREE_KEYS, **fit_kwargs):
     grid = np.asarray(grid, dtype=float)
     chi2 = np.empty_like(grid)
     warm = dict(fit_kwargs.pop("init", None) or {})
-    fixed = dict(fit_kwargs.pop("fixed", None) or {})
     for i, val in enumerate(grid):
-        fixed_i = dict(fixed)
-        fixed_i[param] = float(val)
-        res = fit(datasets, free=others, init=warm, fixed=fixed_i, **fit_kwargs)
+        res = fit(datasets, free=others, init=dict(warm, **{param: float(val)}),
+                  **fit_kwargs)
         chi2[i] = res.cost_history[-1]
         warm.update(res.values)
     return grid, chi2

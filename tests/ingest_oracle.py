@@ -1,7 +1,7 @@
 """Reference ingest and writer for detection logs (tests only).
 
-``oracle_ingest`` reads every line through ``csv.reader`` and judges it
-field by field, then sorts with a three-key ``np.lexsort``: the plain
+``oracle_ingest`` reads every line through ``csv.reader`` (a file decoded
+as UTF-8, an undecodable byte as U+FFFD) and judges it field by field, then sorts with a three-key ``np.lexsort``: the plain
 implementation that ``qmemread.counting.ingest`` replaced with a chunked,
 vectorised parse.  ``oracle_write`` writes one f-string per row.  Both
 return plain values so that tests can compare them with ``==``.
@@ -21,7 +21,8 @@ def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
     parse_errors, n_records) of a log, with the duplicate warning it
     raises; ``n_records`` counts the csv records read."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
+        with open(source, "r", encoding="utf-8", errors="replace",
+                  newline="") as fh:
             return oracle_ingest(fh, n_trials, trial_window_ns)
 
     trials, chans, times = [], [], []

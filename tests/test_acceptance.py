@@ -22,13 +22,14 @@ from qmemread import (EnsembleGeometry, IntensityModel, ReadoutParams,
                       alpha_pair, amplitude_B, chi_closed_form,
                       chi_monte_carlo, chi_quadrature, conditional_wavepacket,
                       correlations, detuning_spectrum, evolve,
-                      extraction_ceiling, ingest, mhz_to_angular,
-                      norm_decay_check, pc_at, pc_curve, probabilities,
+                      extraction_ceiling, ingest, mhz_to_angular, pc_at,
+                      pc_curve, probabilities, rabi_from_intensity,
                       reconstruct_B, saturation_curve, synthesize_log,
                       write_log)
 from qmemread.counting import SynthDesign
 from qmemread.fitting import Dataset, fit, model_eval
 from chi_oracle import chi_quadrature_kernel, pair_kernel
+from dynamics_oracle import norm_decay_check
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -226,7 +227,9 @@ def test_criterion_7_shape_properties():
                              gamma_deph=mhz_to_angular(1.55), scale_f=4.8)
         # (a) symmetric, single-peaked spectrum at strong drive
         deltas = np.linspace(-40.0, 40.0, 41)
-        spec = detuning_spectrum(base, model, 127.0, deltas, horizon=0.160)
+        spec = detuning_spectrum(
+            base.replace(omega=rabi_from_intensity(127.0, model)), deltas,
+            horizon=0.160)
         pc = spec.ordinate
         assert np.allclose(pc, pc[::-1], rtol=1e-10)
         half = pc[20:]                      # Delta >= 0 branch

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -119,6 +120,18 @@ class TestWavepacketCommand:
                              names=True)
         assert np.all(data["pc_per_ns"] == 0.0)
 
+    def test_step_wider_than_window_exit_2(self, tmp_path, capsys):
+        # 160 / 1e12 steps rounds to 0, which a divisibility test passes
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                                   "window": {"t_start_ns": 0, "t_end_ns": 160,
+                                              "step_ns": 1e12}})
+        out = tmp_path / "wide"
+        assert run(["wavepacket", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "validation error: window: step_ns must not exceed ")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95]})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -158,6 +171,20 @@ class TestSweepCommands:
         pc = data["Pc"]
         assert pc[2] == max(pc)                      # peaked at resonance
         assert pc[0] == pytest.approx(pc[4], rel=1e-10)  # symmetric
+
+    @pytest.mark.parametrize("horizon_ns,sha256", [
+        (160, "fe7a7709f0c49fd51bb1f24d69bd1e1a9d5907462bad536d4c5a625743d8f600"),
+        ("inf", "f899aa5129d194c5c19336ddc327fa5820314e58bd22fc8434fa0043d4634447"),
+    ])
+    def test_detuning_sweep_bytes_pinned(self, tmp_path, horizon_ns, sha256):
+        out = tmp_path / "spec"
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": 127.0,
+                                   "delta_grid_mhz": [-33.3, -1, 0, 2.5, 1e3],
+                                   "horizon_ns": horizon_ns})
+        assert run(["sweep-detuning", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        data = (out / "sweep_detuning.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def old_csv(header, row, *columns):
@@ -211,8 +238,8 @@ class TestOutputFiles:
                                    "horizon_ns": 160}, "spec.json")
         assert run(["sweep-detuning", "--config", cfg, "--out",
                     str(tmp_path / "spec"), "--quiet"]) == 0
-        spec = detuning_spectrum(user_params(i_r_mw_cm2=127.0), model, 127.0,
-                                 deltas, horizon=0.160)
+        spec = detuning_spectrum(user_params(i_r_mw_cm2=127.0), deltas,
+                                 horizon=0.160)
         assert (tmp_path / "spec" / "sweep_detuning.csv").read_text() == \
             old_csv("Delta_MHz,Pc", two_columns, spec.abscissa, spec.ordinate)
 
@@ -742,3 +769,18 @@ def test_fit_inverted_bounds_exit_2(tmp_path, capsys):
     assert run(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "bounds for chi have lo > hi" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_stats_takes_undecodable_bytes_as_bad_lines(tmp_path):
+    log = tmp_path / "log.csv"
+    log.write_bytes(b"trial,channel,t_ns\n0,F1A,20\n2,F1\xffA,7\n"
+                    b"2,F1A,7\xe9\n1,F1B,20\n")
+    payload = {"log_path": str(log), "n_trials": 3,
+               "window1_ns": [20, 20], "window2_ns": [50, 349]}
+    out = tmp_path / "stats"
+    cfg = write_cfg(tmp_path, payload, "stats.json")
+    assert run(["stats", "--config", cfg, "--out", str(out),
+                "--quiet"]) == 0
+    got = json.loads((out / "stats_summary.json").read_text())["ingest"]
+    assert (got["n_events"], got["n_rejected_channel"]) == (2, 1)
+    assert got["parse_errors_by_reason"]["non_integer"] == 1

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from dynamics_oracle import norm_decay_check
 from qmemread import (IntegrationError, ParamError, ReadoutParams,
-                      amplitude_B, evolve, mhz_to_angular, norm_decay_check,
-                      reconstruct_B)
+                      amplitude_B, evolve, mhz_to_angular, reconstruct_B)
 
 GAMMA = mhz_to_angular(5.2)
 

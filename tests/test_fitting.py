@@ -335,8 +335,7 @@ class TestFit:
                                           delta=1.7, i_r=95.0), seed=21)
         # ftol below machine epsilon turns scipy's cost test off on purpose
         with pytest.warns(UserWarning, match="ftol"):
-            res = fit([ds], free=("scale_f",), init={"scale_f": 0.7},
-                      fixed={k: v for k, v in TRUTH.items() if k != "scale_f"},
+            res = fit([ds], free=("scale_f",), init=dict(TRUTH, scale_f=0.7),
                       gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-16, max_iter=100)
         unit = model_eval(dict(TRUTH, scale_f=1.0), ds, GAMMA_NAT, TAU)
         closed = (np.sum(unit * ds.y / ds.sigma ** 2)
@@ -377,8 +376,9 @@ class TestFit:
         sets_b = [wp, Dataset(kind="spectrum", x=grid[order], y=spec.y[order],
                               sigma=spec.sigma[order], i_r=24.0,
                               mask=mask[order])]
-        kwargs = dict(free=("chi", "scale_f"), init={"chi": 2.0, "scale_f": 3.0},
-                      fixed=TRUTH, gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-15)
+        kwargs = dict(free=("chi", "scale_f"),
+                      init=dict(TRUTH, chi=2.0, scale_f=3.0),
+                      gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-15)
         assert_bit_identical(fit(sets_a, **kwargs), fit(sets_b, **kwargs))
 
     def test_repeated_abscissae_permutation_is_bit_identical(self):
@@ -387,8 +387,9 @@ class TestFit:
         ds = noisy_copy(noiseless_dataset("wavepacket", t, delta=1.7, i_r=95.0),
                         seed=6)
         assert np.unique(ds.y).size == ds.y.size
-        kwargs = dict(free=("gamma_deph", "chi", "scale_f"), init=DEFAULT_INIT,
-                      fixed=TRUTH, gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-15)
+        kwargs = dict(free=("gamma_deph", "chi", "scale_f"),
+                      init=dict(DEFAULT_INIT, i_sat=TRUTH["i_sat"]),
+                      gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-15)
         res_a = fit([ds], **kwargs)
         rng = np.random.default_rng(2)
         for _ in range(3):
@@ -415,6 +416,22 @@ class TestFit:
             fit(paper_design(), free=(), gamma_nat=GAMMA_NAT, tau=TAU)
         assert info.value.fields == ("free",)
 
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(free=("chi", "chi", "scale_f")), "free parameter 'chi' listed twice"),
+        (dict(free=("tau",)), "unknown free parameter 'tau'"),
+        (dict(init={"chii": 9.0}), "unknown init parameter 'chii'"),
+        (dict(bounds={"chii": (1.5, 2.0)}), "unknown bounds parameter 'chii'"),
+    ])
+    def test_bad_parameter_name_rejected(self, kwargs, message):
+        with pytest.raises(ParamError, match=message) as info:
+            fit(paper_design(), gamma_nat=GAMMA_NAT, tau=TAU, **kwargs)
+        assert info.value.fields == (message.split("'")[1],)
+
+    def test_bounds_on_a_held_parameter_accepted(self):
+        res = fit(paper_design(), free=("chi", "scale_f"), init=TRUTH,
+                  bounds={"i_sat": (5.0, 20.0)}, gamma_nat=GAMMA_NAT, tau=TAU)
+        assert res.param_order == ("chi", "scale_f")
+
     def test_resonance_mask_excludes_points(self):
         # spectra can mask the resonance region where the model is known to
         # overshoot; masked points must not pull the fit
@@ -427,8 +444,7 @@ class TestFit:
         mask = ~center
         poisoned = Dataset(kind="spectrum", x=grid, y=y_bad, sigma=ds.sigma,
                            i_r=24.0, mask=mask)
-        res = fit([poisoned], free=("scale_f",), init={"scale_f": 1.0},
-                  fixed={k: v for k, v in TRUTH.items() if k != "scale_f"},
+        res = fit([poisoned], free=("scale_f",), init=dict(TRUTH, scale_f=1.0),
                   gamma_nat=GAMMA_NAT, tau=TAU)
         assert res.values["scale_f"] == pytest.approx(TRUTH["scale_f"],
                                                       rel=1e-6)
@@ -477,7 +493,7 @@ class TestFit:
                     fit([ds], free=free, gamma_nat=GAMMA_NAT, tau=TAU)
 
     def test_degenerate_bounds_rejected(self):
-        # a zero-width box cannot pin a parameter: that is what fixed is for
+        # a zero-width box cannot pin a parameter: init and free do that
         with pytest.raises(ParamError, match="chi") as info:
             fit(paper_design(), init=dict(DEFAULT_INIT, chi=2.4),
                 bounds={"chi": (2.4, 2.4)}, gamma_nat=GAMMA_NAT, tau=TAU)

@@ -8,6 +8,7 @@ workers, to ``tests/ingest_oracle.py``: the csv reader and f-string writer
 they replaced, and test ``_in_order`` itself.
 """
 
+import contextlib
 import io
 import tempfile
 import threading
@@ -106,13 +107,19 @@ _anomaly = st.one_of(
               st.integers(0, 9)),
 )
 _line = st.one_of(_valid, _valid, _valid, _zero_padded, _anomaly)
+# bytes that are not UTF-8, carried in str as surrogate escapes
+_undecodable = st.sampled_from(["2,F1\udcffA,7", "2,F1A,7\udce9", "\udcff",
+                                "5,\udcc3,3", "\udce2\udc82,F1A,3",
+                                '5,"F1\udcffA",3', "\udcff7,F2B,3"])
 
 
 @st.composite
-def logs(draw, bare_cr=False):
+def logs(draw, bare_cr=False, undecodable=False):
     """(lines, terminators): line texts and the ending of each; the last
-    may have none.  Valid rows repeat often enough to make duplicates."""
-    lines = draw(st.lists(_line, max_size=40))
+    may have none.  Valid rows repeat often enough to make duplicates.
+    ``undecodable`` adds lines holding surrogate escapes."""
+    line = st.one_of(_line, _undecodable) if undecodable else _line
+    lines = draw(st.lists(line, max_size=40))
     pool = [ln for ln in lines if ln]
     lines += draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
     lines = draw(st.permutations(lines))
@@ -143,16 +150,27 @@ class TestDifferential:
             assert_same_as_oracle(lambda: iter(items), n_trials)
 
     @settings(max_examples=300, deadline=None)
-    @given(log=logs(), chunk=_CHUNKS, n_trials=_N_TRIALS)
+    @given(log=logs(bare_cr=True), chunk=_CHUNKS, n_trials=_N_TRIALS)
     def test_text_stream(self, log, chunk, n_trials):
+        # a text stream is an iterable of lines: one in memory and an open
+        # file, each keeping every line's own ending (newline="")
         text = "".join(ln + end for ln, end in zip(*log))
-        with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
-            assert_same_as_oracle(lambda: io.StringIO(text), n_trials)
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.ExitStack() as files:
+            path = Path(tmp) / "log.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                assert_same_as_oracle(
+                    lambda: io.StringIO(text, newline=""), n_trials)
+                assert_same_as_oracle(lambda: files.enter_context(
+                    open(path, encoding="utf-8", newline="")), n_trials)
 
     @settings(max_examples=300, deadline=None)
-    @given(log=logs(bare_cr=True), chunk=_CHUNKS, n_trials=_N_TRIALS)
+    @given(log=logs(bare_cr=True, undecodable=True), chunk=_CHUNKS,
+           n_trials=_N_TRIALS)
     def test_file(self, log, chunk, n_trials):
-        data = "".join(ln + end for ln, end in zip(*log)).encode("utf-8")
+        data = "".join(ln + end for ln, end in zip(*log)).encode(
+            "utf-8", "surrogateescape")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "log.csv"
             path.write_bytes(data)

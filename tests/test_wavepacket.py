@@ -12,7 +12,8 @@ import qmemread.wavepacket as wavepacket
 from qmemread import (IntensityModel, ParamError, ReadoutParams, alpha_pair,
                       amplitude_B, detuning_spectrum, integrate_Pc,
                       mhz_to_angular, pc_at, pc_curve, pc_integral,
-                      pc_integral_fixed, saturation_curve)
+                      pc_integral_fixed, rabi_from_intensity,
+                      saturation_curve)
 
 GAMMA = mhz_to_angular(5.2)
 
@@ -474,8 +475,9 @@ st_drives = st.lists(
 
 
 class TestPerPointDrive:
-    """Per-point omega/delta arrays give every point the value of a call
-    with that point's drive in ``params``, to the last bit."""
+    """Per-point omega/delta arrays, as ``fitting`` passes them to the
+    cores, give every point the value of a call with that point's drive in
+    ``params``, to the last bit."""
 
     @property_settings
     @given(st_params, st_drives)
@@ -488,20 +490,15 @@ class TestPerPointDrive:
              [(5.960464477539063e-08, 603.0, -373.0)])
     def test_pc_at_equals_scalar_calls(self, p, drives):
         t, omega, delta = (np.array(col) for col in zip(*drives))
-        got = pc_at(t, p, omega=omega, delta=delta)
+        cg, gd, f = (np.full(t.size, v)
+                     for v in (p.chi_gamma, p.gamma_deph, p.scale_f))
+        got = wavepacket._pc_at(t, omega, delta, cg, gd, p.tau, f)
         ref = [pc_at(ti, p.replace(omega=om, delta=de))
                for ti, om, de in drives]
         assert np.array_equal(got, ref)
-        b = amplitude_B(t, p, omega=omega, delta=delta)
+        b = wavepacket._amplitude(t, omega, delta, cg)
         assert np.array_equal(b, [amplitude_B(ti, p.replace(omega=om, delta=de))
                                   for ti, om, de in drives])
-
-    def test_defaults_come_from_params(self):
-        t = np.linspace(0.0, 0.16, 33)
-        assert np.array_equal(
-            pc_at(t, PAPER_STYLE, omega=PAPER_STYLE.omega,
-                  delta=PAPER_STYLE.delta), pc_at(t, PAPER_STYLE))
-        assert isinstance(pc_at(0.05, PAPER_STYLE, omega=3.0), float)
 
     @pytest.mark.parametrize("horizon", [0.160, 0.01, math.inf])
     def test_pc_integral_batch_invariant_at_critical_points(self, horizon):
@@ -595,8 +592,7 @@ class TestSweeps:
         assert knee(far) > knee(near)
 
     def test_spectrum_zero_drive(self):
-        curve = detuning_spectrum(self.base(), self.model, 0.0,
-                                  np.linspace(-40, 40, 9))
+        curve = detuning_spectrum(self.base(), np.linspace(-40, 40, 9))
         assert np.all(curve.ordinate == 0)
 
     def test_spectrum_symmetry(self):
@@ -607,8 +603,9 @@ class TestSweeps:
             plus = pc_at(t, self.base(dm).replace(omega=30.0))
             minus = pc_at(t, self.base(-dm).replace(omega=30.0))
             assert np.allclose(plus, minus, rtol=1e-14, atol=0)
-        curve = detuning_spectrum(self.base(), self.model, 127.0,
-                                  np.concatenate([deltas, -deltas]),
+        strong = self.base().replace(
+            omega=rabi_from_intensity(127.0, self.model))
+        curve = detuning_spectrum(strong, np.concatenate([deltas, -deltas]),
                                   horizon=0.160)
         half = len(deltas)
         assert np.allclose(curve.ordinate[:half], curve.ordinate[half:],
