@@ -7,9 +7,9 @@ global least-squares fitting layer, all behind one CLI.
 
 __version__ = "0.1.0"
 
-from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
-                     ParamError, ReadoutParams, angular_to_mhz,
-                     mhz_to_angular, rabi_from_intensity)
+from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
+                     ReadoutParams, angular_to_mhz, mhz_to_angular,
+                     rabi_from_intensity)
 from .wavepacket import (AlphaPair, SweepCurve, WavepacketCurve, alpha_pair,
                          amplitude_B, detuning_spectrum, integrate_Pc, pc_at,
                          pc_curve, pc_integral, pc_integral_fixed,

@@ -20,6 +20,7 @@ failed run removes any partial outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -39,7 +40,7 @@ from .counting import (DEFAULT_TRIAL_WINDOW_NS, SynthDesign,
                        probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
 from .params import (DEFAULT_GAMMA_NAT_MHZ, ParamError, ReadoutParams,
-                     IntensityModel, angular_to_mhz, mhz_to_angular)
+                     angular_to_mhz, mhz_to_angular)
 from .wavepacket import pc_curve, saturation_curve, detuning_spectrum
 
 
@@ -236,27 +237,39 @@ TABLES = {
 }
 
 
-def _build(path, make, **kwargs):
-    """make(**kwargs); a ParamError is re-raised naming the config block."""
+# library argument -> the config key that sets it
+_ARG_KEYS = {"window1": "window1_ns", "window2": "window2_ns",
+             "herald_window": "herald_window_ns",
+             "t_range": "wavepacket_range_ns", "horizon": "horizon_ns",
+             "i_r": "i_r_grid_mw_cm2"}
+
+
+@contextlib.contextmanager
+def _named(path=None):
+    """Re-raise a library ParamError as a ConfigError naming the config
+    block ``path`` or, by default, the key of the argument it names."""
     try:
-        return make(**kwargs)
+        yield
     except ParamError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        key = path or _ARG_KEYS.get(exc.fields[0], exc.fields[0])
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 def _readout(cfg, i_r=None, source="i_r_mw_cm2") -> ReadoutParams:
-    """ReadoutParams from the params and intensity blocks; ``i_r`` is a read
-    intensity the command takes from its own key ``source``."""
+    """ReadoutParams from the params and intensity blocks; a read intensity
+    ``i_r`` from the command's key ``source`` excludes a drive in params."""
     params = dict(cfg["params"], i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
     if i_r is not None:
-        if params["i_r_mw_cm2"] is not None:
-            raise ConfigError(f"params.i_r_mw_cm2: conflicts with {source}")
+        for key in ("rabi_mhz", "i_r_mw_cm2"):
+            if params[key] is not None:
+                raise ConfigError(f"params.{key}: conflicts with {source}")
         params["i_r_mw_cm2"] = i_r
     try:
         return ReadoutParams.from_user_units(**params)
     except ParamError as exc:
         # i_sat_mw_cm2 is the one key from_user_units reads from intensity
         block = ("intensity" if set(exc.fields) <= {"i_sat", "i_sat_mw_cm2"}
+                 else source if i_r is not None and exc.fields == ("i_r",)
                  else "params")
         raise ConfigError(f"{block}: {exc}") from exc
 
@@ -345,26 +358,28 @@ def cmd_wavepacket(cfg, run, seed):
 
 def cmd_sweep_intensity(cfg, run, seed):
     params = _readout(cfg, 0.0, "i_r_grid_mw_cm2")
-    curve = saturation_curve(
-        params, IntensityModel(cfg["intensity"]["i_sat_mw_cm2"],
-                               params.gamma_nat),
-        np.asarray(cfg["i_r_grid_mw_cm2"]), horizon=cfg["horizon_ns"] * 1e-3)
+    with _named():
+        curve = saturation_curve(params, cfg["intensity"]["i_sat_mw_cm2"],
+                                 np.asarray(cfg["i_r_grid_mw_cm2"]),
+                                 horizon=cfg["horizon_ns"] * 1e-3)
     out = run.csv("sweep_intensity.csv", "I_mW_cm2,Pc", "%.12g,%.12g",
                   curve.abscissa, curve.ordinate)
     run.note(f"wrote {out}")
 
 
 def cmd_sweep_detuning(cfg, run, seed):
-    curve = detuning_spectrum(_readout(cfg, cfg["i_r_mw_cm2"]),
-                              np.asarray(cfg["delta_grid_mhz"]),
-                              horizon=cfg["horizon_ns"] * 1e-3)
+    params = _readout(cfg, cfg["i_r_mw_cm2"])
+    with _named():
+        curve = detuning_spectrum(params, np.asarray(cfg["delta_grid_mhz"]),
+                                  horizon=cfg["horizon_ns"] * 1e-3)
     out = run.csv("sweep_detuning.csv", "Delta_MHz,Pc", "%.12g,%.12g",
                   curve.abscissa, curve.ordinate)
     run.note(f"wrote {out}")
 
 
 def cmd_chi(cfg, run, seed):
-    geom = _build("geometry", EnsembleGeometry, **cfg["geometry"])
+    with _named("geometry"):
+        geom = EnsembleGeometry(**cfg["geometry"])
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
     mc = chi_monte_carlo(geom, cfg["n_samples"], seed,
@@ -383,7 +398,8 @@ def cmd_chi(cfg, run, seed):
 
 def cmd_synth(cfg, run, seed):
     params = _readout(cfg)
-    design = _build("design", SynthDesign, **cfg["design"])
+    with _named("design"):
+        design = SynthDesign(**cfg["design"])
     store = synthesize_log(params, design, seed)
     out = run.path("synth_log.csv")
     write_log(store, out)
@@ -396,18 +412,13 @@ def cmd_synth(cfg, run, seed):
 
 def cmd_stats(cfg, run, seed):
     w1 = cfg["window1_ns"]
-    try:
+    with _named():
         store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
                        trial_window_ns=cfg["trial_window_ns"])
         summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
         binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
                                         bin_width_ns=cfg["bin_width_ns"],
                                         t_range=cfg["wavepacket_range_ns"])
-    except ParamError as exc:   # name the config key of a library argument
-        key = {"window1": "window1_ns", "window2": "window2_ns",
-               "herald_window": "herald_window_ns",
-               "t_range": "wavepacket_range_ns"}.get(exc.fields[0], exc.fields[0])
-        raise ConfigError(f"{key}: {exc}") from exc
     report = summary.to_json()
     report["ingest"] = {"n_records": store.n_records,
                         "n_validated": store.n_validated,
@@ -436,13 +447,14 @@ def cmd_fit(cfg, run, seed):
     for i, block in enumerate(cfg["datasets"]):
         x, y, sig = _read_dataset_csv(block["path"])
         lo, hi = block["mask_min"], block["mask_max"]
-        datasets.append(_build(
-            f"datasets[{i}]", Dataset, kind=block["kind"], x=x, y=y,
-            sigma=sig if cfg["weighted"] else np.ones_like(y),
-            delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
-            horizon_us=block["horizon_ns"] * 1e-3, label=block["label"],
-            mask=None if (lo, hi) == (-math.inf, math.inf)
-            else (x >= lo) & (x <= hi)))
+        with _named(f"datasets[{i}]"):
+            datasets.append(Dataset(
+                kind=block["kind"], x=x, y=y,
+                sigma=sig if cfg["weighted"] else np.ones_like(y),
+                delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
+                horizon_us=block["horizon_ns"] * 1e-3, label=block["label"],
+                mask=None if (lo, hi) == (-math.inf, math.inf)
+                else (x >= lo) & (x <= hi)))
 
     result = fit(datasets, free=tuple(_FIT_KEYS[n] for n in cfg["free"]),
                  init=init or None, bounds=bounds or None,

@@ -93,7 +93,6 @@ class ChiEstimate:
 
     value: float
     standard_error: float
-    method: str = ""
 
     def __post_init__(self):
         # an exact chi is >= 1; a sampled one near 1 may land below it by chance
@@ -115,7 +114,7 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
                       f"(flags: {flags})", stacklevel=2)
     w, k = geom.waist_m, geom.wavenumber_per_m
     value = 1.0 + geom.n_atoms / (2.0 * w * w * k * k)
-    return ChiEstimate(value=value, standard_error=0.0, method="closed-form")
+    return ChiEstimate(value=value, standard_error=0.0)
 
 
 def _kernel(kz, kr):
@@ -163,7 +162,7 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
         raise ParamError(["n_batches"],
                          f"need 2 <= n_batches <= n_samples, got {n_batches}")
     if geom.n_atoms == 0:
-        return ChiEstimate(value=1.0, standard_error=0.0, method="monte-carlo")
+        return ChiEstimate(value=1.0, standard_error=0.0)
     k = geom.wavenumber_per_m
     scales = ((2.0 * k * geom.waist_m) ** 2, math.sqrt(2.0) * k * geom.length_m)
     sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
@@ -175,8 +174,7 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
     overall = float(np.dot(means, sizes) / sizes.sum())
     se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
     return ChiEstimate(value=1.0 + geom.n_atoms * overall,
-                       standard_error=geom.n_atoms * se,
-                       method="monte-carlo")
+                       standard_error=geom.n_atoms * se)
 
 
 def _mean_kernel(a, b) -> float:
@@ -222,12 +220,12 @@ def chi_quadrature(geom: EnsembleGeometry) -> ChiEstimate:
     sampling noise.
     """
     if geom.n_atoms == 0:
-        return ChiEstimate(value=1.0, standard_error=0.0, method="quadrature")
+        return ChiEstimate(value=1.0, standard_error=0.0)
     k = geom.wavenumber_per_m
     a = (k * geom.waist_m) ** 2
     b = (k * geom.length_m) ** 2
     return ChiEstimate(value=1.0 + geom.n_atoms * _mean_kernel(a, b),
-                       standard_error=0.0, method="quadrature")
+                       standard_error=0.0)
 
 
 def branching_ratio(chi) -> float:

@@ -32,7 +32,7 @@ evaluations, not 7 + 28.  Each row equals a k = 1 evaluation at its own
 parameters, bit for bit, so the fit is the one scipy's serial map gives.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
-its data on construction, and ``IntensityModel`` and ``ReadoutParams``
+its data on construction, and ``rabi_from_intensity`` and ``ReadoutParams``
 check the parameters of each evaluation.  Neither compiling a design nor
 evaluating it repeats those checks.
 
@@ -47,9 +47,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, IntensityModel,
-                     ParamError, ReadoutParams, mhz_to_angular,
-                     rabi_from_intensity)
+from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
+                     ReadoutParams, mhz_to_angular, rabi_from_intensity)
 from .wavepacket import _pc_at, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
@@ -189,7 +188,7 @@ def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_
     ``datasets`` is a list of Dataset, compiled on the spot, or the design
     ``fit`` compiles once; the masks drop their points.  Parameters outside
     their domain (``theta`` with ``gamma_nat`` and ``tau``) raise the
-    ParamError of ``IntensityModel`` or ``ReadoutParams`` naming them.
+    ParamError of ``ReadoutParams`` or ``rabi_from_intensity`` naming them.
     """
     design = datasets if isinstance(datasets, _Design) else _Design(datasets)
     return _residuals_batch([theta], design, gamma_nat, tau)[0]
@@ -247,8 +246,6 @@ def _model(thetas, design, gamma_nat, tau):
     call per kind, chi Gamma, gamma_deph and scale_f given per point; each
     row has the bits of a k = 1 call at its own ``theta``.
     """
-    models = [IntensityModel(i_sat=th["i_sat"], gamma_nat=gamma_nat)
-              for th in thetas]
     params = [ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
                             chi=th["chi"], gamma_deph=th["gamma_deph"],
                             tau=tau, scale_f=th["scale_f"]) for th in thetas]
@@ -260,7 +257,8 @@ def _model(thetas, design, gamma_nat, tau):
     def tiled(i_r, *columns):
         """Each theta in turn: the drive, the design's ``columns``, and chi
         Gamma, gamma_deph and scale_f."""
-        return (np.concatenate([rabi_from_intensity(i_r, mod) for mod in models]),
+        return (np.concatenate([rabi_from_intensity(i_r, th["i_sat"], gamma_nat)
+                                for th in thetas]),
                 *(np.concatenate([col] * k) for col in columns),
                 *per_theta.repeat(i_r.size, axis=1))
 

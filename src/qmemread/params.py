@@ -42,36 +42,21 @@ def angular_to_mhz(w):
     return np.asarray(w, dtype=float) / TWO_PI if np.ndim(w) else float(w) / TWO_PI
 
 
-@dataclass(frozen=True)
-class IntensityModel:
-    """Link between read intensity and Rabi frequency.
-
-    The driven transition saturates according to (Omega/Gamma)^2 = I_r/(2 I_s)
-    with I_s the saturation intensity in mW/cm^2.
-    """
-
-    i_sat: float  # mW/cm^2
-    gamma_nat: float = mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ)  # rad/us
-
-    def __post_init__(self):
-        bad = []
-        if not (self.i_sat > 0 and math.isfinite(self.i_sat)):
-            bad.append("i_sat")
-        if not (self.gamma_nat > 0 and math.isfinite(self.gamma_nat)):
-            bad.append("gamma_nat")
-        if bad:
-            raise ParamError(bad)
-
-
-def rabi_from_intensity(i_r, model: IntensityModel):
+def rabi_from_intensity(i_r, i_sat, gamma_nat):
     """Rabi frequency in rad/us for read intensity ``i_r`` in mW/cm^2.
 
-    Omega = Gamma * sqrt(I_r / (2 I_s)); monotone in I_r, Omega(2 I_s) = Gamma.
+    The transition saturates as (Omega/Gamma)^2 = I_r/(2 I_s), I_s = ``i_sat``
+    in mW/cm^2 and Gamma = ``gamma_nat`` in rad/us.  ParamError names
+    ``i_sat`` and/or ``gamma_nat`` unless finite and > 0, then ``i_r``.
     """
+    bad = [name for name, v in (("i_sat", i_sat), ("gamma_nat", gamma_nat))
+           if not (v > 0 and math.isfinite(v))]
+    if bad:
+        raise ParamError(bad)
     i_r_arr = np.asarray(i_r, dtype=float)
     if np.any(i_r_arr < 0) or not np.all(np.isfinite(i_r_arr)):
         raise ParamError(["i_r"], "read intensity must be finite and >= 0")
-    out = model.gamma_nat * np.sqrt(i_r_arr / (2.0 * model.i_sat))
+    out = gamma_nat * np.sqrt(i_r_arr / (2.0 * i_sat))
     return out if np.ndim(i_r) else float(out)
 
 
@@ -146,8 +131,7 @@ class ReadoutParams:
             if i_sat_mw_cm2 is None:
                 raise ParamError(["i_sat_mw_cm2"],
                                  "i_sat_mw_cm2 is required with i_r_mw_cm2")
-            model = IntensityModel(i_sat=i_sat_mw_cm2, gamma_nat=gamma_nat)
-            omega = rabi_from_intensity(i_r_mw_cm2, model)
+            omega = rabi_from_intensity(i_r_mw_cm2, i_sat_mw_cm2, gamma_nat)
         return cls(omega=omega, delta=mhz_to_angular(delta_mhz),
                    gamma_nat=gamma_nat, chi=chi,
                    gamma_deph=mhz_to_angular(gamma_deph_mhz),

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (IntensityModel, ParamError, ReadoutParams,
-                     mhz_to_angular, rabi_from_intensity)
+from .params import (ParamError, ReadoutParams, mhz_to_angular,
+                     rabi_from_intensity)
 
 # Switch to the series form of sinh(z t/2)/z below this |z t| (removable
 # singularity at the critically damped point).
@@ -176,7 +176,7 @@ def pc_at(t, params: ReadoutParams):
         t, params.omega, params.delta, params.chi_gamma, params.gamma_deph,
         params.scale_f)
     if np.any(t_arr < 0):
-        raise ParamError(["t"], "amplitude_B requires t >= 0")
+        raise ParamError(["t"], "pc_at requires t >= 0")
     return unwrap(_pc_at(t_arr, om, de, cg, gd, params.tau, f))
 
 
@@ -352,13 +352,15 @@ def pc_integral_fixed(params: ReadoutParams, t_end=0.160) -> float:
     return integrate_Pc(params, horizon=t_end)
 
 
-def saturation_curve(base_params: ReadoutParams, intensity_model: IntensityModel,
-                     i_r_list, horizon=math.inf) -> SweepCurve:
-    """P_c versus read intensity (mW/cm^2), all other parameters fixed."""
+def saturation_curve(params: ReadoutParams, i_sat, i_r_list,
+                     horizon=math.inf) -> SweepCurve:
+    """P_c versus read intensity (mW/cm^2), Omega = ``rabi_from_intensity``
+    at saturation intensity ``i_sat`` (mW/cm^2) and the Gamma of ``params``;
+    its own Omega is not used."""
     i_r_arr = np.asarray(i_r_list, dtype=float)
-    omega = rabi_from_intensity(i_r_arr, intensity_model)
+    omega = rabi_from_intensity(i_r_arr, i_sat, params.gamma_nat)
     return SweepCurve(abscissa=i_r_arr,
-                      ordinate=pc_integral(base_params, horizon, omega=omega))
+                      ordinate=pc_integral(params, horizon, omega=omega))
 
 
 def detuning_spectrum(params: ReadoutParams, delta_mhz_list,

@@ -21,16 +21,16 @@ others at each grid point; it checks that the combined design pins chi.
 import numpy as np
 
 from qmemread.fitting import FREE_KEYS, fit
-from qmemread.params import (IntensityModel, ParamError, ReadoutParams,
-                             mhz_to_angular, rabi_from_intensity)
+from qmemread.params import (ParamError, ReadoutParams, mhz_to_angular,
+                             rabi_from_intensity)
 from qmemread.wavepacket import detuning_spectrum, pc_at, saturation_curve
 
 
 def oracle_model_eval(theta, dataset, gamma_nat, tau):
     """Model ordinates of one dataset at ``theta``, one sweep call."""
-    model = IntensityModel(i_sat=theta["i_sat"], gamma_nat=gamma_nat)
     kind = dataset.kind
-    omega = rabi_from_intensity(dataset.i_r, model) if kind != "saturation" else 0.0
+    omega = (rabi_from_intensity(dataset.i_r, theta["i_sat"], gamma_nat)
+             if kind != "saturation" else 0.0)
     delta = 0.0 if kind == "spectrum" else mhz_to_angular(dataset.delta_mhz)
     base = ReadoutParams(omega=omega, delta=delta, gamma_nat=gamma_nat,
                          chi=theta["chi"], gamma_deph=theta["gamma_deph"],
@@ -38,7 +38,7 @@ def oracle_model_eval(theta, dataset, gamma_nat, tau):
     if kind == "wavepacket":
         return pc_at(dataset.x * 1e-3, base) / 1e3
     if kind == "saturation":
-        return saturation_curve(base, model, dataset.x,
+        return saturation_curve(base, theta["i_sat"], dataset.x,
                                 dataset.horizon_us).ordinate
     return detuning_spectrum(base, dataset.x, dataset.horizon_us).ordinate
 

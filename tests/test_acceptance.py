@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qmemread import (EnsembleGeometry, IntensityModel, ReadoutParams,
+from qmemread import (EnsembleGeometry, ReadoutParams,
                       alpha_pair, amplitude_B, chi_closed_form,
                       chi_monte_carlo, chi_quadrature, conditional_wavepacket,
                       correlations, detuning_spectrum, evolve,
@@ -222,13 +222,12 @@ def test_criterion_6_fit_round_trip():
 
 def test_criterion_7_shape_properties():
     with criterion(7, "spectrum symmetry/peak, saturation knee, decay"):
-        model = IntensityModel(i_sat=12.0, gamma_nat=GAMMA)
         base = ReadoutParams(omega=0.0, delta=0.0, gamma_nat=GAMMA, chi=2.7,
                              gamma_deph=mhz_to_angular(1.55), scale_f=4.8)
         # (a) symmetric, single-peaked spectrum at strong drive
         deltas = np.linspace(-40.0, 40.0, 41)
         spec = detuning_spectrum(
-            base.replace(omega=rabi_from_intensity(127.0, model)), deltas,
+            base.replace(omega=rabi_from_intensity(127.0, 12.0, GAMMA)), deltas,
             horizon=0.160)
         pc = spec.ordinate
         assert np.allclose(pc, pc[::-1], rtol=1e-10)
@@ -240,9 +239,9 @@ def test_criterion_7_shape_properties():
         i_grid = np.linspace(0.0, 200.0, 41)
         base_f41 = base.replace(scale_f=4.1)
         near = saturation_curve(base_f41.replace(delta=mhz_to_angular(1.7)),
-                                model, i_grid, horizon=0.160)
+                                12.0, i_grid, horizon=0.160)
         far = saturation_curve(base_f41.replace(delta=mhz_to_angular(25.7)),
-                               model, i_grid, horizon=0.160)
+                               12.0, i_grid, horizon=0.160)
 
         def knee(curve):
             half_val = 0.5 * curve.ordinate[-1]

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qmemread import (IntensityModel, ReadoutParams, SynthDesign,
+from qmemread import (ReadoutParams, SynthDesign,
                       conditional_wavepacket, detuning_spectrum, ingest,
                       pc_curve, saturation_curve, synthesize_log)
 from qmemread.cli import _read_dataset_csv, main
@@ -186,6 +186,61 @@ class TestSweepCommands:
         data = (out / "sweep_detuning.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    @pytest.mark.parametrize("gamma_nat_mhz,horizon_ns,sha256", [
+        (5.2, 160, "2297251c210f6d68d743997f20af9250c4b0680b350e68581b928858646ee962"),
+        (5.2, "inf", "631339a47002a4e840671874e159e4a0e967cd7282f4d36a61097246998c03b6"),
+        (6.0, 160, "6fd39433620a34b6d97f5eb478b1fcbea9d7253678ec6d937a28f43cda69116b"),
+        (6.0, "inf", "5ca46dd58a9d654611fda69ee8ef23436a413589dc78a363ae6276b7828c20e6"),
+    ])
+    def test_intensity_sweep_bytes_pinned(self, tmp_path, gamma_nat_mhz,
+                                          horizon_ns, sha256):
+        # Gamma reaches Omega(I_r) from the params block alone
+        out = tmp_path / "sat"
+        cfg = write_cfg(tmp_path, {
+            **PAPER_BLOCK,
+            "params": dict(PAPER_BLOCK["params"], gamma_nat_mhz=gamma_nat_mhz),
+            "i_r_grid_mw_cm2": [0, 0.5, 24, 95, 1e4], "horizon_ns": horizon_ns})
+        assert run(["sweep-intensity", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        data = (out / "sweep_intensity.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+    @pytest.mark.parametrize("command,extra,source", [
+        ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 95]}, "i_r_grid_mw_cm2"),
+        ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7]},
+         "i_r_mw_cm2"),
+        ("wavepacket", {"i_r_mw_cm2": [95]}, "i_r_mw_cm2"),
+    ])
+    def test_rabi_in_params_conflicts_with_command_drive(
+            self, tmp_path, capsys, command, extra, source):
+        cfg = write_cfg(tmp_path, {
+            **PAPER_BLOCK, "params": dict(PAPER_BLOCK["params"], rabi_mhz=10.0),
+            **extra})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: params.rabi_mhz: conflicts with {source}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,extra,message", [
+        ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 95], "horizon_ns": -5},
+         "horizon_ns: horizon must be > 0 (or infinite)"),
+        ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7],
+                            "horizon_ns": -5},
+         "horizon_ns: horizon must be > 0 (or infinite)"),
+        ("sweep-intensity", {"i_r_grid_mw_cm2": [24, -95]},
+         "i_r_grid_mw_cm2: read intensity must be finite and >= 0"),
+        ("sweep-detuning", {"i_r_mw_cm2": -95, "delta_grid_mhz": [0, 1.7]},
+         "i_r_mw_cm2: read intensity must be finite and >= 0"),
+    ])
+    def test_range_error_names_config_key(self, tmp_path, capsys, command,
+                                          extra, message):
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, **extra})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+        assert not out.exists()
+
 
 def old_csv(header, row, *columns):
     """The CSV text the result types' own writers rendered before the CLI
@@ -222,13 +277,12 @@ class TestOutputFiles:
             "t_ns,pc_per_ns", two_columns, curve.t_ns, curve.pc_per_ns)
 
     def test_sweep_csvs(self, tmp_path):
-        model = IntensityModel(12.0, user_params(i_r_mw_cm2=0.0).gamma_nat)
         grid = [0, 0.5, 24, 95, 1e4]
         cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_grid_mw_cm2": grid,
                                    "horizon_ns": "inf"})
         assert run(["sweep-intensity", "--config", cfg, "--out",
                     str(tmp_path / "sat"), "--quiet"]) == 0
-        sat = saturation_curve(user_params(i_r_mw_cm2=0.0), model, grid)
+        sat = saturation_curve(user_params(i_r_mw_cm2=0.0), 12.0, grid)
         assert (tmp_path / "sat" / "sweep_intensity.csv").read_text() == \
             old_csv("I_mW_cm2,Pc", two_columns, sat.abscissa, sat.ordinate)
 

@@ -330,19 +330,19 @@ class TestChiEstimateInvariant:
     def test_rejects_sub_unity_value(self):
         # an exact estimate (zero standard error) below 1 is wrong
         with pytest.raises(ParamError):
-            ChiEstimate(value=0.5, standard_error=0.0, method="bogus")
+            ChiEstimate(value=0.5, standard_error=0.0)
 
     def test_accepts_sampled_value_far_below_one(self):
         # an unbiased sampler at chi ~ 1 lands 4 SE below 1 by chance
-        ChiEstimate(value=0.6, standard_error=0.1, method="monte-carlo")
+        ChiEstimate(value=0.6, standard_error=0.1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_sampled_value(self, value):
         with pytest.raises(ParamError):
-            ChiEstimate(value=value, standard_error=0.1, method="monte-carlo")
+            ChiEstimate(value=value, standard_error=0.1)
 
     def test_allows_noisy_estimate_near_one(self):
-        ChiEstimate(value=0.95, standard_error=0.05, method="noisy")
+        ChiEstimate(value=0.95, standard_error=0.05)
 
 
 class TestBranching:

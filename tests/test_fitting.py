@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from fit_oracle import (design_residuals, design_residuals_batch,
                         oracle_model_eval, oracle_residuals, profile)
-from qmemread import (IntensityModel, ParamError, RankDeficiencyError,
-                      ReadoutParams, integrate_Pc, mhz_to_angular,
-                      rabi_from_intensity)
+from qmemread import (ParamError, RankDeficiencyError, ReadoutParams,
+                      integrate_Pc, mhz_to_angular, rabi_from_intensity)
 import qmemread.fitting as fitting
 from qmemread.fitting import DEFAULT_INIT, Dataset, fit, model_eval, residuals
 
@@ -121,13 +120,14 @@ class TestModelEval:
         sat = kind == "saturation"
         ds = Dataset(kind=kind, x=x, y=np.zeros(4), sigma=np.ones(4),
                      delta_mhz=1.7 if sat else None, i_r=None if sat else 95.0)
-        model = IntensityModel(i_sat=TRUTH["i_sat"], gamma_nat=GAMMA_NAT)
-        base = ReadoutParams(omega=rabi_from_intensity(95.0, model),
+        base = ReadoutParams(omega=rabi_from_intensity(95.0, TRUTH["i_sat"],
+                                                       GAMMA_NAT),
                              delta=mhz_to_angular(1.7), gamma_nat=GAMMA_NAT,
                              chi=TRUTH["chi"], gamma_deph=TRUTH["gamma_deph"],
                              tau=TAU, scale_f=TRUTH["scale_f"])
         for xi, got in zip(x, model_eval(TRUTH, ds, GAMMA_NAT, TAU)):
-            p = (base.replace(omega=rabi_from_intensity(xi, model)) if sat
+            p = (base.replace(omega=rabi_from_intensity(xi, TRUTH["i_sat"],
+                                                        GAMMA_NAT)) if sat
                  else base.replace(delta=mhz_to_angular(xi)))
             assert got == pytest.approx(integrate_Pc(p, ds.horizon_us),
                                         rel=1e-14, abs=0)

@@ -3,45 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from qmemread import (DEFAULT_GAMMA_NAT_MHZ, IntensityModel, ParamError,
-                      ReadoutParams, angular_to_mhz, mhz_to_angular,
-                      rabi_from_intensity)
+from qmemread import (DEFAULT_GAMMA_NAT_MHZ, ParamError, ReadoutParams,
+                      angular_to_mhz, mhz_to_angular, rabi_from_intensity)
 
 GAMMA = mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ)
 
 
 class TestRabiFromIntensity:
     def test_twice_saturation_gives_gamma(self):
-        model = IntensityModel(i_sat=7.3, gamma_nat=GAMMA)
-        assert rabi_from_intensity(2 * 7.3, model) == pytest.approx(GAMMA, rel=1e-15)
+        assert rabi_from_intensity(2 * 7.3, 7.3, GAMMA) == pytest.approx(GAMMA, rel=1e-15)
 
     def test_quoted_saturation_intensity(self):
         # I_s = 12 mW/cm^2: 24 mW/cm^2 drives exactly at the linewidth
-        model = IntensityModel(i_sat=12.0, gamma_nat=GAMMA)
-        assert rabi_from_intensity(24.0, model) == pytest.approx(GAMMA, rel=1e-15)
+        assert rabi_from_intensity(24.0, 12.0, GAMMA) == pytest.approx(GAMMA, rel=1e-15)
 
     def test_zero_intensity(self):
-        model = IntensityModel(i_sat=12.0)
-        assert rabi_from_intensity(0.0, model) == 0.0
+        assert rabi_from_intensity(0.0, 12.0, GAMMA) == 0.0
 
     def test_negative_intensity_rejected(self):
-        model = IntensityModel(i_sat=12.0)
         with pytest.raises(ParamError) as exc:
-            rabi_from_intensity(-1.0, model)
-        assert "i_r" in exc.value.fields
+            rabi_from_intensity(-1.0, 12.0, GAMMA)
+        assert exc.value.fields == ("i_r",)
+        assert str(exc.value) == "read intensity must be finite and >= 0"
 
     def test_halving_property(self):
         # Omega(i)^2 / Omega(2i)^2 = 1/2 up to float error
-        model = IntensityModel(i_sat=12.0)
         rng = np.random.default_rng(3)
         for i_r in rng.uniform(0.01, 500.0, 50):
-            lo = rabi_from_intensity(i_r, model) ** 2
-            hi = rabi_from_intensity(2 * i_r, model) ** 2
+            lo = rabi_from_intensity(i_r, 12.0, GAMMA) ** 2
+            hi = rabi_from_intensity(2 * i_r, 12.0, GAMMA) ** 2
             assert abs(lo / hi - 0.5) <= 1e-14
 
+    def test_gamma_nat_is_required(self):
+        # Gamma comes from the caller's ReadoutParams; no second default
+        with pytest.raises(TypeError):
+            rabi_from_intensity(24.0, 12.0)
+
     def test_monotone(self):
-        model = IntensityModel(i_sat=12.0)
-        vals = rabi_from_intensity(np.linspace(0, 200, 100), model)
+        vals = rabi_from_intensity(np.linspace(0, 200, 100), 12.0, GAMMA)
         assert np.all(np.diff(vals) > 0)
 
 
@@ -115,7 +114,13 @@ class TestFromUserUnits:
         assert "i_sat_mw_cm2" in exc.value.fields
 
     def test_intensity_model_validation(self):
-        with pytest.raises(ParamError):
-            IntensityModel(i_sat=0.0)
-        with pytest.raises(ParamError):
-            IntensityModel(i_sat=12.0, gamma_nat=-1.0)
+        # i_sat and gamma_nat are checked, and named together, before i_r
+        for i_sat, gamma_nat, fields in (
+                (0.0, GAMMA, ("i_sat",)), (math.inf, GAMMA, ("i_sat",)),
+                (12.0, -1.0, ("gamma_nat",)), (12.0, math.nan, ("gamma_nat",)),
+                (-12.0, 0.0, ("i_sat", "gamma_nat"))):
+            with pytest.raises(ParamError) as exc:
+                rabi_from_intensity(-1.0, i_sat, gamma_nat)
+            assert exc.value.fields == fields
+            assert str(exc.value) == ("invalid parameter(s): "
+                                      + ", ".join(fields))

@@ -9,7 +9,7 @@ from scipy.integrate import simpson
 
 from pc_oracle import adaptive_pc
 import qmemread.wavepacket as wavepacket
-from qmemread import (IntensityModel, ParamError, ReadoutParams, alpha_pair,
+from qmemread import (ParamError, ReadoutParams, alpha_pair,
                       amplitude_B, detuning_spectrum, integrate_Pc,
                       mhz_to_angular, pc_at, pc_curve, pc_integral,
                       pc_integral_fixed, rabi_from_intensity,
@@ -97,6 +97,13 @@ class TestAmplitude:
     def test_negative_time_rejected(self):
         with pytest.raises(ParamError):
             amplitude_B(-0.1, PAPER_STYLE)
+
+    @pytest.mark.parametrize("func", [amplitude_B, pc_at])
+    def test_negative_time_names_the_called_function(self, func):
+        with pytest.raises(ParamError) as info:
+            func(-1.0, ReadoutParams(omega=1.0, delta=0.0))
+        assert info.value.fields == ("t",)
+        assert str(info.value) == f"{func.__name__} requires t >= 0"
 
     def test_strong_drive_oscillation(self):
         # Delta = 0, Omega >> chi*Gamma: |B|^2 oscillates at
@@ -238,7 +245,6 @@ class TestIntegratePc:
 
     def test_against_simpson_oracle(self):
         # fixed-step Simpson at 0.01 ns over the truncation span
-        model = IntensityModel(i_sat=12.0, gamma_nat=GAMMA)
         for i_r in (10.0, 55.0, 150.0):
             p = ReadoutParams.from_user_units(
                 delta_mhz=1.7, chi=2.7, gamma_deph_mhz=1.55, scale_f=4.1,
@@ -461,8 +467,7 @@ class TestClosedFormProperties:
         # 1, Omega ~ 4 chi Gamma/2; the quadrature oracle agrees).  With
         # gamma_deph = 0 the curve is flat, F/(chi Gamma); the slack is the
         # rounding of values accurate to 1e-13.
-        model = IntensityModel(i_sat=i_sat, gamma_nat=GAMMA)
-        curve = saturation_curve(p, model, np.sort(intensities))
+        curve = saturation_curve(p, i_sat, np.sort(intensities))
         assert np.all(np.diff(curve.ordinate)
                       >= -1e-12 * curve.ordinate[1:])
 
@@ -560,7 +565,7 @@ class TestPerPointCores:
 
 
 class TestSweeps:
-    model = IntensityModel(i_sat=12.0, gamma_nat=GAMMA)
+    i_sat = 12.0
 
     def base(self, delta_mhz=1.7, scale_f=4.1):
         return ReadoutParams(omega=0.0, delta=mhz_to_angular(delta_mhz),
@@ -568,22 +573,43 @@ class TestSweeps:
                              gamma_deph=mhz_to_angular(1.55), scale_f=scale_f)
 
     def test_saturation_zero_intensity(self):
-        curve = saturation_curve(self.base(), self.model, [0.0])
+        curve = saturation_curve(self.base(), self.i_sat, [0.0])
         assert list(curve.ordinate) == [0.0]
 
     def test_saturation_monotone_on_resonance(self):
-        curve = saturation_curve(self.base(delta_mhz=0.0), self.model,
+        curve = saturation_curve(self.base(delta_mhz=0.0), self.i_sat,
                                  np.linspace(0.0, 200.0, 21), horizon=0.160)
         assert np.all(np.diff(curve.ordinate) >= 0)
 
     def test_saturation_negative_intensity_rejected(self):
         with pytest.raises(ParamError):
-            saturation_curve(self.base(), self.model, [-5.0])
+            saturation_curve(self.base(), self.i_sat, [-5.0])
+
+    @property_settings
+    @given(st.floats(0.5, 30.0, **finite).filter(lambda g: g != 5.2),
+           st.floats(0.5, 100.0, **finite), st.floats(0.0, 500.0, **finite),
+           st_horizon, st.floats(-60.0, 60.0, **finite),
+           st.floats(1.0, 5.0, **finite), st.floats(0.0, 5.0, **finite),
+           st.floats(0.0, 200.0, **finite), st.floats(0.0, 20.0, **finite))
+    @example(6.0, 12.0, 95.0, 0.160, 1.7, 2.7, 1.55, 50.0, 10.0)
+    def test_saturation_curve_takes_gamma_from_params(
+            self, gamma_nat_mhz, i_sat, i_r, horizon, delta_mhz, chi,
+            gamma_deph_mhz, tau_ns, rabi_mhz):
+        # one point of the curve is P_c of the params built at that
+        # intensity, bit for bit; the Omega of the curve's params is unused
+        user = dict(delta_mhz=delta_mhz, chi=chi, gamma_deph_mhz=gamma_deph_mhz,
+                    scale_f=4.1, tau_ns=tau_ns, gamma_nat_mhz=gamma_nat_mhz)
+        at_i_r = ReadoutParams.from_user_units(
+            i_r_mw_cm2=i_r, i_sat_mw_cm2=i_sat, **user)
+        curve = saturation_curve(
+            ReadoutParams.from_user_units(rabi_mhz=rabi_mhz, **user), i_sat,
+            [i_r], horizon)
+        assert curve.ordinate[0] == pc_integral(at_i_r, horizon)
 
     def test_detuned_curve_saturates_later_and_lower_knee(self):
         i_grid = np.linspace(0.0, 200.0, 41)
-        near = saturation_curve(self.base(1.7), self.model, i_grid, horizon=0.160)
-        far = saturation_curve(self.base(25.7), self.model, i_grid, horizon=0.160)
+        near = saturation_curve(self.base(1.7), self.i_sat, i_grid, horizon=0.160)
+        far = saturation_curve(self.base(25.7), self.i_sat, i_grid, horizon=0.160)
 
         def knee(curve):
             half = 0.5 * curve.ordinate[-1]
@@ -604,7 +630,7 @@ class TestSweeps:
             minus = pc_at(t, self.base(-dm).replace(omega=30.0))
             assert np.allclose(plus, minus, rtol=1e-14, atol=0)
         strong = self.base().replace(
-            omega=rabi_from_intensity(127.0, self.model))
+            omega=rabi_from_intensity(127.0, self.i_sat, GAMMA))
         curve = detuning_spectrum(strong, np.concatenate([deltas, -deltas]),
                                   horizon=0.160)
         half = len(deltas)
