@@ -70,7 +70,6 @@ def _exact(types, what):
 
 
 _json_int = _exact((int,), "an integer")
-_bool = _exact((bool,), "true or false")
 _string = _exact((str,), "a string")
 
 
@@ -81,10 +80,14 @@ def _int(v, path) -> int:
 
 
 def _number(v, path) -> float:
+    """A finite number; json reads NaN, Infinity and 1e400 (as inf) too."""
     try:
-        return float(_exact((int, float), "a number")(v, path))
+        x = float(_exact((int, float), "a number")(v, path))
     except OverflowError:       # a JSON integer beyond the float range
         raise _bad(path, "a number in the float range", v) from None
+    if not math.isfinite(x):
+        raise _bad(path, "a finite number", v)
+    return x
 
 
 def _horizon(v, path) -> float:
@@ -202,7 +205,7 @@ TABLES = {
         **_COMMON, **_MODEL, "i_r_mw_cm2": (_number, REQUIRED),
         "delta_grid_mhz": (_numbers, REQUIRED), "horizon_ns": (_horizon, 160.0)},
     "chi": {
-        **_COMMON, "n_samples": (_int, 1_000_000), "n_batches": (_int, 30),
+        **_COMMON, "n_samples": (_int, 1_000_000),
         "geometry": (dict.fromkeys(("n_atoms", "waist_m", "length_m",
                                     "wavenumber_per_m"), (_number, REQUIRED)),
                      REQUIRED)},
@@ -227,12 +230,11 @@ TABLES = {
         "tau_ns": (_number, 50.0), "free": (_free, REQUIRED),
         "init": (dict.fromkeys(_FIT_KEYS, (_number, None)), None),
         "bounds": (dict.fromkeys(_FIT_KEYS, (_bound_pair, None)), None),
-        "weighted": (_bool, True),
         "datasets": ([{
             "kind": (_string, REQUIRED), "path": (_string, REQUIRED),
             "delta_mhz": (_number, None), "i_r_mw_cm2": (_number, None),
             "horizon_ns": (_horizon, 160.0), "mask_min": (_number, -math.inf),
-            "mask_max": (_number, math.inf), "label": (_string, "")}],
+            "mask_max": (_number, math.inf)}],
                      REQUIRED)},
 }
 
@@ -241,7 +243,7 @@ TABLES = {
 _ARG_KEYS = {"window1": "window1_ns", "window2": "window2_ns",
              "herald_window": "herald_window_ns",
              "t_range": "wavepacket_range_ns", "horizon": "horizon_ns",
-             "i_r": "i_r_grid_mw_cm2"}
+             "i_r": "i_r_grid_mw_cm2", "delta": "delta_grid_mhz"}
 
 
 @contextlib.contextmanager
@@ -334,6 +336,9 @@ def cmd_wavepacket(cfg, run, seed):
     if not (t1 > t0 >= 0 and dt > 0):
         raise ConfigError("window: need t_end_ns > t_start_ns >= 0, step_ns > 0")
     steps = (t1 - t0) / dt
+    if steps == math.inf:
+        raise ConfigError("window: (t_end_ns - t_start_ns) / step_ns "
+                          "overflows")
     if round(steps) < 1:
         raise ConfigError("window: step_ns must not exceed "
                           "t_end_ns - t_start_ns")
@@ -382,8 +387,7 @@ def cmd_chi(cfg, run, seed):
         geom = EnsembleGeometry(**cfg["geometry"])
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
-    mc = chi_monte_carlo(geom, cfg["n_samples"], seed,
-                         n_batches=cfg["n_batches"])
+    mc = chi_monte_carlo(geom, cfg["n_samples"], seed)
     report = {
         "closed_form": {"chi": cf.value, "standard_error": cf.standard_error},
         "quadrature": {"chi": qd.value, "standard_error": qd.standard_error},
@@ -449,10 +453,9 @@ def cmd_fit(cfg, run, seed):
         lo, hi = block["mask_min"], block["mask_max"]
         with _named(f"datasets[{i}]"):
             datasets.append(Dataset(
-                kind=block["kind"], x=x, y=y,
-                sigma=sig if cfg["weighted"] else np.ones_like(y),
+                kind=block["kind"], x=x, y=y, sigma=sig,
                 delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
-                horizon_us=block["horizon_ns"] * 1e-3, label=block["label"],
+                horizon_us=block["horizon_ns"] * 1e-3,
                 mask=None if (lo, hi) == (-math.inf, math.inf)
                 else (x >= lo) & (x <= hi)))
 

@@ -42,6 +42,8 @@ from .params import ParamError
 
 # validity thresholds for the closed form (ratios that must be << 1)
 _REGIME_RATIO = 0.1
+# seeded batches of the pair sampler; their scatter gives its standard error
+_N_BATCHES = 30
 
 _QUARTER_SQRT_PI = 0.25 * math.sqrt(math.pi)
 # Gauss-Legendre rule on [-1, 1] for the flat-integrand branch of <K>
@@ -139,8 +141,7 @@ def _batch_mean(size, seed_seq, scales) -> float:
     return _kernel(kz, np.sqrt(kr2 + kz * kz)).mean()
 
 
-def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
-                    n_batches=30) -> ChiEstimate:
+def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed) -> ChiEstimate:
     """Sampled-pair estimate of chi, deterministic for a fixed seed.
 
     Averages the pair kernel over separations of the stored-excitation
@@ -149,30 +150,27 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed,
     N(0, diag(2W^2, 2W^2, 2L^2)), so each pair draws only rho^2 = 4W^2 E
     and d_z = sqrt(2) L Z (E ~ Exp(1), Z ~ N(0, 1); rho^2 is 2W^2 times a
     chi-square with two degrees of freedom).  The standard error comes
-    from the scatter of ``n_batches`` near-equal batches
-    (2 <= n_batches <= n_samples), each with its own seed derived from
-    ``seed``.  The batches run on ``counting._in_order``'s thread pool,
-    sized to the CPUs this process may use, which yields the batch means
-    in batch order; since each batch owns its seed, the result is the
-    same to the last bit for any worker count or scheduling.
+    from the scatter of 30 near-equal batches (n_samples >= 100 keeps each
+    non-empty), each with its own seed derived from ``seed``.  The batches
+    run on ``counting._in_order``'s thread pool, sized to the CPUs this
+    process may use, which yields the batch means in batch order; since
+    each batch owns its seed, the result is the same to the last bit for
+    any worker count or scheduling.
     """
     if n_samples < 100:
         raise ParamError(["n_samples"], "need n_samples >= 100")
-    if not 2 <= n_batches <= n_samples:
-        raise ParamError(["n_batches"],
-                         f"need 2 <= n_batches <= n_samples, got {n_batches}")
     if geom.n_atoms == 0:
         return ChiEstimate(value=1.0, standard_error=0.0)
     k = geom.wavenumber_per_m
     scales = ((2.0 * k * geom.waist_m) ** 2, math.sqrt(2.0) * k * geom.length_m)
-    sizes = np.full(n_batches, n_samples // n_batches, dtype=int)
-    sizes[: n_samples % n_batches] += 1
-    children = np.random.SeedSequence(seed).spawn(n_batches)
+    sizes = np.full(_N_BATCHES, n_samples // _N_BATCHES, dtype=int)
+    sizes[: n_samples % _N_BATCHES] += 1
+    children = np.random.SeedSequence(seed).spawn(_N_BATCHES)
     tasks = zip(sizes, children, repeat(scales))
     means = np.fromiter(_in_order(_batch_mean, tasks), dtype=float,
-                        count=n_batches)
+                        count=_N_BATCHES)
     overall = float(np.dot(means, sizes) / sizes.sum())
-    se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
+    se = float(np.std(means, ddof=1) / math.sqrt(_N_BATCHES))
     return ChiEstimate(value=1.0 + geom.n_atoms * overall,
                        standard_error=geom.n_atoms * se)
 

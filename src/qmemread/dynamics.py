@@ -6,10 +6,9 @@ Independent numerical route to the closed form in ``wavepacket``: integrate
     dB/dt = i (Omega/2) exp(+i Delta t) A - (chi Gamma / 2) B
 
 with A(0) = 1, B(0) = 0 for a single representative atom (the collective
-weights and static phases are a common multiplicative factor).  Both
-amplitudes stay bounded for any horizon.  B(t) = beta(t) b(t) is the
-physical coherence amplitude, with beta(t) = exp(-chi Gamma t/2) the
-analytic decay and b(t) the co-rotating excited amplitude.
+weights and static phases are a common multiplicative factor).  B(t), the
+physical coherence amplitude, is integrated directly, so both amplitudes
+stay bounded and finite for any horizon.
 
 The only loss channel gives the conservation law
 d/dt(|A|^2 + |B|^2) = -chi Gamma |B|^2, which the tests check on the
@@ -34,21 +33,12 @@ class AmplitudeTrajectory:
     """Amplitudes on a uniform reporting grid (t in us).
 
     a_vals is the stored-state amplitude A(t), b_field the physical
-    coherence amplitude B(t) = beta(t) b(t), beta_vals the analytic decay
-    beta(t) = exp(-chi Gamma t/2).
+    coherence amplitude B(t).
     """
 
     t: np.ndarray
     a_vals: np.ndarray
     b_field: np.ndarray
-    beta_vals: np.ndarray
-
-    @property
-    def b_vals(self) -> np.ndarray:
-        """Co-rotating excited amplitude b(t) = B(t)/beta(t); inf or nan
-        where beta underflows to 0 (chi Gamma t above about 1490)."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.b_field / self.beta_vals
 
     @property
     def norm(self) -> np.ndarray:
@@ -60,7 +50,7 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
            n_report=2001) -> AmplitudeTrajectory:
     """Adaptive high-order Runge-Kutta integration up to t_end (us).
 
-    Reports A, B, beta on a uniform grid of ``n_report`` points.  Tolerances
+    Reports A and B on a uniform grid of ``n_report`` points.  Tolerances
     are capped at 1e-3; tighter tolerances sharpen the closed-form
     cross-check.  Raises IntegrationError with diagnostics on failure.
     """
@@ -86,10 +76,9 @@ def evolve(params: ReadoutParams, t_end, rel_tol=1e-10, abs_tol=1e-12,
                                f"(reached t = {sol.t[-1] if sol.t.size else 0.0:g} us)")
 
     a_vals, b_field = sol.y
-    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals, b_field=b_field,
-                               beta_vals=np.exp(-0.5 * cg * t_eval))
+    return AmplitudeTrajectory(t=t_eval, a_vals=a_vals, b_field=b_field)
 
 
 def reconstruct_B(traj: AmplitudeTrajectory) -> np.ndarray:
-    """The coherence amplitude B(t) = beta(t) b(t) driving emission."""
+    """The coherence amplitude B(t) driving emission."""
     return traj.b_field

@@ -97,7 +97,6 @@ class Dataset:
     i_r: float | None = None
     mask: np.ndarray | None = None
     horizon_us: float = 0.160
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in _DATASET_KINDS:

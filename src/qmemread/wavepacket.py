@@ -267,7 +267,9 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
 
     ``omega`` and ``delta`` (rad/us) default to those of ``params``; they
     and ``horizon`` (> 0, inf allowed) may be broadcastable arrays, one
-    value per point, and the other parameters are scalars.  Returns a
+    value per point, and the other parameters are scalars.  A given omega
+    or delta is checked as ``ReadoutParams`` checks its own (omega finite
+    and >= 0, delta finite); ParamError names each that is not.  Returns a
     float for scalar inputs, else an ndarray of the broadcast shape; each
     point gets the bits of a scalar call with its own values.
 
@@ -298,6 +300,10 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
         params.gamma_deph, params.scale_f)
     if not (hz > 0).all():
         raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
+    bad = [name for name, ok in (("omega", np.isfinite(om) & (om >= 0)),
+                                 ("delta", np.isfinite(de))) if not ok.all()]
+    if bad:
+        raise ParamError(bad)
     return unwrap(_pc_integral(hz, om, de, cg, gd, params.tau, f))
 
 
@@ -372,6 +378,7 @@ def detuning_spectrum(params: ReadoutParams, delta_mhz_list,
     phases alone), so the spectrum is exactly symmetric under Delta -> -Delta.
     """
     de_mhz = np.asarray(delta_mhz_list, dtype=float)
+    with np.errstate(over="ignore"):    # pc_integral rejects an inf delta
+        delta = mhz_to_angular(de_mhz)
     return SweepCurve(abscissa=de_mhz,
-                      ordinate=pc_integral(params, horizon,
-                                           delta=mhz_to_angular(de_mhz)))
+                      ordinate=pc_integral(params, horizon, delta=delta))

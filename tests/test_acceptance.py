@@ -114,7 +114,7 @@ def test_criterion_3_rabi_limit():
                           chi=1.0)
         traj = evolve(p, t_end=2.0, rel_tol=1e-10, abs_tol=1e-12)
         pop_a = np.abs(traj.a_vals) ** 2
-        pop_b = np.abs(traj.b_vals) ** 2
+        pop_b = np.abs(traj.b_field) ** 2
         assert np.max(np.abs(pop_a - np.cos(omega * traj.t / 2) ** 2)) <= 1e-6
         assert np.max(np.abs(pop_b - np.sin(omega * traj.t / 2) ** 2)) <= 1e-6
         assert time.perf_counter() - t0 < 5.0

@@ -132,6 +132,20 @@ class TestWavepacketCommand:
             "validation error: window: step_ns must not exceed ")
         assert not out.exists()
 
+    def test_step_count_overflow_exit_2(self, tmp_path, capsys):
+        # 1e300 / 1e-300 steps is inf, which round() cannot take
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                                   "window": {"t_start_ns": 0,
+                                              "t_end_ns": 1e300,
+                                              "step_ns": 1e-300}})
+        out = tmp_path / "many"
+        assert run(["wavepacket", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: window: (t_end_ns - t_start_ns) / step_ns "
+            "overflows\n")
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95]})
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -232,6 +246,9 @@ class TestSweepCommands:
          "i_r_grid_mw_cm2: read intensity must be finite and >= 0"),
         ("sweep-detuning", {"i_r_mw_cm2": -95, "delta_grid_mhz": [0, 1.7]},
          "i_r_mw_cm2: read intensity must be finite and >= 0"),
+        # finite in MHz, inf in rad/us
+        ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1e308]},
+         "delta_grid_mhz: invalid parameter(s): delta"),
     ])
     def test_range_error_names_config_key(self, tmp_path, capsys, command,
                                           extra, message):
@@ -352,8 +369,10 @@ class TestChiCommand:
         saved = (out / "chi.json").read_text()
         assert saved == old_json(json.loads(saved))
 
-    @pytest.mark.parametrize("n_batches", [0, 1, -3, 201])
+    @pytest.mark.parametrize("n_batches", [0, 1, -3, 201, 30])
     def test_rejects_bad_batch_count(self, tmp_path, capsys, n_batches):
+        # the sampler always runs 30 batches: n_batches is no chi key, and
+        # every value, 30 included, exits 2
         out = tmp_path / "chi"
         cfg = write_cfg(tmp_path, {
             "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
@@ -361,9 +380,9 @@ class TestChiCommand:
             "n_samples": 200, "n_batches": n_batches})
         assert run(["chi", "--config", cfg, "--out", str(out),
                     "--seed", "5"]) == 2
-        err = capsys.readouterr().err
-        assert "validation error" in err and "n_batches" in err
-        assert not (out / "chi.json").exists()
+        assert capsys.readouterr().err == (
+            "validation error: config: unknown key(s) ['n_batches']\n")
+        assert not out.exists()
 
     def test_sampled_chi_below_one_exits_0(self, tmp_path):
         # with one atom chi is 1 + 1e-5; seed 809's draw lands more than 3 SE
@@ -388,9 +407,9 @@ class TestIntegerConfigKeys:
 
     @pytest.mark.parametrize("bad", [True, "x", 2.7],
                              ids=["bool", "string", "fraction"])
-    @pytest.mark.parametrize("key", ["n_samples", "n_batches"])
+    @pytest.mark.parametrize("key", ["n_samples"])
     def test_chi_rejects(self, tmp_path, capsys, key, bad):
-        payload = {"geometry": self.GEOMETRY, "n_samples": 200, "n_batches": 2}
+        payload = {"geometry": self.GEOMETRY, "n_samples": 200}
         payload[key] = bad
         out = tmp_path / "chi"
         cfg = write_cfg(tmp_path, payload)
@@ -430,7 +449,7 @@ class TestIntegerConfigKeys:
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"geometry": {"n_atoms": 2e6, "waist_m": 1e-4, '
                        '"length_m": 1e-3, "wavenumber_per_m": 1e7}, '
-                       '"n_samples": 1e6, "n_batches": 3e1}')
+                       '"n_samples": 1e6}')
         out = tmp_path / "chi"
         assert run(["chi", "--config", str(cfg), "--out", str(out),
                     "--seed", "5", "--quiet"]) == 0

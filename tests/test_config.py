@@ -24,7 +24,7 @@ FIT_NAMES = ("gamma_deph_mhz", "i_sat_mw_cm2", "chi", "scale_f")
 
 def _wavepacket_file(path, sigma):
     """A wavepacket dataset drawn from the model, with the given sigma
-    column (a number or an array)."""
+    column."""
     from qmemread.fitting import Dataset, model_eval
     from qmemread.params import mhz_to_angular
     t = np.arange(0.0, 161.0, 4.0)
@@ -34,10 +34,9 @@ def _wavepacket_file(path, sigma):
              "scale_f": 4.1}
     y = model_eval(truth, shell, mhz_to_angular(5.2), 0.05)
     y = y * (1 + 0.03 * np.sin(np.arange(t.size)))
-    sig = np.broadcast_to(sigma, t.shape)
     with open(path, "w") as fh:
         fh.write("t_ns,pc_per_ns,sigma\n")
-        for row in zip(t, y, sig):
+        for row in zip(t, y, sigma):
             fh.write("%r,%r,%r\n" % tuple(float(v) for v in row))
     return str(path)
 
@@ -62,7 +61,7 @@ def base(tmp_path):
                            "delta_grid_mhz": [-10, 0, 10], "horizon_ns": 160},
         "chi": {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4,
                              "length_m": 1e-3, "wavenumber_per_m": 1e7},
-                "n_samples": 200, "n_batches": 2, "seed": 5},
+                "n_samples": 200, "seed": 5},
         "synth": {**MODEL, "params": dict(PARAMS, i_r_mw_cm2=95.0),
                   "design": {"n_trials": 1000, "p1": 0.1, "window_ns": 1500,
                              "herald_t_ns": 20, "read_start_ns": 50,
@@ -76,12 +75,12 @@ def base(tmp_path):
         "fit": {"datasets": [{"kind": "wavepacket", "path": data,
                               "delta_mhz": 1.7, "i_r_mw_cm2": 95,
                               "horizon_ns": 160, "mask_min": 0,
-                              "mask_max": 200, "label": "wp95"}],
+                              "mask_max": 200}],
                 "free": ["scale_f"],
                 "init": {"gamma_deph_mhz": 1.55, "i_sat_mw_cm2": 12.0,
                          "chi": 2.7, "scale_f": 1.0},
                 "bounds": {name: [0.5, 50] for name in FIT_NAMES},
-                "weighted": True, "gamma_nat_mhz": 5.2, "tau_ns": 50},
+                "gamma_nat_mhz": 5.2, "tau_ns": 50},
     }
 
 
@@ -98,10 +97,11 @@ def _set(cfg, path, value):
 
 
 def _run(tmp_path, name, cfg):
-    """Exit code of one run of ``cfg``, writing to ``tmp_path / 'out'``."""
+    """Exit code of one run of ``cfg`` (a dict or JSON text), writing to
+    ``tmp_path / 'out'``."""
     command = "wavepacket" if name == "wavepacket-rabi" else name
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
     return main([command, "--config", str(path), "--out",
                  str(tmp_path / "out"), "--quiet"])
 
@@ -141,7 +141,7 @@ NUMERIC_KEYS = (
     + [("sweep-detuning", "horizon_ns", True)]
     + [("chi", k, False) for k in [
         "geometry.n_atoms", "geometry.waist_m", "geometry.length_m",
-        "geometry.wavenumber_per_m", "n_samples", "n_batches"]]
+        "geometry.wavenumber_per_m", "n_samples"]]
     + [("synth", k, False) for k in _MODEL_KEYS + [
         f"design.{k}" for k in ("n_trials", "p1", "window_ns", "herald_t_ns",
                                 "read_start_ns", "read_window_ns",
@@ -219,7 +219,10 @@ PROBES = [
     ("sweep-detuning", "delta_grid_mhz", [True, 1], ["delta_grid_mhz[0]"]),
     ("chi", "geometry.n_atoms", True, ["geometry.n_atoms"]),
     ("synth", "design.herald_t_ns", 20.5, ["design.herald_t_ns"]),
-    ("fit", "weighted", "false", ["weighted"]),
+    ("fit", "weighted", "false", ["config: unknown key(s) ['weighted']"]),
+    ("fit", "weighted", True, ["config: unknown key(s) ['weighted']"]),
+    ("fit", "datasets[0].label", "wp95",
+     ["datasets[0]: unknown key(s) ['label']"]),
     ("sweep-detuning", "params.i_r_mw_cm2", 127.0,
      ["params.i_r_mw_cm2: conflicts with i_r_mw_cm2"]),
 ]
@@ -236,7 +239,33 @@ def test_probe_exits_2(tmp_path, capsys, base, name, path, value, named):
 
 
 # ---------------------------------------------------------------------------
-# fit's parameter maps and weighting
+# json reads NaN, Infinity and -Infinity, and 1e400 as inf: a number key
+# holding one exits 2 naming the key
+
+@pytest.mark.parametrize("literal,shown", [
+    ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"),
+    ("1e400", "inf")])
+@pytest.mark.parametrize("name,path", [
+    ("sweep-detuning", "delta_grid_mhz[1]"), ("wavepacket", "window.t_end_ns"),
+    ("synth", "design.background_per_ns"), ("fit", "bounds.chi[0]"),
+    ("fit", "init.chi")])
+def test_non_finite_number_exits_2(tmp_path, capsys, base, name, path,
+                                   literal, shown):
+    text = json.dumps(_set(base[name], path, "@")).replace('"@"', literal)
+    assert _run(tmp_path, name, text) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {path}: must be a finite number, got {shown}\n")
+    assert _no_outputs(tmp_path)
+
+
+@pytest.mark.parametrize("name", ["sweep-intensity", "sweep-detuning"])
+@pytest.mark.parametrize("horizon", ["inf", None])
+def test_no_horizon_runs(tmp_path, base, name, horizon):
+    assert _run(tmp_path, name, _set(base[name], "horizon_ns", horizon)) == 0
+
+
+# ---------------------------------------------------------------------------
+# fit's parameter maps
 
 def test_free_string_is_not_a_name_list(tmp_path, capsys, base):
     # a string used to be iterated by character: "unknown parameter 's'"
@@ -261,24 +290,6 @@ def test_free_repeated_name(tmp_path, capsys, base):
 def test_fit_maps_named(tmp_path, capsys, base, key, value, named):
     assert _run(tmp_path, "fit", _set(base["fit"], key, value)) == 2
     assert named in capsys.readouterr().err
-
-
-def test_weighted_false_is_unweighted(tmp_path, base):
-    # weighted: false fits with unit sigmas, as a file of unit sigmas does
-    results = []
-    for weighted, sigma in ((False, None), (True, 1.0)):
-        cfg = copy.deepcopy(base["fit"])
-        cfg["weighted"] = weighted
-        if sigma is not None:
-            cfg["datasets"][0]["path"] = _wavepacket_file(
-                tmp_path / "ones.csv", sigma)
-        assert _run(tmp_path, "fit", cfg) == 0
-        results.append(json.loads(
-            (tmp_path / "out" / "fit_result.json").read_text()))
-    assert results[0] == results[1]
-    assert _run(tmp_path, "fit", base["fit"]) == 0
-    got = json.loads((tmp_path / "out" / "fit_result.json").read_text())
-    assert got["values"] != results[0]["values"]
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +389,8 @@ def test_reader_errors(block, named):
 def test_integral_float_is_an_integer(value, want):
     got = read_config(TABLES["chi"], {
         "geometry": {"n_atoms": 1, "waist_m": 1, "length_m": 1,
-                     "wavenumber_per_m": 1}, "n_batches": value})
-    assert got["n_batches"] == want and type(got["n_batches"]) is int
+                     "wavenumber_per_m": 1}, "n_samples": value})
+    assert got["n_samples"] == want and type(got["n_samples"]) is int
 
 
 @pytest.mark.parametrize("seed", [5.0, "5", True, [5]])

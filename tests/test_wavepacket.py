@@ -517,6 +517,28 @@ class TestPerPointDrive:
         for om, de, val in zip(omega, delta, batch):
             assert val == pc_integral(p, horizon, omega=om, delta=de)
 
+    @pytest.mark.parametrize("drive,fields", [
+        ({"omega": [30.0, -30.0]}, ("omega",)),
+        ({"omega": [math.nan]}, ("omega",)),
+        ({"omega": math.inf}, ("omega",)),
+        ({"delta": [0.0, math.inf]}, ("delta",)),
+        ({"delta": -math.inf}, ("delta",)),
+        ({"delta": [math.nan]}, ("delta",)),
+        ({"omega": [-1.0], "delta": [math.nan]}, ("omega", "delta"))])
+    def test_drive_checked_as_params_check_theirs(self, drive, fields):
+        with pytest.raises(ParamError) as info:
+            pc_integral(PAPER_STYLE, 0.160, **drive)
+        assert info.value.fields == fields
+        for name in fields:         # ReadoutParams names the same fields
+            with pytest.raises(ParamError) as info:
+                PAPER_STYLE.replace(**{name: np.ravel(drive[name])[-1]})
+            assert info.value.fields == (name,)
+
+    def test_spectrum_rejects_infinite_detuning(self):
+        with pytest.raises(ParamError) as info:
+            detuning_spectrum(PAPER_STYLE, [0.0, math.inf])
+        assert info.value.fields == ("delta",)
+
 
 @st.composite
 def st_points(draw):
