@@ -35,7 +35,7 @@ import scipy
 from . import __version__
 from .collective import (EnsembleGeometry, branching_ratio, chi_closed_form,
                          chi_monte_carlo, chi_quadrature, extraction_ceiling)
-from .counting import (DEFAULT_TRIAL_WINDOW_NS, SynthDesign,
+from .counting import (DEFAULT_TRIAL_WINDOW_NS, ModelError, SynthDesign,
                        conditional_wavepacket, correlations, ingest,
                        probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
@@ -91,8 +91,8 @@ def _number(v, path) -> float:
 
 
 def _horizon(v, path) -> float:
-    """A horizon in ns; "inf" or null is no horizon."""
-    return math.inf if v in ("inf", None) else _number(v, path)
+    """A horizon in ns; "inf" is no horizon."""
+    return math.inf if v == "inf" else _number(v, path)
 
 
 def _version(v, path) -> int:
@@ -105,11 +105,6 @@ def _numbers(v, path) -> list:
     if not (type(v) is list and v):
         raise _bad(path, "a non-empty list of numbers", v)
     return [_number(x, f"{path}[{i}]") for i, x in enumerate(v)]
-
-
-def _intensities(v, path) -> list:
-    """One read intensity or a non-empty list of them."""
-    return _numbers(v, path) if type(v) is list else [_number(v, path)]
 
 
 def _pair(v, path) -> list:
@@ -184,18 +179,18 @@ def read_config(table, block, path=""):
     return out
 
 
-_COMMON = {"schema_version": (_version, 1), "seed": (_json_int, None)}
-_MODEL = {
-    "params": ({"delta_mhz": (_number, REQUIRED), "chi": (_number, 1.0),
-                "gamma_deph_mhz": (_number, 0.0), "scale_f": (_number, 1.0),
-                "gamma_nat_mhz": (_number, DEFAULT_GAMMA_NAT_MHZ),
-                "tau_ns": (_number, 50.0), "rabi_mhz": (_number, None),
-                "i_r_mw_cm2": (_number, None)}, REQUIRED),
-    "intensity": ({"i_sat_mw_cm2": (_number, None)}, None)}
+_COMMON = {"schema_version": (_version, 1)}
+_PARAMS = {"delta_mhz": (_number, REQUIRED), "chi": (_number, 1.0),
+           "gamma_deph_mhz": (_number, 0.0), "scale_f": (_number, 1.0),
+           "gamma_nat_mhz": (_number, DEFAULT_GAMMA_NAT_MHZ),
+           "tau_ns": (_number, 50.0)}
+# the read drive is an intensity, read from one key per command
+_MODEL = {"params": (_PARAMS, REQUIRED),
+          "intensity": ({"i_sat_mw_cm2": (_number, REQUIRED)}, REQUIRED)}
 
 TABLES = {
     "wavepacket": {
-        **_COMMON, **_MODEL, "i_r_mw_cm2": (_intensities, None),
+        **_COMMON, **_MODEL, "i_r_mw_cm2": (_numbers, REQUIRED),
         "window": ({"t_start_ns": (_number, 0.0), "t_end_ns": (_number, 160.0),
                     "step_ns": (_number, 1.0)}, None)},
     "sweep-intensity": {
@@ -211,6 +206,7 @@ TABLES = {
                      REQUIRED)},
     "synth": {
         **_COMMON, **_MODEL,
+        "params": ({**_PARAMS, "i_r_mw_cm2": (_number, REQUIRED)}, REQUIRED),
         "design": ({"n_trials": (_int, REQUIRED), "p1": (_number, REQUIRED),
                     "window_ns": (_int, SynthDesign.window_ns),
                     "herald_t_ns": (_int, SynthDesign.herald_t_ns),
@@ -257,22 +253,16 @@ def _named(path=None):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _readout(cfg, i_r=None, source="i_r_mw_cm2") -> ReadoutParams:
-    """ReadoutParams from the params and intensity blocks; a read intensity
-    ``i_r`` from the command's key ``source`` excludes a drive in params."""
-    params = dict(cfg["params"], i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
-    if i_r is not None:
-        for key in ("rabi_mhz", "i_r_mw_cm2"):
-            if params[key] is not None:
-                raise ConfigError(f"params.{key}: conflicts with {source}")
-        params["i_r_mw_cm2"] = i_r
+def _readout(cfg, i_r, source) -> ReadoutParams:
+    """ReadoutParams from the params and intensity blocks at the read
+    intensity ``i_r``, which the command reads from its key ``source``."""
+    params = dict(cfg["params"], i_r_mw_cm2=i_r,
+                  i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
     try:
         return ReadoutParams.from_user_units(**params)
     except ParamError as exc:
-        # i_sat_mw_cm2 is the one key from_user_units reads from intensity
-        block = ("intensity" if set(exc.fields) <= {"i_sat", "i_sat_mw_cm2"}
-                 else source if i_r is not None and exc.fields == ("i_r",)
-                 else "params")
+        block = ("intensity" if exc.fields == ("i_sat",)
+                 else source if exc.fields == ("i_r",) else "params")
         raise ConfigError(f"{block}: {exc}") from exc
 
 
@@ -346,13 +336,10 @@ def cmd_wavepacket(cfg, run, seed):
         raise ConfigError("window: step_ns must divide t_end_ns - t_start_ns")
     n_points = int(round(steps)) + 1
 
-    if cfg["i_r_mw_cm2"] is None:
-        curves = [("rabi", _readout(cfg))]
-    else:
-        curves = [(f"ir{v:g}".replace(".", "p").replace("-", "m"),
-                   _readout(cfg, v)) for v in cfg["i_r_mw_cm2"]]
-        if len(dict(curves)) < len(curves):
-            raise ConfigError("i_r_mw_cm2: two values give one file name")
+    curves = [(f"ir{v:g}".replace(".", "p").replace("-", "m"),
+               _readout(cfg, v, "i_r_mw_cm2")) for v in cfg["i_r_mw_cm2"]]
+    if len(dict(curves)) < len(curves):
+        raise ConfigError("i_r_mw_cm2: two values give one file name")
     for tag, params in curves:
         curve = pc_curve(params, t_start=t0 * 1e-3, t_end=t1 * 1e-3,
                          n_points=n_points)
@@ -373,7 +360,7 @@ def cmd_sweep_intensity(cfg, run, seed):
 
 
 def cmd_sweep_detuning(cfg, run, seed):
-    params = _readout(cfg, cfg["i_r_mw_cm2"])
+    params = _readout(cfg, cfg["i_r_mw_cm2"], "i_r_mw_cm2")
     with _named():
         curve = detuning_spectrum(params, np.asarray(cfg["delta_grid_mhz"]),
                                   horizon=cfg["horizon_ns"] * 1e-3)
@@ -401,10 +388,13 @@ def cmd_chi(cfg, run, seed):
 
 
 def cmd_synth(cfg, run, seed):
-    params = _readout(cfg)
+    params = _readout(cfg, cfg["params"]["i_r_mw_cm2"], "params.i_r_mw_cm2")
     with _named("design"):
         design = SynthDesign(**cfg["design"])
-    store = synthesize_log(params, design, seed)
+    try:
+        store = synthesize_log(params, design, seed)
+    except ModelError as exc:   # raised before any draw: the config's fault
+        raise ConfigError(f"params: {exc}") from exc
     out = run.path("synth_log.csv")
     write_log(store, out)
     run.json("synth_meta.json", {
@@ -515,7 +505,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (overrides config)")
+                        help="RNG seed (required by chi and synth)")
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -530,10 +520,9 @@ def main(argv=None) -> int:
 
     try:
         cfg = read_config(TABLES[args.command], cfg)
-        seed = args.seed if args.seed is not None else cfg["seed"]
-        if seed is None and args.command in _NEED_SEED:
-            raise ConfigError("seed: required (use --seed or config 'seed')")
-        _COMMANDS[args.command](cfg, run, seed)
+        if args.seed is None and args.command in _NEED_SEED:
+            raise ConfigError(f"--seed: required by {args.command}")
+        _COMMANDS[args.command](cfg, run, args.seed)
     except (ConfigError, ParamError) as exc:
         run.cleanup()
         print(f"validation error: {exc}", file=sys.stderr)
@@ -548,7 +537,7 @@ def main(argv=None) -> int:
         "version": __version__,
         "command": args.command,
         "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
-        "seed": seed,
+        "seed": args.seed,
         "started_utc": started,
         "finished_utc": datetime.now(timezone.utc).isoformat(),
         "outputs": [p.name for p in run.outputs],

@@ -84,8 +84,9 @@ class Dataset:
     Construction checks every value the model reads, so a built dataset can
     be evaluated at any valid parameters: x, y and sigma are finite;
     wavepacket times and saturation intensities are >= 0; ``delta_mhz`` is
-    finite and ``i_r`` finite and >= 0 where the kind needs them; the P_c
-    kinds' horizon is > 0 (inf allowed).  A failure raises ParamError
+    finite and ``i_r`` finite and >= 0 where the kind needs them; a
+    detuning (``delta_mhz``, or a spectrum's x) stays finite in rad/us; the
+    P_c kinds' horizon is > 0 (inf allowed).  A failure raises ParamError
     naming the field.
     """
 
@@ -117,6 +118,12 @@ class Dataset:
             if self.delta_mhz is None or not math.isfinite(self.delta_mhz):
                 raise ParamError(["delta_mhz"],
                                  f"{self.kind} needs a finite delta_mhz")
+            if not math.isfinite(mhz_to_angular(self.delta_mhz)):
+                raise ParamError(["delta_mhz"], "delta_mhz overflows in rad/us")
+        else:
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(mhz_to_angular(self.x))):
+                    raise ParamError(["x"], "spectrum x overflows in rad/us")
         if self.kind != "saturation" and not (
                 self.i_r is not None and math.isfinite(self.i_r)
                 and self.i_r >= 0):

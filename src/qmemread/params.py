@@ -112,26 +112,17 @@ class ReadoutParams:
         return replace(self, **changes)
 
     @classmethod
-    def from_user_units(cls, *, delta_mhz, chi=1.0, gamma_deph_mhz=0.0,
-                        scale_f=1.0, rabi_mhz=None, i_r_mw_cm2=None,
-                        i_sat_mw_cm2=None, gamma_nat_mhz=DEFAULT_GAMMA_NAT_MHZ,
+    def from_user_units(cls, *, delta_mhz, i_r_mw_cm2, i_sat_mw_cm2, chi=1.0,
+                        gamma_deph_mhz=0.0, scale_f=1.0,
+                        gamma_nat_mhz=DEFAULT_GAMMA_NAT_MHZ,
                         tau_ns=DEFAULT_TAU_US * 1e3) -> "ReadoutParams":
         """Build validated params from user-facing units.
 
-        The Rabi frequency is given either directly as ``rabi_mhz`` or via
-        ``i_r_mw_cm2`` together with ``i_sat_mw_cm2``.
+        The Rabi frequency is that of the read intensity ``i_r_mw_cm2`` at
+        the saturation intensity ``i_sat_mw_cm2`` (``rabi_from_intensity``).
         """
         gamma_nat = mhz_to_angular(gamma_nat_mhz)
-        if (rabi_mhz is None) == (i_r_mw_cm2 is None):
-            raise ParamError(["rabi_mhz", "i_r_mw_cm2"],
-                             "give exactly one of rabi_mhz or i_r_mw_cm2")
-        if rabi_mhz is not None:
-            omega = mhz_to_angular(rabi_mhz)
-        else:
-            if i_sat_mw_cm2 is None:
-                raise ParamError(["i_sat_mw_cm2"],
-                                 "i_sat_mw_cm2 is required with i_r_mw_cm2")
-            omega = rabi_from_intensity(i_r_mw_cm2, i_sat_mw_cm2, gamma_nat)
+        omega = rabi_from_intensity(i_r_mw_cm2, i_sat_mw_cm2, gamma_nat)
         return cls(omega=omega, delta=mhz_to_angular(delta_mhz),
                    gamma_nat=gamma_nat, chi=chi,
                    gamma_deph=mhz_to_angular(gamma_deph_mhz),

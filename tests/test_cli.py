@@ -62,21 +62,6 @@ class TestValidationFailures:
                                    "design": {"n_trials": 10, "p1": 0.5}})
         assert run(["synth", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("command", ["chi", "synth"])
-    def test_boolean_seed_rejected(self, tmp_path, capsys, command):
-        # JSON true is a Python int; it must not run as seed 1
-        cfg = write_cfg(tmp_path, {
-            **PAPER_BLOCK, "seed": True,
-            "params": dict(PAPER_BLOCK["params"], i_r_mw_cm2=95.0),
-            "design": {"n_trials": 10, "p1": 0.5}} if command == "synth" else {
-            "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
-                         "wavenumber_per_m": 1e7},
-            "n_samples": 200, "seed": True})
-        out = tmp_path / "out"
-        assert run([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "seed: must be an integer" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_no_partial_outputs_on_failure(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_cfg(tmp_path, {
@@ -112,11 +97,11 @@ class TestWavepacketCommand:
 
     def test_zero_drive_curve(self, tmp_path):
         out = tmp_path / "zero"
-        blk = {"params": dict(PAPER_BLOCK["params"], rabi_mhz=0.0)}
-        cfg = write_cfg(tmp_path, blk, "zero.json")
+        cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [0]},
+                        "zero.json")
         assert run(["wavepacket", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
-        data = np.genfromtxt(out / "wavepacket_rabi.csv", delimiter=",",
+        data = np.genfromtxt(out / "wavepacket_ir0.csv", delimiter=",",
                              names=True)
         assert np.all(data["pc_per_ns"] == 0.0)
 
@@ -218,23 +203,6 @@ class TestSweepCommands:
                     "--quiet"]) == 0
         data = (out / "sweep_intensity.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == sha256
-
-    @pytest.mark.parametrize("command,extra,source", [
-        ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 95]}, "i_r_grid_mw_cm2"),
-        ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7]},
-         "i_r_mw_cm2"),
-        ("wavepacket", {"i_r_mw_cm2": [95]}, "i_r_mw_cm2"),
-    ])
-    def test_rabi_in_params_conflicts_with_command_drive(
-            self, tmp_path, capsys, command, extra, source):
-        cfg = write_cfg(tmp_path, {
-            **PAPER_BLOCK, "params": dict(PAPER_BLOCK["params"], rabi_mhz=10.0),
-            **extra})
-        out = tmp_path / "out"
-        assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
-        assert capsys.readouterr().err == (
-            f"validation error: params.rabi_mhz: conflicts with {source}\n")
-        assert not out.exists()
 
     @pytest.mark.parametrize("command,extra,message", [
         ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 95], "horizon_ns": -5},
@@ -752,6 +720,30 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "validation error: datasets[1]: " in err and "x must be >= 0" in err
         assert not (out / "fit_result.json").exists()
+
+    @pytest.mark.parametrize("kind,rows,message", [
+        ("saturation", SATURATION, "delta_mhz overflows in rad/us"),
+        ("wavepacket", SATURATION, "delta_mhz overflows in rad/us"),
+        ("spectrum", "x,y,sigma\n0,0.001,1e-4\n1e308,0.003,1e-4\n",
+         "spectrum x overflows in rad/us")],
+        ids=["saturation", "wavepacket", "spectrum"])
+    def test_detuning_overflowing_in_rad_per_us_exit_2(self, tmp_path, capsys,
+                                                       kind, rows, message):
+        # finite in MHz, inf in rad/us: no RuntimeWarning, no outputs
+        data = tmp_path / "d.csv"
+        data.write_text(rows)
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": kind, "path": str(data), "delta_mhz": 1e308,
+                          "i_r_mw_cm2": 95.0}],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--config", cfg, "--out", str(out),
+                        "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: datasets[0]: {message}\n")
+        assert not out.exists()
 
     def test_dataset_file_round_trips_repr(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -43,31 +43,30 @@ def _wavepacket_file(path, sigma):
 
 @pytest.fixture
 def base(tmp_path):
-    """One valid config per command (two for wavepacket), each using every
-    numeric key the command has."""
+    """One valid config per command, each using every numeric key the
+    command has."""
     log = tmp_path / "log.csv"
     log.write_text(STATS_LOG)
     sigma = 0.02 + 0.001 * np.arange(41)
     data = _wavepacket_file(tmp_path / "wp.csv", sigma)
     return {
-        "wavepacket": {**MODEL, "i_r_mw_cm2": [95],
+        "wavepacket": {**MODEL, "params": dict(PARAMS, gamma_nat_mhz=5.2,
+                                               tau_ns=50),
+                       "i_r_mw_cm2": [95],
                        "window": {"t_start_ns": 0, "t_end_ns": 160,
                                   "step_ns": 1}},
-        "wavepacket-rabi": {"params": dict(PARAMS, rabi_mhz=10.0,
-                                           gamma_nat_mhz=5.2, tau_ns=50)},
         "sweep-intensity": {**MODEL, "i_r_grid_mw_cm2": [0, 24, 95],
                             "horizon_ns": 160},
         "sweep-detuning": {**MODEL, "i_r_mw_cm2": 127.0,
                            "delta_grid_mhz": [-10, 0, 10], "horizon_ns": 160},
         "chi": {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4,
                              "length_m": 1e-3, "wavenumber_per_m": 1e7},
-                "n_samples": 200, "seed": 5},
+                "n_samples": 200},
         "synth": {**MODEL, "params": dict(PARAMS, i_r_mw_cm2=95.0),
                   "design": {"n_trials": 1000, "p1": 0.1, "window_ns": 1500,
                              "herald_t_ns": 20, "read_start_ns": 50,
                              "read_window_ns": 300,
-                             "background_per_ns": 1e-4},
-                  "seed": 5},
+                             "background_per_ns": 1e-4}},
         "stats": {"log_path": str(log), "n_trials": 2,
                   "trial_window_ns": 1500, "window1_ns": [20, 20],
                   "window2_ns": [50, 349], "herald_window_ns": [20, 20],
@@ -96,14 +95,15 @@ def _set(cfg, path, value):
     return cfg
 
 
-def _run(tmp_path, name, cfg):
+def _run(tmp_path, command, cfg, seed=True):
     """Exit code of one run of ``cfg`` (a dict or JSON text), writing to
-    ``tmp_path / 'out'``."""
-    command = "wavepacket" if name == "wavepacket-rabi" else name
+    ``tmp_path / 'out'``; ``chi`` and ``synth`` get ``--seed 5`` unless
+    ``seed`` is false."""
     path = tmp_path / "cfg.json"
     path.write_text(cfg if isinstance(cfg, str) else json.dumps(cfg))
+    flags = ["--seed", "5"] if seed and command in ("chi", "synth") else []
     return main([command, "--config", str(path), "--out",
-                 str(tmp_path / "out"), "--quiet"])
+                 str(tmp_path / "out"), "--quiet", *flags])
 
 
 def _no_outputs(tmp_path):
@@ -111,9 +111,9 @@ def _no_outputs(tmp_path):
     return not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("name", ["wavepacket", "wavepacket-rabi",
-                                  "sweep-intensity", "sweep-detuning", "chi",
-                                  "synth", "stats", "fit"])
+@pytest.mark.parametrize("name", ["wavepacket", "sweep-intensity",
+                                  "sweep-detuning", "chi", "synth", "stats",
+                                  "fit"])
 def test_base_configs_run(tmp_path, base, name):
     # every probe below is one change to one of these valid configs
     assert _run(tmp_path, name, base[name]) == 0
@@ -125,7 +125,7 @@ def test_base_configs_run(tmp_path, base, name):
 
 _MODEL_KEYS = [f"params.{k}" for k in (
     "delta_mhz", "chi", "gamma_deph_mhz", "scale_f", "gamma_nat_mhz",
-    "tau_ns", "rabi_mhz", "i_r_mw_cm2")] + ["intensity.i_sat_mw_cm2"]
+    "tau_ns")] + ["intensity.i_sat_mw_cm2"]
 _WINDOWS = ("window1_ns", "window2_ns", "herald_window_ns",
             "wavepacket_range_ns")
 # (command, dotted path, null is a legal value)
@@ -142,7 +142,7 @@ NUMERIC_KEYS = (
     + [("chi", k, False) for k in [
         "geometry.n_atoms", "geometry.waist_m", "geometry.length_m",
         "geometry.wavenumber_per_m", "n_samples"]]
-    + [("synth", k, False) for k in _MODEL_KEYS + [
+    + [("synth", k, False) for k in _MODEL_KEYS + ["params.i_r_mw_cm2"] + [
         f"design.{k}" for k in ("n_trials", "p1", "window_ns", "herald_t_ns",
                                 "read_start_ns", "read_window_ns",
                                 "background_per_ns")]]
@@ -156,9 +156,18 @@ NUMERIC_KEYS = (
     + [("fit", "datasets[0].horizon_ns", True)]
     + [("fit", f"bounds.{n}[{j}]", True) for n in FIT_NAMES for j in (0, 1)]
 )
+# the read drive's other keys, gone from the tables: whatever their value,
+# the params block names them as unknown
+DROPPED = ([(c, "params.rabi_mhz") for c in ("wavepacket", "sweep-intensity",
+                                              "sweep-detuning", "synth")]
+           + [(c, "params.i_r_mw_cm2") for c in ("wavepacket",
+                                                  "sweep-intensity",
+                                                  "sweep-detuning")])
 BAD = {"string": "x", "bool": True, "null": None, "list": [1.0]}
-WRONG_KIND = [(command, path, bad) for command, path, null_ok in NUMERIC_KEYS
-              for bad in BAD if not (bad == "null" and null_ok)]
+WRONG_KIND = ([(command, path, bad) for command, path, null_ok in NUMERIC_KEYS
+               for bad in BAD if not (bad == "null" and null_ok)]
+              + [(command, path, bad) for command, path in DROPPED
+                 for bad in BAD])
 
 
 @pytest.mark.parametrize("command,path,bad", WRONG_KIND,
@@ -168,7 +177,11 @@ def test_wrong_kind_exits_2_naming_key(tmp_path, capsys, base, command, path,
     cfg = _set(base[command], path, BAD[bad])
     assert _run(tmp_path, command, cfg) == 2
     err = capsys.readouterr().err
-    assert err.startswith("validation error: ") and path in err
+    if (command, path) in DROPPED:
+        block, key = path.split(".")
+        assert err == f"validation error: {block}: unknown key(s) ['{key}']\n"
+    else:
+        assert err.startswith("validation error: ") and path in err
     assert _no_outputs(tmp_path)
 
 
@@ -209,13 +222,14 @@ PROBES = [
     ("fit", "free", [], ["free: name at least one parameter"]),
     ("stats", "log_path", 5, ["log_path"]),
     ("wavepacket", "window.t_end_ns", "200", ["window.t_end_ns"]),
-    ("wavepacket-rabi", "params.rabi_mhz", "10", ["params.rabi_mhz"]),
+    ("wavepacket", "params.rabi_mhz", 10.0,
+     ["params: unknown key(s) ['rabi_mhz']"]),
     ("wavepacket", "i_r_mw_cm2", True, ["i_r_mw_cm2"]),
     ("wavepacket", "schema_version", True, ["schema_version"]),
     ("wavepacket", "params.i_r_mw_cm2", 50,
-     ["params.i_r_mw_cm2", "i_r_mw_cm2"]),
+     ["params: unknown key(s) ['i_r_mw_cm2']"]),
     ("sweep-intensity", "params.i_r_mw_cm2", 50,
-     ["params.i_r_mw_cm2", "i_r_grid_mw_cm2"]),
+     ["params: unknown key(s) ['i_r_mw_cm2']"]),
     ("sweep-detuning", "delta_grid_mhz", [True, 1], ["delta_grid_mhz[0]"]),
     ("chi", "geometry.n_atoms", True, ["geometry.n_atoms"]),
     ("synth", "design.herald_t_ns", 20.5, ["design.herald_t_ns"]),
@@ -224,8 +238,22 @@ PROBES = [
     ("fit", "datasets[0].label", "wp95",
      ["datasets[0]: unknown key(s) ['label']"]),
     ("sweep-detuning", "params.i_r_mw_cm2", 127.0,
-     ["params.i_r_mw_cm2: conflicts with i_r_mw_cm2"]),
-]
+     ["params: unknown key(s) ['i_r_mw_cm2']"]),
+    # one spelling per input: no horizon is "inf", and wavepacket's
+    # intensities are a list
+    ("sweep-intensity", "horizon_ns", None,
+     ["horizon_ns: must be a number, got None"]),
+    ("sweep-detuning", "horizon_ns", None,
+     ["horizon_ns: must be a number, got None"]),
+    ("fit", "datasets[0].horizon_ns", None,
+     ["datasets[0].horizon_ns: must be a number, got None"]),
+    ("wavepacket", "i_r_mw_cm2", 95,
+     ["i_r_mw_cm2: must be a non-empty list of numbers, got 95"]),
+    # the config alone decides P_c, so P_c > 1 is found before any draw
+    ("synth", "params.scale_f", 400,
+     ["params: integrated wavepacket P_c = 2.016 > 1; reduce scale_f"]),
+] + [(name, "seed", 5, ["config: unknown key(s) ['seed']"])
+     for name in TABLES]
 
 
 @pytest.mark.parametrize("name,path,value,named", PROBES,
@@ -259,9 +287,25 @@ def test_non_finite_number_exits_2(tmp_path, capsys, base, name, path,
 
 
 @pytest.mark.parametrize("name", ["sweep-intensity", "sweep-detuning"])
-@pytest.mark.parametrize("horizon", ["inf", None])
+@pytest.mark.parametrize("horizon", ["inf"])
 def test_no_horizon_runs(tmp_path, base, name, horizon):
     assert _run(tmp_path, name, _set(base[name], "horizon_ns", horizon)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the seed comes from --seed alone
+
+@pytest.mark.parametrize("name", ["chi", "synth"])
+@pytest.mark.parametrize("config_seed", [False, True])
+def test_seed_only_from_flag(tmp_path, capsys, base, name, config_seed):
+    # without --seed, chi and synth exit 2, a seed in the config or not
+    cfg = _set(base[name], "seed", 5) if config_seed else base[name]
+    assert _run(tmp_path, name, cfg, seed=False) == 2
+    err = capsys.readouterr().err
+    assert err == ("validation error: config: unknown key(s) ['seed']\n"
+                   if config_seed else
+                   f"validation error: --seed: required by {name}\n")
+    assert _no_outputs(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +355,15 @@ def test_intensities_with_one_file_name(tmp_path, capsys, base, values):
     assert not (tmp_path / "out").exists()
 
 
-def test_single_intensity_number(tmp_path, base):
-    assert _run(tmp_path, "wavepacket",
-                _set(base["wavepacket"], "i_r_mw_cm2", 95)) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["outputs"] == ["wavepacket_ir95.csv"]
-
-
 # ---------------------------------------------------------------------------
-# intensity.i_sat_mw_cm2 is checked by ReadoutParams.from_user_units and
-# named under its own block
+# intensity.i_sat_mw_cm2 is required, checked by
+# ReadoutParams.from_user_units and named under its own block
 
 @pytest.mark.parametrize("intensity,message", [
-    (None, "intensity: i_sat_mw_cm2 is required with i_r_mw_cm2"),
-    ({"i_sat_mw_cm2": -1}, "intensity: invalid parameter(s): i_sat")])
+    pytest.param(None, "config: missing required key(s) ['intensity']",
+                 id="no-intensity-block"),
+    ({"i_sat_mw_cm2": -1}, "intensity: invalid parameter(s): i_sat"),
+    ({}, "intensity: missing required key(s) ['i_sat_mw_cm2']")])
 def test_i_sat_named_under_intensity(tmp_path, capsys, intensity, message):
     cfg = {"params": {"delta_mhz": 1.7}, "i_r_mw_cm2": [95]}
     if intensity is not None:
@@ -337,9 +376,9 @@ def test_i_sat_named_under_intensity(tmp_path, capsys, intensity, message):
 # ---------------------------------------------------------------------------
 # the manifest
 
-@pytest.mark.parametrize("name", ["wavepacket", "wavepacket-rabi",
-                                  "sweep-intensity", "sweep-detuning", "chi",
-                                  "synth", "stats", "fit"])
+@pytest.mark.parametrize("name", ["wavepacket", "sweep-intensity",
+                                  "sweep-detuning", "chi", "synth", "stats",
+                                  "fit"])
 def test_manifest_records_versions(tmp_path, base, name):
     assert _run(tmp_path, name, base[name]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -353,17 +392,17 @@ def test_manifest_records_versions(tmp_path, base, name):
 
 def test_reader_fills_defaults_and_types():
     cfg = read_config(TABLES["sweep-detuning"], {
-        "params": {"delta_mhz": 0}, "i_r_mw_cm2": 127,
-        "delta_grid_mhz": [-1, 0, 2.5], "horizon_ns": "inf"})
+        "params": {"delta_mhz": 0}, "intensity": {"i_sat_mw_cm2": 12},
+        "i_r_mw_cm2": 127, "delta_grid_mhz": [-1, 0, 2.5],
+        "horizon_ns": "inf"})
     assert cfg["params"] == {"delta_mhz": 0.0, "chi": 1.0,
                              "gamma_deph_mhz": 0.0, "scale_f": 1.0,
-                             "gamma_nat_mhz": 5.2, "tau_ns": 50.0,
-                             "rabi_mhz": None, "i_r_mw_cm2": None}
-    assert cfg["intensity"] == {"i_sat_mw_cm2": None}
+                             "gamma_nat_mhz": 5.2, "tau_ns": 50.0}
+    assert cfg["intensity"] == {"i_sat_mw_cm2": 12.0}
     assert cfg["delta_grid_mhz"] == [-1.0, 0.0, 2.5]
     assert all(type(v) is float for v in cfg["delta_grid_mhz"])
     assert cfg["horizon_ns"] == float("inf")
-    assert cfg["schema_version"] == 1 and cfg["seed"] is None
+    assert cfg["schema_version"] == 1 and "seed" not in cfg
 
 
 @pytest.mark.parametrize("block,named", [
@@ -391,14 +430,6 @@ def test_integral_float_is_an_integer(value, want):
         "geometry": {"n_atoms": 1, "waist_m": 1, "length_m": 1,
                      "wavenumber_per_m": 1}, "n_samples": value})
     assert got["n_samples"] == want and type(got["n_samples"]) is int
-
-
-@pytest.mark.parametrize("seed", [5.0, "5", True, [5]])
-def test_seed_is_a_json_integer(seed):
-    with pytest.raises(ConfigError, match="seed: must be an integer"):
-        read_config(TABLES["stats"], {"log_path": "x", "seed": seed,
-                                      "window1_ns": [0, 1],
-                                      "window2_ns": [2, 3]})
 
 
 # ---------------------------------------------------------------------------

@@ -90,14 +90,22 @@ class TestDataset:
         (dict(kind="spectrum", x=[1.0], i_r=95.0, horizon_us=0.0),
          "horizon_us"),
         (dict(kind="saturation", x=[1.0], delta_mhz=0.0, horizon_us=-0.005),
-         "horizon_us")],
+         "horizon_us"),
+        # finite in MHz, inf in rad/us
+        (dict(kind="saturation", x=[1.0], delta_mhz=1e308), "delta_mhz"),
+        (dict(kind="wavepacket", x=[1.0], delta_mhz=-1e308, i_r=95.0),
+         "delta_mhz"),
+        (dict(kind="spectrum", x=[0.0, 1e308], i_r=95.0), "x")],
         ids=["negative-intensity", "negative-time", "nan-drive",
              "infinite-detuning", "negative-spectrum-drive", "zero-horizon",
-             "negative-horizon"])
+             "negative-horizon", "saturation-detuning-overflow",
+             "wavepacket-detuning-overflow", "spectrum-detuning-overflow"])
     def test_model_domain_checked_on_construction(self, kwargs, field):
         n = len(kwargs["x"])
-        with pytest.raises(ParamError) as info:
-            Dataset(y=np.zeros(n), sigma=np.ones(n), **kwargs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParamError) as info:
+                Dataset(y=np.zeros(n), sigma=np.ones(n), **kwargs)
         assert info.value.fields == (field,)
 
     def test_values_the_kind_ignores_are_not_checked(self):
@@ -504,17 +512,21 @@ class TestFit:
             fit([], gamma_nat=GAMMA_NAT, tau=TAU)
 
     def test_covariance_tracks_scatter(self):
-        # reported sigma(chi) should match the seed-to-seed scatter of the
-        # estimate within a factor of 2
-        estimates, reported = [], []
-        for seed in range(30):
-            sets = paper_design(seed=100 + seed)
-            res = fit(sets, init=dict(TRUTH), gamma_nat=GAMMA_NAT, tau=TAU)
-            estimates.append(res.values["chi"])
-            reported.append(res.errors["chi"])
-        scatter = float(np.std(estimates, ddof=1))
-        typical = float(np.mean(reported))
-        assert 0.5 <= scatter / typical <= 2.0
+        # pulls (fit - truth) / reported error over K consecutive seeds: for
+        # each parameter, mean 0 and standard deviation 1 within 4 standard
+        # errors of a unit normal sample
+        k = 100
+        pulls = {name: [] for name in TRUTH}
+        for s in range(k):
+            res = fit(paper_design(seed=100 + s), init=dict(TRUTH),
+                      gamma_nat=GAMMA_NAT, tau=TAU)
+            for name, truth in TRUTH.items():
+                pulls[name].append((res.values[name] - truth)
+                                   / res.errors[name])
+        for name, pull in pulls.items():
+            assert abs(np.mean(pull)) <= 4 / math.sqrt(k), name
+            assert abs(np.std(pull, ddof=1) - 1) <= 4 / math.sqrt(2 * (k - 1)), \
+                name
 
 
 class TestDiagnostics:

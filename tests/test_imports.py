@@ -81,11 +81,11 @@ def test_wavepacket_and_flat_envelope_sweep_load_none(tmp_path):
 def test_synth_and_chi_load_special_then_stats_loads_none(tmp_path):
     synth = _command(tmp_path, "synth", {
         **MODEL, "params": dict(PARAMS, i_r_mw_cm2=95.0),
-        "design": {"n_trials": 1000, "p1": 0.1}, "seed": 5})
+        "design": {"n_trials": 1000, "p1": 0.1}}) + ["--seed", "5"]
     chi = _command(tmp_path, "chi", {
         "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
                      "wavenumber_per_m": 1e7},
-        "n_samples": 2000, "seed": 5})
+        "n_samples": 2000}) + ["--seed", "5"]
     assert _loaded([synth]) == ["scipy.special"]
     assert _loaded([chi]) == ["scipy.special"]
     stats = _command(tmp_path, "stats", {

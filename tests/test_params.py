@@ -101,17 +101,14 @@ class TestFromUserUnits:
         assert p.omega == pytest.approx(GAMMA * math.sqrt(95.0 / 24.0))
         assert p.tau == pytest.approx(0.05)
 
-    def test_rabi_and_intensity_exclusive(self):
-        with pytest.raises(ParamError):
-            ReadoutParams.from_user_units(delta_mhz=0.0, rabi_mhz=1.0,
-                                          i_r_mw_cm2=10.0, i_sat_mw_cm2=12.0)
-        with pytest.raises(ParamError):
-            ReadoutParams.from_user_units(delta_mhz=0.0)
-
     def test_intensity_requires_i_sat(self):
-        with pytest.raises(ParamError) as exc:
+        # the drive is a read intensity, which needs a valid i_sat
+        with pytest.raises(TypeError, match="i_sat_mw_cm2"):
             ReadoutParams.from_user_units(delta_mhz=0.0, i_r_mw_cm2=10.0)
-        assert "i_sat_mw_cm2" in exc.value.fields
+        with pytest.raises(ParamError) as exc:
+            ReadoutParams.from_user_units(delta_mhz=0.0, i_r_mw_cm2=10.0,
+                                          i_sat_mw_cm2=0.0)
+        assert exc.value.fields == ("i_sat",)
 
     def test_intensity_model_validation(self):
         # i_sat and gamma_nat are checked, and named together, before i_r

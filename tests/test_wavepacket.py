@@ -624,8 +624,8 @@ class TestSweeps:
         at_i_r = ReadoutParams.from_user_units(
             i_r_mw_cm2=i_r, i_sat_mw_cm2=i_sat, **user)
         curve = saturation_curve(
-            ReadoutParams.from_user_units(rabi_mhz=rabi_mhz, **user), i_sat,
-            [i_r], horizon)
+            at_i_r.replace(omega=mhz_to_angular(rabi_mhz)), i_sat, [i_r],
+            horizon)
         assert curve.ordinate[0] == pc_integral(at_i_r, horizon)
 
     def test_detuned_curve_saturates_later_and_lower_knee(self):
