@@ -14,27 +14,34 @@ stopping rules and diagnostics.  ``scipy.optimize`` is imported inside
 does not pay for it.
 
 ``fit`` compiles its datasets once into flat arrays: every wavepacket
-point with its time, read intensity and detuning, and every P_c point
-with its horizon, intensity and detuning.  A model evaluation is then one
-call of the ``wavepacket.pc_at`` core over all wavepacket points and one
-of the closed-form ``wavepacket.pc_integral`` core over all P_c points,
-whatever the datasets and horizons.  The P_c models are exact, with no
-quadrature, so they carry no discretisation error into the fit.  Each
-point gets the value a per-dataset evaluation gives, bit for bit.
+point with its time and its drive (read intensity and detuning), and every
+P_c point with its horizon, intensity and detuning.  A model evaluation
+covers k parameter sets at once (``residuals`` is the case k = 1).  Its
+P_c points go through one call of the closed-form
+``wavepacket.pc_integral`` core, tiled k times with chi Gamma, gamma_deph
+and scale_f given per point, whatever the datasets and horizons; the
+models are exact, with no quadrature, so they carry no discretisation
+error into the fit.  A wavepacket ordinate is split into factors by what
+they depend on, (scale_f envelope) |B|^2: the envelope on gamma_deph
+alone, |B|^2 on (i_sat, chi, Gamma) and the drive.  |B|^2 is computed
+once per distinct (i_sat, chi, Gamma), with Omega and alpha_+- once per
+distinct drive, and the design keeps the last evaluation's |B|^2 for the
+next.  Each point gets the value a per-dataset evaluation gives, bit for
+bit.
 
-One evaluation covers k parameter sets at once: the design is tiled k
-times, with chi Gamma, gamma_deph and scale_f given per point.
-``residuals`` is the case k = 1.  scipy's 2-point Jacobian perturbs one
-free parameter per point; ``fit`` passes ``least_squares`` a map-like
-``workers`` callable that evaluates all of them in one call, so a paper
-fit (four free parameters) makes 7 trial-point and 7 Jacobian
-evaluations, not 7 + 28.  Each row equals a k = 1 evaluation at its own
+scipy's 2-point Jacobian perturbs one free parameter per point; ``fit``
+passes ``least_squares`` a map-like ``workers`` callable that evaluates
+all of them in one call, so a paper fit (four free parameters) makes 7
+trial-point and 7 Jacobian evaluations, not 7 + 28.  A Jacobian moves
+i_sat and chi away from the trial point just evaluated, and gamma_deph
+and scale_f not, so |B|^2 is computed for nfev + 2 njev parameter sets
+(21 per paper fit).  Each row equals a k = 1 evaluation at its own
 parameters, bit for bit, so the fit is the one scipy's serial map gives.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
-its data on construction, and ``rabi_from_intensity`` and ``ReadoutParams``
-check the parameters of each evaluation.  Neither compiling a design nor
-evaluating it repeats those checks.
+its data on construction, and ``ReadoutParams`` and the i_sat check of
+``rabi_from_intensity`` check each parameter set of an evaluation.
+Neither compiling a design nor evaluating it repeats those checks.
 
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
@@ -42,14 +49,15 @@ keyword arguments to change the fixed values.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
-                     ReadoutParams, mhz_to_angular, rabi_from_intensity)
-from .wavepacket import _pc_at, _pc_integral
+                     ReadoutParams, _check_saturation, _rabi, mhz_to_angular)
+from .wavepacket import _b_squared, _envelope, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
 
@@ -212,10 +220,15 @@ class _Design:
     order.
 
     ``wave`` holds every wavepacket point's position in that order, time
-    (us), read intensity and detuning (rad/us); ``pc`` every P_c point's
-    position, horizon (us), read intensity and detuning.  Units are
-    converted per dataset and then broadcast, so every point sees the same
-    floating-point operations as in a per-dataset evaluation.
+    (us) and index into the distinct drives, then each drive's read
+    intensity and detuning (rad/us); ``pc`` every P_c point's position,
+    horizon (us), read intensity and detuning.  Units are converted per
+    dataset and then broadcast, so every point sees the same floating-point
+    operations as in a per-dataset evaluation.
+
+    ``b_squared`` holds |B|^2 over the wavepacket points of the last
+    evaluation's parameter sets, keyed by (i_sat, chi, Gamma), everything
+    else it depends on being the design's own.
     """
 
     def __init__(self, datasets):
@@ -234,7 +247,15 @@ class _Design:
             else:
                 pc.append((pos, np.full(n, ds.horizon_us),
                            np.full(n, float(ds.i_r)), mhz_to_angular(ds.x)))
-        self.wave = tuple(np.concatenate(col) for col in zip(*wave))
+        if wave:
+            pos, t, i_r, delta = (np.concatenate(col) for col in zip(*wave))
+            # distinct drives by their bits, so each keeps its own
+            drives = np.stack([i_r, delta], axis=1).view(np.int64)
+            _, first, at = np.unique(drives, axis=0, return_index=True,
+                                     return_inverse=True)
+            self.wave = (pos, t, at.ravel(), i_r[first], delta[first])
+        else:
+            self.wave = ()
         self.pc = tuple(np.concatenate(col) for col in zip(*pc))
         self.y = np.concatenate([ds.y for ds in self.datasets] or [[]])
         self.sigma = np.concatenate([ds.sigma for ds in self.datasets] or [[]])
@@ -242,41 +263,54 @@ class _Design:
         self.keep = np.concatenate(
             [np.ones(ds.x.size, bool) if ds.mask is None else ds.mask
              for ds in self.datasets]) if masked else None
+        self.b_squared = {}
 
 
 def _model(thetas, design, gamma_nat, tau):
     """Model ordinates of every point of ``design`` at each of the k
     parameter sets ``thetas``, shape (k, points) in dataset order.
 
-    The design is tiled k times and evaluated in one ``wavepacket`` core
-    call per kind, chi Gamma, gamma_deph and scale_f given per point; each
-    row has the bits of a k = 1 call at its own ``theta``.
+    A wavepacket ordinate is (scale_f envelope) |B|^2, each factor computed
+    once per distinct value of what it depends on: |B|^2 per (i_sat, chi,
+    Gamma), taken from the design where its last evaluation left it, the
+    drive's Omega and alpha terms once per distinct drive within that, and
+    the envelope per gamma_deph.  The P_c points of all k sets go through
+    one ``_pc_integral`` call, chi Gamma, gamma_deph and scale_f given per
+    point.  Each row has the bits of a k = 1 call at its own ``theta``.
     """
     params = [ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
                             chi=th["chi"], gamma_deph=th["gamma_deph"],
                             tau=tau, scale_f=th["scale_f"]) for th in thetas]
+    for th in thetas:
+        _check_saturation(th["i_sat"], gamma_nat)
 
-    k = len(thetas)
-    per_theta = np.array([[p.chi_gamma, p.gamma_deph, p.scale_f]
-                          for p in params]).T
-
-    def tiled(i_r, *columns):
-        """Each theta in turn: the drive, the design's ``columns``, and chi
-        Gamma, gamma_deph and scale_f."""
-        return (np.concatenate([rabi_from_intensity(i_r, th["i_sat"], gamma_nat)
-                                for th in thetas]),
-                *(np.concatenate([col] * k) for col in columns),
-                *per_theta.repeat(i_r.size, axis=1))
-
-    m = np.empty((k, design.y.size))
+    m = np.empty((len(thetas), design.y.size))
     if design.wave:
-        pos, t, i_r, delta = design.wave
-        om, t_k, de, cg, gd, f = tiled(i_r, t, delta)
-        m[:, pos] = _pc_at(t_k, om, de, cg, gd, tau, f).reshape(k, -1) / 1e3
+        pos, t, at, i_r, delta = design.wave
+        b_squared, envelope = {}, {}
+        for row, th, p in zip(m, thetas, params):
+            key = (th["i_sat"], p.chi, gamma_nat)
+            if key not in b_squared:
+                b_squared[key] = design.b_squared.get(key)
+            if b_squared[key] is None:
+                b_squared[key] = _b_squared(
+                    t, _rabi(i_r, th["i_sat"], gamma_nat), delta,
+                    p.chi_gamma, at)
+            if p.gamma_deph not in envelope:
+                envelope[p.gamma_deph] = _envelope(t, p.gamma_deph, tau)
+            row[pos] = (p.scale_f * envelope[p.gamma_deph] * b_squared[key]
+                        / 1e3)
+        design.b_squared = b_squared
     if design.pc:
         pos, horizon, i_r, delta = design.pc
-        om, hz, de, cg, gd, f = tiled(i_r, horizon, delta)
-        m[:, pos] = _pc_integral(hz, om, de, cg, gd, tau, f).reshape(k, -1)
+        k = len(thetas)
+        cg, gd, f = np.array([[p.chi_gamma, p.gamma_deph, p.scale_f]
+                              for p in params]).T.repeat(i_r.size, axis=1)
+        om = np.concatenate([_rabi(i_r, th["i_sat"], gamma_nat)
+                             for th in thetas])
+        m[:, pos] = _pc_integral(np.concatenate([horizon] * k), om,
+                                 np.concatenate([delta] * k), cg, gd, tau,
+                                 f).reshape(k, -1)
     return m
 
 
@@ -284,7 +318,8 @@ def _canonical(datasets):
     """Datasets and their points in an order that depends only on their values.
 
     Points are sorted by (x, y, sigma, mask) within each dataset, datasets
-    by (kind, delta_mhz, i_r, horizon_us, data bytes).
+    by (kind, delta_mhz, i_r, horizon_us, data bytes).  The datasets were
+    checked when built, so their permuted copies are not checked again.
     """
     def num(v):
         return (0, 0.0) if v is None else (1, float(v))
@@ -298,9 +333,10 @@ def _canonical(datasets):
     for ds in datasets:
         cols = (ds.sigma, ds.y, ds.x)
         order = np.lexsort(cols if ds.mask is None else (ds.mask,) + cols)
-        out.append(replace(ds, x=ds.x[order], y=ds.y[order],
-                           sigma=ds.sigma[order],
-                           mask=None if ds.mask is None else ds.mask[order]))
+        permuted = copy.copy(ds)
+        for name in ("x", "y", "sigma") + (() if ds.mask is None else ("mask",)):
+            object.__setattr__(permuted, name, getattr(ds, name)[order])
+        out.append(permuted)
     return sorted(out, key=key)
 
 

@@ -49,15 +49,25 @@ def rabi_from_intensity(i_r, i_sat, gamma_nat):
     in mW/cm^2 and Gamma = ``gamma_nat`` in rad/us.  ParamError names
     ``i_sat`` and/or ``gamma_nat`` unless finite and > 0, then ``i_r``.
     """
+    _check_saturation(i_sat, gamma_nat)
+    i_r_arr = np.asarray(i_r, dtype=float)
+    if np.any(i_r_arr < 0) or not np.all(np.isfinite(i_r_arr)):
+        raise ParamError(["i_r"], "read intensity must be finite and >= 0")
+    out = _rabi(i_r_arr, i_sat, gamma_nat)
+    return out if np.ndim(i_r) else float(out)
+
+
+def _check_saturation(i_sat, gamma_nat):
+    """``rabi_from_intensity``'s check of ``i_sat`` and ``gamma_nat``."""
     bad = [name for name, v in (("i_sat", i_sat), ("gamma_nat", gamma_nat))
            if not (v > 0 and math.isfinite(v))]
     if bad:
         raise ParamError(bad)
-    i_r_arr = np.asarray(i_r, dtype=float)
-    if np.any(i_r_arr < 0) or not np.all(np.isfinite(i_r_arr)):
-        raise ParamError(["i_r"], "read intensity must be finite and >= 0")
-    out = gamma_nat * np.sqrt(i_r_arr / (2.0 * i_sat))
-    return out if np.ndim(i_r) else float(out)
+
+
+def _rabi(i_r, i_sat, gamma_nat):
+    """``rabi_from_intensity`` over a float array ``i_r``, with no checks."""
+    return gamma_nat * np.sqrt(i_r / (2.0 * i_sat))
 
 
 @dataclass(frozen=True)

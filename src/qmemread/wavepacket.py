@@ -148,21 +148,43 @@ def amplitude_B(t, params: ReadoutParams):
     return unwrap(_amplitude(t_arr, om, de, cg))
 
 
-def _amplitude(t, om, de, cg):
-    """``amplitude_B`` over 1-d arrays of one length, with no checks."""
+def _amplitude(t, om, de, cg, at=None):
+    """``amplitude_B`` over 1-d arrays, with no checks.
+
+    ``om`` and ``de`` are given per drive and ``at`` is each time's index
+    into them; with ``at`` None there is one drive per time.  ``cg`` > 0
+    is a scalar or an array of the drives' shape.  The drive's terms are
+    computed once per drive and then gathered, so each time gets the bits
+    of a call with one drive per time.
+    """
     ap, am = _alpha(om, de, cg)
     z = ap + 1j * am
-
     # common decaying/oscillating prefactor exponent: -chi Gamma/4 - i Delta/2
-    base = (-0.25 * cg - 0.5j * de) * t
-    w = 0.5 * z * t
-    small = np.abs(w) < 0.5 * _SERIES_CUTOFF
+    rate = -0.25 * cg - 0.5j * de
+    half_z, two_z, drive = 0.5 * z, 2.0 * z, 1j * om
+    if at is not None:
+        rate, half_z, two_z, drive = rate[at], half_z[at], two_z[at], drive[at]
 
+    base = rate * t
+    w = half_z * t
     with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (np.exp(base + w) - np.exp(base - w)) / (2.0 * np.where(small, 1.0, z))
-    w2 = w * w
-    series = 0.5 * t * np.exp(base) * (1.0 + w2 / 6.0 + w2 * w2 / 120.0)
-    return 1j * om * np.where(small, series, direct)
+        out = (np.exp(base + w) - np.exp(base - w)) / two_z
+    small = np.flatnonzero(np.abs(w) < 0.5 * _SERIES_CUTOFF)
+    if small.size:
+        w2 = w[small] * w[small]
+        out[small] = (0.5 * t[small] * np.exp(base[small])
+                      * (1.0 + w2 / 6.0 + w2 * w2 / 120.0))
+    return drive * out
+
+
+def _b_squared(t, om, de, cg, at=None):
+    """|B(t)|^2 over 1-d arrays, drives given as in ``_amplitude``."""
+    return np.square(np.abs(_amplitude(t, om, de, cg, at)))
+
+
+def _envelope(t, gd, tau):
+    """The stored coherence's Gaussian decay exp(-gamma^2 (t + tau)^2)."""
+    return np.exp(-np.square(gd * (t + tau)))
 
 
 def pc_at(t, params: ReadoutParams):
@@ -183,9 +205,8 @@ def pc_at(t, params: ReadoutParams):
 def _pc_at(t, om, de, cg, gd, tau, f):
     """``pc_at`` over 1-d arrays of one length (t >= 0, omega, delta, chi
     Gamma, gamma_deph, scale_f: one value per point) and a scalar tau, with
-    no checks."""
-    env = np.exp(-np.square(gd * (t + tau)))
-    return f * env * np.square(np.abs(_amplitude(t, om, de, cg)))
+    no checks: (f env) |B|^2, in that order."""
+    return f * _envelope(t, gd, tau) * _b_squared(t, om, de, cg)
 
 
 @dataclass(frozen=True)

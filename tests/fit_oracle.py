@@ -4,9 +4,10 @@
 ``qmemread.wavepacket``: ``pc_at`` at the dataset's own drive for a
 wavepacket, ``saturation_curve`` or ``detuning_spectrum`` for the P_c
 kinds.  ``oracle_residuals`` loops over the datasets with it and
-concatenates (model - y)/sigma, masked.  The package evaluates all points
-of a design with one ``pc_at`` call and one ``pc_integral`` call per
-horizon, and must agree with this loop to the last bit.
+concatenates (model - y)/sigma, masked.  The package evaluates a design's
+wavepacket points as factors reused across points and parameter sets, and
+all its P_c points in one ``pc_integral`` call; it must agree with this
+loop to the last bit.
 
 ``design_residuals`` has the signature of ``qmemread.fitting.residuals``
 as ``fit`` calls it, with the compiled design in place of the list, and

@@ -13,6 +13,7 @@ from qmemread import (CorrelationSummary, ModelError, ParamError,
                       conditional_wavepacket, correlations, ingest,
                       integrate_Pc, mhz_to_angular, pc_at, pc_integral,
                       probabilities, synthesize_log, write_log)
+import qmemread.counting as counting
 from qmemread.counting import CHANNELS, _emission_cdf
 
 GAMMA = mhz_to_angular(5.2)
@@ -324,6 +325,44 @@ class TestStatsAgainstOracles:
         populated = p2 > 0
         assert np.array_equal(bw.g12[populated], bw.pc[populated] / p2[populated])
         assert np.all(np.isnan(bw.g12[~populated]))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(log=small_logs(), w1=windows(), w2=windows(), herald=windows())
+    def test_kept_selections_match_oracles(self, log, w1, w2, herald):
+        # one store through windows that repeat, change and coincide
+        # between the fields; every result against the per-trial scans
+        store = self.store(log)
+        if store.n_trials == 0:
+            return
+        t_range = (0, SMALL_WINDOW)
+        for a, b, h in ((w1, w2, w1), (w2, w1, herald), (w1, w2, herald),
+                        (w1, w1, w1), (herald, w2, w1)):
+            s = probabilities(store, a, b)
+            assert (s.p1, s.p2, s.p11, s.p22, s.p12) == \
+                recount_oracle(store, a, b)
+            n_heralds, _, n_her = wavepacket_oracle(store, h, 1, t_range)
+            if n_heralds == 0:
+                with pytest.raises(StatsError, match="empty herald set"):
+                    conditional_wavepacket(store, h)
+                continue
+            bw = conditional_wavepacket(store, h)
+            assert (bw.n_heralds, bw.n_coinc.tolist()) == (n_heralds, n_her)
+
+    def test_default_herald_window_selects_field_1_once(self, monkeypatch):
+        # stats' default: the herald window is field 1's window
+        store = synthesize_log(PAPER_STYLE, SynthDesign(
+            n_trials=3000, p1=0.2, background_per_ns=1e-4), seed=4)
+        selected = []
+        real = counting._run_starts
+        monkeypatch.setattr(counting, "_run_starts",
+                            lambda *cols: selected.append(1) or real(*cols))
+        summary = probabilities(store, (20, 20), (50, 349))
+        binned = conditional_wavepacket(store, (20, 20))
+        assert len(selected) == 2       # field 1 once, field 2 once
+        assert binned.n_heralds == round(summary.p1 * store.n_trials)
+        conditional_wavepacket(store, (0, 49))
+        assert len(selected) == 3
 
 
 class TestTrialCountBeyondArrays:

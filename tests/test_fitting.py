@@ -609,19 +609,21 @@ class TestProfile:
 
 class TestFlatPcDesign:
     def test_one_pc_integral_call_for_three_horizons(self):
+        # one wave-core call for the wavepackets of two drives, one
+        # _pc_integral call for P_c points at three horizons
         sets = [Dataset(kind="saturation", x=[10.0, 95.0], y=[0.0, 0.0],
                         sigma=[1.0, 1.0], delta_mhz=1.7, horizon_us=h)
                 for h in (0.05, 0.160, math.inf)]
         sets.append(Dataset(kind="spectrum", x=[-1.7, 1.7], y=[0.0, 0.0],
                             sigma=[1.0, 1.0], i_r=95.0, horizon_us=0.05))
-        sets.append(noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
-                                      delta=1.7, i_r=95.0))
+        sets += [noiseless_dataset("wavepacket", np.arange(0.0, 161.0, 8.0),
+                                   delta=1.7, i_r=i_r) for i_r in (32.0, 95.0)]
         with mock.patch.object(fitting, "_pc_integral",
                                wraps=fitting._pc_integral) as pc_integral, \
-                mock.patch.object(fitting, "_pc_at",
-                                  wraps=fitting._pc_at) as pc_at:
+                mock.patch.object(fitting, "_b_squared",
+                                  wraps=fitting._b_squared) as wave:
             got = residuals(TRUTH, sets, GAMMA_NAT, TAU)
-        assert pc_integral.call_count == 1 and pc_at.call_count == 1
+        assert pc_integral.call_count == 1 and wave.call_count == 1
         assert np.array_equal(got,
                               oracle_residuals(TRUTH, sets, GAMMA_NAT, TAU))
 
@@ -631,6 +633,61 @@ class TestFlatPcDesign:
         with mock.patch.object(fitting, "_pc_integral") as pc_integral:
             residuals(TRUTH, [ds], GAMMA_NAT, TAU)
         assert pc_integral.call_count == 0
+
+
+class TestFactorReuse:
+    """|B|^2 is computed once per (i_sat, chi, Gamma) and kept on the design
+    for the next evaluation only; no reuse changes a bit."""
+
+    def test_b_squared_sets_per_fit(self, monkeypatch):
+        # a 2-point Jacobian moves i_sat and chi away from the trial point
+        # just evaluated; gamma_deph and scale_f reuse its |B|^2
+        sets, calls = paper_design(seed=5), []
+        real = fitting._b_squared
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(fitting, "_b_squared", counting)
+        res = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
+        assert res.param_order == fitting.FREE_KEYS
+        assert len(calls) == res.nfev + 2 * res.njev == 21
+        # one drive per wavepacket dataset: 6 drives for 486 points
+        assert all(args[1].size == 6 and args[0].size == 486
+                   for args in calls)
+
+    def test_key_holds_every_input(self):
+        # the same chi Gamma from other (chi, Gamma) pairs, a repeated
+        # i_sat with another chi or Gamma, then earlier sets again
+        design = fitting._Design(paper_design(seed=3))
+        steps = [(12.0, 2.0, 30.0), (12.0, 3.0, 20.0), (12.0, 2.0, 20.0),
+                 (12.0, 3.0, 30.0), (9.0, 3.0, 30.0), (12.0, 3.0, 30.0),
+                 (9.0, 2.0, 30.0), (9.0, 2.0, 20.0), (12.0, 2.0, 30.0)]
+        for i_sat, chi, gamma_nat in steps:
+            theta = dict(TRUTH, i_sat=i_sat, chi=chi)
+            assert np.array_equal(
+                residuals(theta, design, gamma_nat, TAU),
+                oracle_residuals(theta, design.datasets, gamma_nat, TAU)), \
+                (i_sat, chi, gamma_nat)
+            assert list(design.b_squared) == [(i_sat, chi, gamma_nat)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st_dataset(), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1),
+                              st.integers(0, 1), st.integers(0, 1)),
+                    min_size=1, max_size=6),
+           st.lists(st_theta, min_size=2, max_size=2))
+    def test_batch_rows_equal_single_evaluations(self, sets, picks, pool):
+        # each parameter drawn from a pool of two, so (i_sat, chi) and
+        # gamma_deph values repeat within a batch and between batches
+        thetas = [{key: pool[j][key] for key, j in zip(fitting.FREE_KEYS, pick)}
+                  for pick in picks]
+        design = fitting._Design(sets)
+        for batch in (thetas, thetas[::-1]):
+            rows = fitting._residuals_batch(batch, design, GAMMA_NAT, TAU)
+            for theta, row in zip(batch, rows):
+                assert np.array_equal(row, residuals(theta, sets, GAMMA_NAT,
+                                                     TAU))
 
 
 @pytest.mark.parametrize("key,box", [("chi", (5.0, 2.0)), ("i_sat", (50.0, 5.0))])
