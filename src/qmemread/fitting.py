@@ -24,19 +24,24 @@ models are exact, with no quadrature, so they carry no discretisation
 error into the fit.  A wavepacket ordinate is split into factors by what
 they depend on, (scale_f envelope) |B|^2: the envelope on gamma_deph
 alone, |B|^2 on (i_sat, chi, Gamma) and the drive.  |B|^2 is computed
-once per distinct (i_sat, chi, Gamma), with Omega and alpha_+- once per
-distinct drive, and the design keeps the last evaluation's |B|^2 for the
-next.  Each point gets the value a per-dataset evaluation gives, bit for
-bit.
+once per distinct (i_sat, chi, Gamma) of an evaluation, with Omega and
+alpha_+- once per distinct drive.  Each point gets the value a
+per-dataset evaluation gives, bit for bit.
 
-scipy's 2-point Jacobian perturbs one free parameter per point; ``fit``
-passes ``least_squares`` a map-like ``workers`` callable that evaluates
-all of them in one call, so a paper fit (four free parameters) makes 7
-trial-point and 7 Jacobian evaluations, not 7 + 28.  A Jacobian moves
-i_sat and chi away from the trial point just evaluated, and gamma_deph
-and scale_f not, so |B|^2 is computed for nfev + 2 njev parameter sets
-(21 per paper fit).  Each row equals a k = 1 evaluation at its own
-parameters, bit for bit, so the fit is the one scipy's serial map gives.
+scipy's 2-point Jacobian at an accepted trial point u evaluates u + h_i e_i
+for each free parameter i.  ``fit`` evaluates each trial point together
+with those points, the stencil, in one model evaluation, with the step
+rule mirrored from scipy's default, and hands scipy a map-like ``workers``
+callable that serves each Jacobian point from them.  A point it does not
+hold (a bound flipped or clipped the step) is evaluated then, the misses
+of one Jacobian together; the stencil of a trial scipy rejects goes
+unused.  So a paper fit (four free parameters, every trial accepted)
+makes 7 model evaluations of 5 parameter sets each, one per trial point.
+Within a trial's evaluation, the stencil moves i_sat and chi away from the
+trial point, and gamma_deph and scale_f not, so |B|^2 is computed for 3
+parameter sets per trial (21 per paper fit).  Each row equals a k = 1
+evaluation at its own parameters, bit for bit, so the fit is the one
+scipy's serial map gives.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
 its data on construction, and ``ReadoutParams`` and the i_sat check of
@@ -154,8 +159,10 @@ class FitResult:
     ``optimality`` (the infinity norm of the gradient of the cost in the
     fit variables, scaled at active bounds), ``at_bound`` (each free
     parameter at a bound box edge, "lower" or "upper"), ``jtj_cond`` (the
-    condition number of J^T J at the returned point) and ``correlation``
-    (``cov`` normalised to unit diagonal).
+    condition number of J^T J at the returned point), ``correlation``
+    (``cov`` normalised to unit diagonal), and ``model_evals`` and
+    ``model_rows``: the model evaluations the fit made and the parameter
+    sets they covered.
     """
 
     values: dict
@@ -171,6 +178,8 @@ class FitResult:
     at_bound: dict
     jtj_cond: float
     correlation: np.ndarray
+    model_evals: int
+    model_rows: int
     message: str = ""
     cost_history: list = field(default_factory=list)
 
@@ -184,6 +193,7 @@ class FitResult:
             "optimality": self.optimality, "at_bound": self.at_bound,
             "jtj_cond": self.jtj_cond,
             "correlation": self.correlation.tolist(),
+            "model_evals": self.model_evals, "model_rows": self.model_rows,
         }
 
 
@@ -225,10 +235,6 @@ class _Design:
     horizon (us), read intensity and detuning.  Units are converted per
     dataset and then broadcast, so every point sees the same floating-point
     operations as in a per-dataset evaluation.
-
-    ``b_squared`` holds |B|^2 over the wavepacket points of the last
-    evaluation's parameter sets, keyed by (i_sat, chi, Gamma), everything
-    else it depends on being the design's own.
     """
 
     def __init__(self, datasets):
@@ -263,7 +269,6 @@ class _Design:
         self.keep = np.concatenate(
             [np.ones(ds.x.size, bool) if ds.mask is None else ds.mask
              for ds in self.datasets]) if masked else None
-        self.b_squared = {}
 
 
 def _model(thetas, design, gamma_nat, tau):
@@ -271,10 +276,9 @@ def _model(thetas, design, gamma_nat, tau):
     parameter sets ``thetas``, shape (k, points) in dataset order.
 
     A wavepacket ordinate is (scale_f envelope) |B|^2, each factor computed
-    once per distinct value of what it depends on: |B|^2 per (i_sat, chi,
-    Gamma), taken from the design where its last evaluation left it, the
-    drive's Omega and alpha terms once per distinct drive within that, and
-    the envelope per gamma_deph.  The P_c points of all k sets go through
+    once per distinct value of what it depends on: |B|^2 per (i_sat, chi)
+    (Gamma is one per evaluation), the drive's Omega and alpha terms once
+    per distinct drive within that, and the envelope per gamma_deph.  The P_c points of all k sets go through
     one ``_pc_integral`` call, chi Gamma, gamma_deph and scale_f given per
     point.  Each row has the bits of a k = 1 call at its own ``theta``.
     """
@@ -289,10 +293,8 @@ def _model(thetas, design, gamma_nat, tau):
         pos, t, at, i_r, delta = design.wave
         b_squared, envelope = {}, {}
         for row, th, p in zip(m, thetas, params):
-            key = (th["i_sat"], p.chi, gamma_nat)
+            key = (th["i_sat"], p.chi)
             if key not in b_squared:
-                b_squared[key] = design.b_squared.get(key)
-            if b_squared[key] is None:
                 b_squared[key] = _b_squared(
                     t, _rabi(i_r, th["i_sat"], gamma_nat), delta,
                     p.chi_gamma, at)
@@ -300,7 +302,6 @@ def _model(thetas, design, gamma_nat, tau):
                 envelope[p.gamma_deph] = _envelope(t, p.gamma_deph, tau)
             row[pos] = (p.scale_f * envelope[p.gamma_deph] * b_squared[key]
                         / 1e3)
-        design.b_squared = b_squared
     if design.pc:
         pos, horizon, i_r, delta = design.pc
         k = len(thetas)
@@ -364,6 +365,20 @@ def _du_scale(key, value):
     return value - 1.0 if key == "chi" else value
 
 
+# scipy's default relative step for a 2-point Jacobian
+_REL_STEP = np.finfo(np.float64).eps ** 0.5
+
+
+def _stencil(u):
+    """The points u + h_i e_i of the 2-point Jacobian at ``u``, one row per
+    free parameter, with scipy's default step h = sqrt(eps) sign(u)
+    max(1, |u|), sign(0) = +1, in scipy's floating-point order."""
+    h = _REL_STEP * np.where(u >= 0, 1.0, -1.0) * np.maximum(1.0, np.abs(u))
+    points = np.tile(u, (u.size, 1))
+    points[np.diag_indices(u.size)] = u + h
+    return points
+
+
 def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_MHZ), tau=DEFAULT_TAU_US,
         max_iter=200, ftol=1e-8) -> FitResult:
@@ -387,6 +402,12 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     each, bit for bit: both are put into a canonical order before any
     arithmetic, so every floating-point sum runs in the same order whatever
     order the caller lists them in.
+
+    Each trial point is evaluated in one model evaluation together with the
+    points of its 2-point Jacobian, which scipy then reads from them; should
+    one of those raise ParamError, the trial point is evaluated alone.  So
+    an iteration whose step is accepted makes one model evaluation
+    (``model_evals`` is ``nfev`` when no Jacobian point was missed).
 
     Raises RankDeficiencyError when the Jacobian at the returned point (the
     one the covariance is built from) has a zero column or two parallel
@@ -434,11 +455,29 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
             t[k] = _from_u(k, val)
         return t
 
-    def resid_of(u_vec):
-        return residuals(theta_of(u_vec), design, gamma_nat=gamma_nat, tau=tau)
-
     design = _Design(datasets)
-    r = resid_of(u)
+    evaluated = []          # parameter sets per model evaluation
+    stencil = {}            # the last trial's Jacobian rows, by u's bytes
+
+    def evaluate(u_vecs):
+        rows = _residuals_batch([theta_of(v) for v in u_vecs], design,
+                                gamma_nat, tau)
+        evaluated.append(len(rows))
+        return rows
+
+    def trial(u_vec):
+        # the trial point with the Jacobian scipy takes there if it accepts
+        # the step; a rejected trial's rows are dropped with the next one
+        points = _stencil(u_vec)
+        stencil.clear()
+        try:
+            rows = evaluate([u_vec, *points])
+        except (ParamError, OverflowError):     # the latter from _from_u
+            return evaluate([u_vec])[0]
+        stencil.update(zip((p.tobytes() for p in points), rows[1:]))
+        return rows[0]
+
+    r = trial(u)
     m = r.size
     if m <= len(free):
         raise ParamError(["datasets"], "fewer residuals than free parameters")
@@ -451,12 +490,18 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
 
     def fun(u_vec):
         # least_squares opens at the start point, which is evaluated above
-        return r if np.array_equal(u_vec, u) else resid_of(u_vec)
+        return r if np.array_equal(u_vec, u) else trial(u_vec)
 
     def jacobian_points(_fun, u_vecs):
-        # the perturbed points of one 2-point Jacobian, evaluated together
-        return _residuals_batch([theta_of(v) for v in u_vecs], design,
-                                gamma_nat, tau)
+        # the perturbed points of one 2-point Jacobian, from the trial's
+        # stencil; any it does not hold are evaluated together
+        u_vecs = list(u_vecs)
+        rows = [stencil.get(v.tobytes()) for v in u_vecs]
+        missed = [v for v, row in zip(u_vecs, rows) if row is None]
+        if missed:
+            fresh = iter(evaluate(missed))
+            rows = [next(fresh) if row is None else row for row in rows]
+        return rows
 
     from scipy.optimize import least_squares
     sol = least_squares(fun, u, bounds=(u_lo, u_hi), ftol=ftol,
@@ -482,7 +527,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
                      at_bound={k: "lower" if a < 0 else "upper"
                                for k, a in zip(free, sol.active_mask) if a},
                      jtj_cond=float((sv[0] / sv[-1]) ** 2),
-                     correlation=cov_theta / np.outer(sd, sd))
+                     correlation=cov_theta / np.outer(sd, sd),
+                     model_evals=len(evaluated), model_rows=sum(evaluated))
 
 
 def _check_rank(J, free):

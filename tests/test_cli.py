@@ -365,6 +365,32 @@ class TestChiCommand:
         mc = json.loads((out / "chi.json").read_text())["monte_carlo"]
         assert mc["chi"] < 1.0 - 3.0 * mc["standard_error"]
 
+    @pytest.mark.parametrize("key,value", [
+        ("waist_m", 1e-300), ("waist_m", 5e-324),
+        ("wavenumber_per_m", 1e-300), ("wavenumber_per_m", 5e-324),
+        ("waist_m", 1e155), ("waist_m", 1e200),
+        ("length_m", 1e155), ("length_m", 1e200),
+        ("wavenumber_per_m", 1e200), ("wavenumber_per_m", 1e308),
+        ("n_samples", 1e155), ("n_samples", 1e200), ("n_samples", 1e308)])
+    def test_geometry_or_sample_count_out_of_domain_exits_2(
+            self, tmp_path, capsys, key, value):
+        # without the domain checks a zero (kW)^2 would divide by zero, a
+        # huge one overflow, and so would an n_samples past int64 (exit 1)
+        payload = {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4,
+                                "length_m": 1e-3, "wavenumber_per_m": 1e7},
+                   "n_samples": 2_000}
+        if key == "n_samples":
+            payload[key] = value
+        else:
+            payload["geometry"][key] = value
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, payload)
+        assert run(["chi", "--config", cfg, "--out", str(out),
+                    "--seed", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and key in err
+        assert not out.exists()
+
 
 class TestIntegerConfigKeys:
     """Integer config values: bools, strings and non-integral floats exit 2."""

@@ -32,6 +32,25 @@ class TestGeometry:
                              wavenumber_per_m=1e7)
         assert set(exc.value.fields) == {"n_atoms", "waist_m"}
 
+    @pytest.mark.parametrize("waist,length,k,fields", [
+        (1e-300, 1e-3, 1e7, ("waist_m", "wavenumber_per_m")),
+        (1e-4, 1e200, 1e7, ("length_m", "wavenumber_per_m")),
+        (1e-4, 1e-3, 1e300, ("waist_m", "wavenumber_per_m")),
+        (1e-4, 1e-3, 5e-324, ("waist_m", "wavenumber_per_m"))])
+    def test_products_with_k_bounded(self, waist, length, k, fields):
+        # (kW)^2 and (kL)^2 within [1e-100, 1e100], so the estimators'
+        # squares neither overflow nor underflow to 0
+        with pytest.raises(ParamError) as exc:
+            EnsembleGeometry(n_atoms=1.0, waist_m=waist, length_m=length,
+                             wavenumber_per_m=k)
+        assert exc.value.fields == fields
+
+    def test_products_near_the_domain_edges_accepted(self):
+        for kw in (1e-49, 1e49):
+            geom = EnsembleGeometry(n_atoms=1.0, waist_m=kw, length_m=kw,
+                                    wavenumber_per_m=1.0)
+            assert math.isfinite(chi_quadrature(geom).value)
+
     def test_regime_flags(self):
         assert all(GEOM.regime_flags.values())
         fat = EnsembleGeometry(n_atoms=10, waist_m=1e-7, length_m=1e-3,
@@ -158,12 +177,16 @@ class TestContinuumClosedForm:
         assert chi_quadrature(GEOM).value == pytest.approx(1.49997525367,
                                                            rel=0, abs=1e-11)
 
-    def test_underflowing_geometry_gives_full_kernel(self):
-        # kW and kL below 1e-154 square to a = b = 0, where <K> = 1
-        geom = EnsembleGeometry(n_atoms=3.0, waist_m=1e-160, length_m=2e-160,
-                                wavenumber_per_m=1e-160)
-        assert _ab(geom) == (0.0, 0.0)
-        assert chi_quadrature(geom).value == 4.0
+    def test_smallest_geometry_gives_full_kernel(self):
+        # at the low edge of the domain, kW and kL near 1e-50, <K> is 1 to
+        # rounding; below it (kW)^2 would underflow, and is rejected
+        geom = EnsembleGeometry(n_atoms=3.0, waist_m=1e-57, length_m=2e-57,
+                                wavenumber_per_m=1e7)
+        assert chi_quadrature(geom).value == pytest.approx(4.0, rel=1e-15)
+        with pytest.raises(ParamError) as info:
+            EnsembleGeometry(n_atoms=3.0, waist_m=1e-160, length_m=2e-160,
+                             wavenumber_per_m=1e-160)
+        assert info.value.fields == ("waist_m", "wavenumber_per_m")
 
     def test_empty_ensemble(self):
         geom = EnsembleGeometry(n_atoms=0, waist_m=1e-4, length_m=1e-3,
@@ -182,6 +205,11 @@ class TestMonteCarlo:
     def test_sample_count_precondition(self):
         with pytest.raises(ParamError):
             chi_monte_carlo(GEOM, 50, seed=0)
+
+    def test_sample_count_fits_int64(self):
+        with pytest.raises(ParamError, match="2\\*\\*63") as exc:
+            chi_monte_carlo(GEOM, 2**63, seed=0)
+        assert exc.value.fields == ("n_samples",)
 
     def test_deterministic_for_fixed_seed(self):
         a = chi_monte_carlo(GEOM, 20000, seed=123)

@@ -50,6 +50,28 @@ def paper_design(seed=None):
     return [noisy_copy(ds, seed * 1000 + i) for i, ds in enumerate(sets)]
 
 
+def without_counts(res):
+    """``res.to_json()`` without the model-evaluation counters, which depend
+    on how scipy's points were grouped into evaluations."""
+    out = res.to_json()
+    del out["model_evals"], out["model_rows"]
+    return out
+
+
+def assert_equals_serial_map(monkeypatch, sets, **kwargs):
+    """Fit ``sets`` as ``fit`` does and with scipy's serial map
+    (workers=None), assert the two bit-identical, and return the first."""
+    real = scipy.optimize.least_squares
+    got = fit(sets, gamma_nat=GAMMA_NAT, tau=TAU, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.optimize, "least_squares",
+                      lambda *a, **k: real(*a, **dict(k, workers=None)))
+        ref = fit(sets, gamma_nat=GAMMA_NAT, tau=TAU, **kwargs)
+    assert without_counts(got) == without_counts(ref), kwargs
+    assert got.cost_history == ref.cost_history, kwargs
+    return got
+
+
 def assert_bit_identical(res_a, res_b):
     assert res_a.values == res_b.values
     assert res_a.errors == res_b.errors
@@ -278,18 +300,51 @@ class TestCompiledDesign:
 
     def test_batched_jacobian_equals_serial_map(self, monkeypatch):
         # workers=None makes scipy evaluate each Jacobian column alone,
-        # through fun, as without a batch evaluator
-        real = scipy.optimize.least_squares
+        # through fun, as without a batch evaluator or a trial's stencil
         for seed in range(1, 31):
-            sets = paper_design(seed=seed)
-            got = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
-            with monkeypatch.context() as patch:
-                patch.setattr(scipy.optimize, "least_squares",
-                              lambda *a, **k: real(*a, **dict(k, workers=None)))
-                ref = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
-                          tau=TAU)
-            assert got.to_json() == ref.to_json(), f"seed {seed}"
-            assert got.cost_history == ref.cost_history, f"seed {seed}"
+            assert_equals_serial_map(monkeypatch, paper_design(seed=seed),
+                                     init=DEFAULT_INIT)
+        # a fit that ends at a bound: there scipy flips the step of some
+        # Jacobian points, which the stencil then misses
+        got = assert_equals_serial_map(
+            monkeypatch, paper_design(seed=4), init=dict(DEFAULT_INIT, chi=1.8),
+            bounds={"chi": (1.5, 2.5)})
+        assert got.at_bound == {"chi": "upper"}
+        assert got.model_evals > got.nfev
+        # 1, 2 and 3 free parameters, the others held at the truth
+        for free in (("chi",), ("chi", "scale_f"),
+                     ("gamma_deph", "i_sat", "chi")):
+            got = assert_equals_serial_map(
+                monkeypatch, paper_design(seed=6), free=free,
+                init=dict(DEFAULT_INIT, **{k: v for k, v in TRUTH.items()
+                                           if k not in free}))
+            assert got.model_rows == (len(free) + 1) * got.nfev
+        # a start far enough off that scipy rejects some trial points
+        got = assert_equals_serial_map(monkeypatch, paper_design(seed=5),
+                                       init=dict(DEFAULT_INIT, chi=30.0))
+        assert got.nfev > got.njev
+
+    def test_stencil_error_evaluates_the_trial_alone(self, monkeypatch):
+        # chi past its upper bound raises: trial points stay within the box,
+        # but near the bound some of a trial's stencil points do not
+        bounds = {"chi": (1.5, 2.5)}
+        chi_max = fitting._from_u("chi", fitting._to_u("chi", 2.5))
+        real, raised = fitting._residuals_batch, []
+
+        def raising(thetas, *args):
+            if any(th["chi"] > chi_max for th in thetas):
+                raised.append(len(thetas))
+                raise ParamError(["chi"])
+            return real(thetas, *args)
+        kwargs = dict(init=dict(DEFAULT_INIT, chi=1.8), bounds=bounds)
+        plain = fit(paper_design(seed=4), gamma_nat=GAMMA_NAT, tau=TAU,
+                    **kwargs)
+        monkeypatch.setattr(fitting, "_residuals_batch", raising)
+        got = assert_equals_serial_map(monkeypatch, paper_design(seed=4),
+                                       **kwargs)
+        assert raised and all(k == len(fitting.FREE_KEYS) + 1 for k in raised)
+        assert without_counts(got) == without_counts(plain)
+        assert got.cost_history == plain.cost_history
 
 
 class TestFit:
@@ -308,26 +363,22 @@ class TestFit:
 
     def test_start_point_evaluated_once(self, monkeypatch):
         # cost_history[0] and least_squares' opening f0 share one evaluation;
-        # each Jacobian's 4 columns are one batched evaluation, and each
-        # residuals call is a batch of one
-        thetas, batches = [], []
-        real, real_batch = fitting.residuals, fitting._residuals_batch
-
-        def counting(theta, *args, **kwargs):
-            thetas.append(dict(theta))
-            return real(theta, *args, **kwargs)
+        # each trial point is one batched evaluation with the 4 points of
+        # its Jacobian, which scipy then takes from it
+        batches = []
+        real_batch = fitting._residuals_batch
 
         def counting_batch(batch, *args):
             batches.append([dict(theta) for theta in batch])
             return real_batch(batch, *args)
-        monkeypatch.setattr(fitting, "residuals", counting)
         monkeypatch.setattr(fitting, "_residuals_batch", counting_batch)
         res = fit(paper_design(seed=5), init=DEFAULT_INIT,
                   gamma_nat=GAMMA_NAT, tau=TAU)
-        assert thetas.count(thetas[0]) == 1
-        assert len(thetas) == 7 == res.nfev
-        assert [len(batch) for batch in batches] == [1, 4] * 7
-        assert res.njev == 7
+        trials = [batch[0] for batch in batches]
+        assert trials.count(trials[0]) == 1
+        assert [len(batch) for batch in batches] == [5] * 7
+        assert res.nfev == res.njev == res.model_evals == 7
+        assert res.model_rows == 35
 
     def test_round_trip_quick(self):
         for seed in (1, 2, 3):
@@ -575,8 +626,10 @@ class TestDiagnostics:
         assert set(out) == {
             "values", "errors", "covariance", "param_order", "reduced_chi2",
             "n_iter", "converged", "message", "nfev", "njev", "optimality",
-            "at_bound", "jtj_cond", "correlation"}
+            "at_bound", "jtj_cond", "correlation", "model_evals",
+            "model_rows"}
         assert (out["nfev"], out["njev"], out["at_bound"]) == (7, 7, {})
+        assert (out["model_evals"], out["model_rows"]) == (7, 35)
         assert out["optimality"] == res.optimality
         assert out["jtj_cond"] == res.jtj_cond
         assert out["correlation"] == res.correlation.tolist()
@@ -636,12 +689,12 @@ class TestFlatPcDesign:
 
 
 class TestFactorReuse:
-    """|B|^2 is computed once per (i_sat, chi, Gamma) and kept on the design
-    for the next evaluation only; no reuse changes a bit."""
+    """|B|^2 is computed once per (i_sat, chi, Gamma) of an evaluation; no
+    reuse changes a bit."""
 
     def test_b_squared_sets_per_fit(self, monkeypatch):
-        # a 2-point Jacobian moves i_sat and chi away from the trial point
-        # just evaluated; gamma_deph and scale_f reuse its |B|^2
+        # a trial point is evaluated with its 2-point stencil, which moves
+        # i_sat and chi away from it; gamma_deph and scale_f reuse its |B|^2
         sets, calls = paper_design(seed=5), []
         real = fitting._b_squared
 
@@ -651,7 +704,7 @@ class TestFactorReuse:
         monkeypatch.setattr(fitting, "_b_squared", counting)
         res = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
         assert res.param_order == fitting.FREE_KEYS
-        assert len(calls) == res.nfev + 2 * res.njev == 21
+        assert len(calls) == 3 * res.model_evals == 3 * res.nfev == 21
         # one drive per wavepacket dataset: 6 drives for 486 points
         assert all(args[1].size == 6 and args[0].size == 486
                    for args in calls)
@@ -669,7 +722,6 @@ class TestFactorReuse:
                 residuals(theta, design, gamma_nat, TAU),
                 oracle_residuals(theta, design.datasets, gamma_nat, TAU)), \
                 (i_sat, chi, gamma_nat)
-            assert list(design.b_squared) == [(i_sat, chi, gamma_nat)]
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st_dataset(), min_size=1, max_size=4),
