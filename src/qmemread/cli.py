@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -440,14 +441,16 @@ def cmd_fit(cfg, run, seed):
     datasets = []
     for i, block in enumerate(cfg["datasets"]):
         x, y, sig = _read_dataset_csv(block["path"])
-        lo, hi = block["mask_min"], block["mask_max"]
+        keep = (x >= block["mask_min"]) & (x <= block["mask_max"])
         with _named(f"datasets[{i}]"):
-            datasets.append(Dataset(
-                kind=block["kind"], x=x, y=y, sigma=sig,
-                delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
-                horizon_us=block["horizon_ns"] * 1e-3,
-                mask=None if (lo, hi) == (-math.inf, math.inf)
-                else (x >= lo) & (x <= hi)))
+            # every row is checked, then the rows inside the window kept
+            ds = Dataset(kind=block["kind"], x=x, y=y, sigma=sig,
+                         delta_mhz=block["delta_mhz"], i_r=block["i_r_mw_cm2"],
+                         horizon_us=block["horizon_ns"] * 1e-3)
+            if not keep.all():
+                ds = dataclasses.replace(ds, x=x[keep], y=y[keep],
+                                         sigma=sig[keep])
+        datasets.append(ds)
 
     result = fit(datasets, free=tuple(_FIT_KEYS[n] for n in cfg["free"]),
                  init=init or None, bounds=bounds or None,

@@ -44,6 +44,8 @@ from .params import ParamError
 _REGIME_RATIO = 0.1
 # seeded batches of the pair sampler; their scatter gives its standard error
 _N_BATCHES = 30
+# the most pairs one estimate samples, 100 times the CLI's default
+_MAX_SAMPLES = 10**8
 # the range of (kW)^2 and (kL)^2, within which the estimators' squares and
 # products of kW and kL stay finite and nonzero
 _KX2_RANGE = (1e-100, 1e100)
@@ -170,12 +172,13 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed) -> ChiEstimate:
     process may use, which yields the batch means in batch order; since
     each batch owns its seed, the result is the same to the last bit for
     any worker count or scheduling.  ``n_samples`` must lie in
-    [100, 2**63).
+    [100, 1e8]; the bound keeps the batches in flight within memory.
     """
     if n_samples < 100:
         raise ParamError(["n_samples"], "need n_samples >= 100")
-    if n_samples >= 2**63:
-        raise ParamError(["n_samples"], "need n_samples < 2**63")
+    if n_samples > _MAX_SAMPLES:
+        raise ParamError(["n_samples"],
+                         f"need n_samples <= {_MAX_SAMPLES:.0e}")
     if geom.n_atoms == 0:
         return ChiEstimate(value=1.0, standard_error=0.0)
     k = geom.wavenumber_per_m

@@ -243,35 +243,18 @@ def _check_row(tally, lineno, row):
     tally.rows.append((tr, _CODE[ch], t))
 
 
-def _blocks(source):
-    """The log as byte blocks of about ``_CHUNK_BYTES``.  An iterable of
-    lines is joined with a newline ending each line that lacks one."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "rb") as fh:
-            while block := fh.read(_CHUNK_BYTES):
-                yield block
-    else:
-        batch, size = [], 0
-        for line in source:
-            batch.append(line if line.endswith("\n") else line + "\n")
-            size += len(line)
-            if size >= _CHUNK_BYTES:
-                yield "".join(batch).encode("utf-8")
-                batch, size = [], 0
-        if batch:
-            yield "".join(batch).encode("utf-8")
-
-
-def _chunks(source):
-    """The log's bytes cut after newlines; only the last chunk may end
+def _chunks(path):
+    """The bytes of the log file ``path``, read in blocks of
+    ``_CHUNK_BYTES`` and cut after newlines; only the last chunk may end
     without one."""
     tail = b""
-    for block in _blocks(source):
-        buf = tail + block
-        cut = buf.rfind(b"\n") + 1
-        if cut:
-            yield buf[:cut]
-        tail = buf[cut:]
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHUNK_BYTES):
+            buf = tail + block
+            cut = buf.rfind(b"\n") + 1
+            if cut:
+                yield buf[:cut]
+            tail = buf[cut:]
     if tail:
         yield tail
 
@@ -377,12 +360,11 @@ def _take_chunk(tally, trial, code, t, n_lines, judged):
         _check_row(tally, first + i, next(csv.reader((text,))))
 
 
-def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
-    """Parse a detection log into an EventStore.
+def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
+    """Parse the detection log file at ``path`` into an EventStore.
 
-    ``source`` is a file path or an iterable of lines (an open text file is
-    one) in the format ``trial,channel,t_ns`` (header row optional).  A
-    path's bytes are decoded as UTF-8, each undecodable byte as U+FFFD.
+    Its lines are ``trial,channel,t_ns`` (header row optional), its bytes
+    decoded as UTF-8, each undecodable byte as U+FFFD.
     Malformed lines are skipped and reported with their line number in
     ``parse_errors``; rows with an unknown channel are tallied; duplicate
     rows are collapsed with a warning.
@@ -403,7 +385,7 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
 
     ``n_trials`` (when given) and ``trial_window_ns`` below 1, and a
     ``trial_window_ns`` above 2**63 (times are int64), raise ParamError
-    naming the argument, before ``source`` is read.
+    naming the argument, before the file is read.
     """
     for name, value in (("n_trials", n_trials),
                         ("trial_window_ns", trial_window_ns)):
@@ -414,7 +396,7 @@ def ingest(source, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Ev
                          f"trial_window_ns must be <= 2**63, got {trial_window_ns}")
     tally = _Tally(n_trials, trial_window_ns)
     carry = b""                     # a csv record cut by a chunk's end
-    tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(source))
+    tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(path))
     for chunk, parse in _in_order(_strict_chunk, tasks):
         if parse is None or carry:
             carry = _csv_records(carry + chunk, tally, final=False)

@@ -46,7 +46,8 @@ scipy's serial map gives.
 Inputs are checked once, where their types are built: a ``Dataset`` checks
 its data on construction, and ``ReadoutParams`` and the i_sat check of
 ``rabi_from_intensity`` check each parameter set of an evaluation.
-Neither compiling a design nor evaluating it repeats those checks.
+Neither compiling a design nor evaluating it repeats those checks.  The
+bound on the Rabi frequency is checked at the start point alone.
 
 tau and Gamma are held fixed by default; pass them through ``fit``'s
 keyword arguments to change the fixed values.
@@ -61,7 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
-                     ReadoutParams, _check_saturation, _rabi, mhz_to_angular)
+                     ReadoutParams, _check_saturation, _rabi, mhz_to_angular,
+                     rabi_from_intensity)
 from .wavepacket import _b_squared, _envelope, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
@@ -89,10 +91,9 @@ class Dataset:
     kind 'saturation' : x = I_r in mW/cm^2, y = P_c, at fixed delta_mhz
     kind 'spectrum'   : x = Delta in MHz, y = P_c, at fixed i_r
 
-    ``sigma`` are the 1-sigma ordinate uncertainties (> 0); ``mask`` marks
-    points included in the fit (used e.g. to exclude the resonance region of
-    low-intensity spectra); ``horizon_us`` is the integration window for the
-    P_c kinds.
+    ``sigma`` are the 1-sigma ordinate uncertainties (> 0); ``horizon_us``
+    is the integration window for the P_c kinds.  Every point enters the
+    fit: to leave points out, build the dataset from the others.
 
     Construction checks every value the model reads, so a built dataset can
     be evaluated at any valid parameters: x, y and sigma are finite;
@@ -109,7 +110,6 @@ class Dataset:
     sigma: np.ndarray
     delta_mhz: float | None = None
     i_r: float | None = None
-    mask: np.ndarray | None = None
     horizon_us: float = 0.160
 
     def __post_init__(self):
@@ -143,11 +143,6 @@ class Dataset:
             raise ParamError(["i_r"], f"{self.kind} needs a finite i_r >= 0")
         if self.kind != "wavepacket" and not self.horizon_us > 0:
             raise ParamError(["horizon_us"], "horizon_us must be > 0 (or inf)")
-        if self.mask is not None:
-            m = np.asarray(self.mask, dtype=bool)
-            if m.shape != self.x.shape:
-                raise ParamError(["mask"], "mask length mismatch")
-            object.__setattr__(self, "mask", m)
 
 
 @dataclass
@@ -209,25 +204,22 @@ def residuals(theta: dict, datasets, gamma_nat=mhz_to_angular(DEFAULT_GAMMA_NAT_
               tau=DEFAULT_TAU_US) -> np.ndarray:
     """Concatenated weighted residuals (model - data)/sigma over all datasets.
 
-    ``datasets`` is a list of Dataset, compiled on the spot, or the design
-    ``fit`` compiles once; the masks drop their points.  Parameters outside
-    their domain (``theta`` with ``gamma_nat`` and ``tau``) raise the
-    ParamError of ``ReadoutParams`` or ``rabi_from_intensity`` naming them.
+    ``datasets`` is a list of Dataset, compiled on the spot.  Parameters
+    outside their domain (``theta`` with ``gamma_nat`` and ``tau``) raise
+    the ParamError of ``ReadoutParams`` or ``rabi_from_intensity`` naming
+    them.
     """
-    design = datasets if isinstance(datasets, _Design) else _Design(datasets)
-    return _residuals_batch([theta], design, gamma_nat, tau)[0]
+    return _residuals_batch([theta], _Design(datasets), gamma_nat, tau)[0]
 
 
 def _residuals_batch(thetas, design, gamma_nat, tau):
     """``residuals`` of the compiled ``design`` at each of ``thetas``, one
     row each, from one model evaluation."""
-    r = (_model(thetas, design, gamma_nat, tau) - design.y) / design.sigma
-    return r if design.keep is None else r[:, design.keep]
+    return (_model(thetas, design, gamma_nat, tau) - design.y) / design.sigma
 
 
 class _Design:
-    """Datasets as flat per-point arrays; y, sigma and the mask in dataset
-    order.
+    """Datasets as flat per-point arrays; y and sigma in dataset order.
 
     ``wave`` holds every wavepacket point's position in that order, time
     (us) and index into the distinct drives, then each drive's read
@@ -265,10 +257,6 @@ class _Design:
         self.pc = tuple(np.concatenate(col) for col in zip(*pc))
         self.y = np.concatenate([ds.y for ds in self.datasets] or [[]])
         self.sigma = np.concatenate([ds.sigma for ds in self.datasets] or [[]])
-        masked = any(ds.mask is not None for ds in self.datasets)
-        self.keep = np.concatenate(
-            [np.ones(ds.x.size, bool) if ds.mask is None else ds.mask
-             for ds in self.datasets]) if masked else None
 
 
 def _model(thetas, design, gamma_nat, tau):
@@ -318,24 +306,22 @@ def _model(thetas, design, gamma_nat, tau):
 def _canonical(datasets):
     """Datasets and their points in an order that depends only on their values.
 
-    Points are sorted by (x, y, sigma, mask) within each dataset, datasets
-    by (kind, delta_mhz, i_r, horizon_us, data bytes).  The datasets were
+    Points are sorted by (x, y, sigma) within each dataset, datasets by
+    (kind, delta_mhz, i_r, horizon_us, data bytes).  The datasets were
     checked when built, so their permuted copies are not checked again.
     """
     def num(v):
         return (0, 0.0) if v is None else (1, float(v))
 
     def key(ds):
-        mask = b"" if ds.mask is None else ds.mask.tobytes()
         return (ds.kind, num(ds.delta_mhz), num(ds.i_r), num(ds.horizon_us),
-                ds.x.tobytes(), ds.y.tobytes(), ds.sigma.tobytes(), mask)
+                ds.x.tobytes(), ds.y.tobytes(), ds.sigma.tobytes())
 
     out = []
     for ds in datasets:
-        cols = (ds.sigma, ds.y, ds.x)
-        order = np.lexsort(cols if ds.mask is None else (ds.mask,) + cols)
+        order = np.lexsort((ds.sigma, ds.y, ds.x))
         permuted = copy.copy(ds)
-        for name in ("x", "y", "sigma") + (() if ds.mask is None else ("mask",)):
+        for name in ("x", "y", "sigma"):
             object.__setattr__(permuted, name, getattr(ds, name)[order])
         out.append(permuted)
     return sorted(out, key=key)
@@ -398,6 +384,11 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     "max_iter reached" with ``converged`` False and the best point found.
     ``FitResult`` lists the other diagnostics.
 
+    The start point's read intensities (saturation x, other kinds' i_r)
+    are checked by ``rabi_from_intensity`` at the initial i_sat; a
+    ParamError naming ``i_r`` also names the dataset's index.  The points
+    TRF steps to are not checked.
+
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
     arithmetic, so every floating-point sum runs in the same order whatever
@@ -415,7 +406,6 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     """
     if not datasets:
         raise ParamError(["datasets"], "need at least one dataset")
-    datasets = _canonical(datasets)
     free = tuple(free)
     if not free:
         raise ParamError(["free"], "need at least one free parameter")
@@ -455,7 +445,18 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
             t[k] = _from_u(k, val)
         return t
 
-    design = _Design(datasets)
+    # the start point's Rabi frequencies, by the caller's dataset order; the
+    # model evaluations do not check them, so TRF may step to any i_sat
+    for i, ds in enumerate(datasets):
+        try:
+            rabi_from_intensity(ds.x if ds.kind == "saturation" else ds.i_r,
+                                theta["i_sat"], gamma_nat)
+        except ParamError as exc:
+            if exc.fields != ("i_r",):
+                raise
+            raise ParamError(["i_r"], f"datasets[{i}]: {exc}") from exc
+
+    design = _Design(_canonical(datasets))
     evaluated = []          # parameter sets per model evaluation
     stencil = {}            # the last trial's Jacobian rows, by u's bytes
 

@@ -23,6 +23,9 @@ DEFAULT_GAMMA_NAT_MHZ = 5.2
 # pulse lasts 50 ns and reading starts right after it; configurable.
 DEFAULT_TAU_US = 0.050
 
+# largest Rabi frequency (rad/us); products of rates stay finite below it
+_MAX_RABI = 1e60
+
 
 class ParamError(ValueError):
     """A parameter or domain invariant was violated; names the fields."""
@@ -47,13 +50,18 @@ def rabi_from_intensity(i_r, i_sat, gamma_nat):
 
     The transition saturates as (Omega/Gamma)^2 = I_r/(2 I_s), I_s = ``i_sat``
     in mW/cm^2 and Gamma = ``gamma_nat`` in rad/us.  ParamError names
-    ``i_sat`` and/or ``gamma_nat`` unless finite and > 0, then ``i_r``.
+    ``i_sat`` and/or ``gamma_nat`` unless finite and > 0, then ``i_r``
+    unless finite and >= 0 with Omega at most ``_MAX_RABI`` (1e60 rad/us).
     """
     _check_saturation(i_sat, gamma_nat)
     i_r_arr = np.asarray(i_r, dtype=float)
     if np.any(i_r_arr < 0) or not np.all(np.isfinite(i_r_arr)):
         raise ParamError(["i_r"], "read intensity must be finite and >= 0")
-    out = _rabi(i_r_arr, i_sat, gamma_nat)
+    with np.errstate(over="ignore"):
+        out = _rabi(i_r_arr, i_sat, gamma_nat)
+    if np.any(out > _MAX_RABI):
+        raise ParamError(["i_r"], "read intensity gives a Rabi frequency above "
+                         f"{_MAX_RABI:g} rad/us at i_sat = {i_sat:g}")
     return out if np.ndim(i_r) else float(out)
 
 

@@ -4,16 +4,14 @@
 ``qmemread.wavepacket``: ``pc_at`` at the dataset's own drive for a
 wavepacket, ``saturation_curve`` or ``detuning_spectrum`` for the P_c
 kinds.  ``oracle_residuals`` loops over the datasets with it and
-concatenates (model - y)/sigma, masked.  The package evaluates a design's
+concatenates (model - y)/sigma.  The package evaluates a design's
 wavepacket points as factors reused across points and parameter sets, and
 all its P_c points in one ``pc_integral`` call; it must agree with this
 loop to the last bit.
 
-``design_residuals`` has the signature of ``qmemread.fitting.residuals``
-as ``fit`` calls it, with the compiled design in place of the list, and
-``design_residuals_batch`` that of the private batch evaluator ``fit``
-calls for the points of each finite-difference Jacobian, so a test can
-drive every evaluation of ``fit`` through the oracle.
+``design_residuals_batch`` has the signature of the private batch
+evaluator through which ``fit`` makes every model evaluation, so a test
+can drive a whole fit through the oracle.
 
 ``profile`` scans the fit objective over one parameter, re-fitting the
 others at each grid point; it checks that the combined design pins chi.
@@ -45,24 +43,16 @@ def oracle_model_eval(theta, dataset, gamma_nat, tau):
 
 
 def oracle_residuals(theta, datasets, gamma_nat, tau):
-    """Concatenated masked (model - y)/sigma, one dataset at a time."""
-    parts = []
-    for ds in datasets:
-        r = (oracle_model_eval(theta, ds, gamma_nat, tau) - ds.y) / ds.sigma
-        if ds.mask is not None:
-            r = r[ds.mask]
-        parts.append(r)
-    return np.concatenate(parts)
-
-
-def design_residuals(theta, design, gamma_nat, tau):
-    """``oracle_residuals`` over the datasets of a compiled design."""
-    return oracle_residuals(theta, design.datasets, gamma_nat, tau)
+    """Concatenated (model - y)/sigma, one dataset at a time."""
+    return np.concatenate([
+        (oracle_model_eval(theta, ds, gamma_nat, tau) - ds.y) / ds.sigma
+        for ds in datasets])
 
 
 def design_residuals_batch(thetas, design, gamma_nat, tau):
-    """``design_residuals`` at each of ``thetas``, one row each."""
-    return np.array([design_residuals(theta, design, gamma_nat, tau)
+    """``oracle_residuals`` over the datasets of a compiled design at each
+    of ``thetas``, one row each."""
+    return np.array([oracle_residuals(theta, design.datasets, gamma_nat, tau)
                      for theta in thetas])
 
 

@@ -1,14 +1,19 @@
 """Reference ingest and writer for detection logs (tests only).
 
-``oracle_ingest`` reads every line through ``csv.reader`` (a file decoded
-as UTF-8, an undecodable byte as U+FFFD) and judges it field by field, then sorts with a three-key ``np.lexsort``: the plain
+``oracle_ingest`` reads every line of a log file through ``csv.reader``
+(decoded as UTF-8, an undecodable byte as U+FFFD) and judges it field by
+field, then sorts with a three-key ``np.lexsort``: the plain
 implementation that ``qmemread.counting.ingest`` replaced with a chunked,
 vectorised parse.  ``oracle_write`` writes one f-string per row.  Both
 return plain values so that tests can compare them with ``==``.
+``log_file`` writes lines to a temporary log file.
 """
 
+import contextlib
 import csv
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 
@@ -16,21 +21,30 @@ CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
 
 
-def oracle_ingest(source, n_trials=None, trial_window_ns=1500):
+@contextlib.contextmanager
+def log_file(lines):
+    """The path of a temporary log file holding ``lines``, each ended by a
+    newline; the file is deleted on exit."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+        path.write_bytes("".join(f"{line}\n" for line in lines).encode())
+        yield path
+
+
+def oracle_ingest(path, n_trials=None, trial_window_ns=1500):
     """(trial, channel, t_ns, n_trials, n_duplicates, n_rejected_channel,
-    parse_errors, n_records) of a log, with the duplicate warning it
-    raises; ``n_records`` counts the csv records read."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8", errors="replace",
-                  newline="") as fh:
-            return oracle_ingest(fh, n_trials, trial_window_ns)
+    parse_errors, n_records) of the log file at ``path``, with the
+    duplicate warning it raises; ``n_records`` counts the csv records
+    read."""
+    with open(path, "r", encoding="utf-8", errors="replace",
+              newline="") as fh:
+        rows = list(csv.reader(fh))
 
     trials, chans, times = [], [], []
     rejected = 0
     errors = []
     n_records = 0
-    reader = csv.reader(source)
-    for lineno, row in enumerate(reader, start=1):
+    for lineno, row in enumerate(rows, start=1):
         n_records = lineno
         if not row or (len(row) == 1 and not row[0].strip()):
             continue

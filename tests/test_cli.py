@@ -17,6 +17,11 @@ PAPER_BLOCK = {
 }
 
 
+# the error of a read intensity whose Rabi frequency passes 1e60 rad/us,
+# before the value of i_sat
+OMEGA_BOUND = "read intensity gives a Rabi frequency above 1e+60 rad/us at "
+
+
 def write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
@@ -217,6 +222,13 @@ class TestSweepCommands:
         # finite in MHz, inf in rad/us
         ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1e308]},
          "delta_grid_mhz: invalid parameter(s): delta"),
+        # finite, but Omega^2 would overflow into nan rows
+        ("wavepacket", {"i_r_mw_cm2": [95, 1e308]},
+         "i_r_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
+        ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 1e308]},
+         "i_r_grid_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
+        ("sweep-detuning", {"i_r_mw_cm2": 1e308, "delta_grid_mhz": [0, 1.7]},
+         "i_r_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
     ])
     def test_range_error_names_config_key(self, tmp_path, capsys, command,
                                           extra, message):
@@ -371,11 +383,13 @@ class TestChiCommand:
         ("waist_m", 1e155), ("waist_m", 1e200),
         ("length_m", 1e155), ("length_m", 1e200),
         ("wavenumber_per_m", 1e200), ("wavenumber_per_m", 1e308),
-        ("n_samples", 1e155), ("n_samples", 1e200), ("n_samples", 1e308)])
+        ("n_samples", 1e155), ("n_samples", 1e200), ("n_samples", 1e308),
+        ("n_samples", 1e18)])
     def test_geometry_or_sample_count_out_of_domain_exits_2(
             self, tmp_path, capsys, key, value):
         # without the domain checks a zero (kW)^2 would divide by zero, a
-        # huge one overflow, and so would an n_samples past int64 (exit 1)
+        # huge one overflow, and so would an n_samples past int64 (exit 1);
+        # 1e18 samples would ask for PiB of draws (MemoryError, exit 1)
         payload = {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4,
                                 "length_m": 1e-3, "wavenumber_per_m": 1e7},
                    "n_samples": 2_000}
@@ -875,3 +889,148 @@ def test_stats_takes_undecodable_bytes_as_bad_lines(tmp_path):
     got = json.loads((out / "stats_summary.json").read_text())["ingest"]
     assert (got["n_events"], got["n_rejected_channel"]) == (2, 1)
     assert got["parse_errors_by_reason"]["non_integer"] == 1
+
+
+def write_columns(path, *columns):
+    """A dataset CSV of ``columns``, each number as its shortest repr."""
+    with open(path, "w") as fh:
+        fh.write("x,y,sigma\n")
+        for row in zip(*(np.asarray(c).tolist() for c in columns)):
+            fh.write("%r,%r,%r\n" % row)
+
+
+class TestFitWindow:
+    """``mask_min``/``mask_max`` select a dataset's rows when its CSV is
+    read; every row is still checked."""
+
+    T = np.arange(0.0, 161.0, 2.0)
+    I_R = np.array([5, 10, 20, 30, 45, 60, 80, 100, 125, 150, 175, 200.0])
+
+    @staticmethod
+    def model_csv(path, kind, x, seed, **drive):
+        """A noisy model curve of ``kind`` at ``x``, 3 % errors, as a CSV
+        whose numbers read back to the same floats; returns its columns."""
+        from qmemread.fitting import Dataset, model_eval
+        from qmemread.params import mhz_to_angular
+        truth = {"gamma_deph": mhz_to_angular(1.55), "i_sat": 12.0,
+                 "chi": 2.7, "scale_f": 4.1}
+        shell = Dataset(kind=kind, x=x, y=0 * x, sigma=1 + 0 * x, **drive)
+        y = model_eval(truth, shell, mhz_to_angular(5.2), 0.05)
+        sigma = 0.03 * np.maximum(y, 0.02 * y.max())
+        y = y + np.random.default_rng(seed).normal(0, sigma)
+        write_columns(path, x, y, sigma)
+        return x, y, sigma
+
+    def fit_bytes(self, tmp_path, name, datasets):
+        cfg = write_cfg(tmp_path, {
+            "datasets": datasets,
+            "free": ["gamma_deph_mhz", "i_sat_mw_cm2", "chi", "scale_f"]},
+            f"{name}.json")
+        out = tmp_path / name
+        assert run(["fit", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+        return (out / "fit_result.json").read_bytes()
+
+    def test_windowed_fit_equals_fit_of_the_cut_csv(self, tmp_path):
+        # windows on two of three datasets, each cutting rows at both ends
+        sets = [("wp95", "wavepacket", self.T, (20.0, 120.0),
+                 {"delta_mhz": 1.7, "i_r": 95.0}),
+                ("sat", "saturation", self.I_R, (10.0, 150.0),
+                 {"delta_mhz": 1.7}),
+                ("wp32", "wavepacket", self.T, None,
+                 {"delta_mhz": 1.7, "i_r": 32.0})]
+        windowed, cut = [], []
+        for seed, (name, kind, x, window, drive) in enumerate(sets):
+            cols = self.model_csv(tmp_path / f"{name}.csv", kind, x, seed,
+                                  **drive)
+            block = {"kind": kind, "path": str(tmp_path / f"{name}.csv"),
+                     "delta_mhz": drive["delta_mhz"],
+                     "i_r_mw_cm2": drive.get("i_r", 0.0)}
+            if window is None:
+                windowed.append(block)
+                cut.append(block)
+                continue
+            keep = (x >= window[0]) & (x <= window[1])
+            assert 0 < keep.sum() < x.size
+            write_columns(tmp_path / f"{name}_cut.csv",
+                          *(c[keep] for c in cols))
+            windowed.append(dict(block, mask_min=window[0],
+                                 mask_max=window[1]))
+            cut.append(dict(block, path=str(tmp_path / f"{name}_cut.csv")))
+        got = self.fit_bytes(tmp_path, "windowed", windowed)
+        assert got == self.fit_bytes(tmp_path, "cut", cut)
+        assert got != self.fit_bytes(
+            tmp_path, "whole", [{k: v for k, v in b.items()
+                                 if not k.startswith("mask_")}
+                                for b in windowed])
+
+    def test_window_holding_no_row_adds_no_residual(self, tmp_path):
+        self.model_csv(tmp_path / "wp.csv", "wavepacket", self.T, 1,
+                       delta_mhz=1.7, i_r=95.0)
+        self.model_csv(tmp_path / "sat.csv", "saturation", self.I_R, 2,
+                       delta_mhz=1.7)
+        wp = {"kind": "wavepacket", "path": str(tmp_path / "wp.csv"),
+              "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}
+        sat = {"kind": "saturation", "path": str(tmp_path / "sat.csv"),
+               "delta_mhz": 1.7, "mask_min": 300.0}
+        assert (self.fit_bytes(tmp_path, "empty", [wp, sat])
+                == self.fit_bytes(tmp_path, "alone", [wp]))
+
+    def test_zero_sigma_outside_window_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "sat.csv"
+        data.write_text(TestFitCommand.SATURATION + "300,0.004,0\n")
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "saturation", "path": str(data),
+                          "delta_mhz": 1.7, "mask_max": 100}],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "validation error: datasets[0]: uncertainties must be > 0\n")
+        assert not out.exists()
+
+
+class TestReadIntensityBound:
+    """A read intensity whose Rabi frequency passes 1e60 rad/us exits 2
+    naming its key, with no outputs and no warning.  Before the bound,
+    ``synth`` wrote a log of heralds alone and ``fit`` exited 1."""
+
+    def test_synth_exit_2(self, tmp_path, capsys):
+        payload = {"params": dict(PAPER_BLOCK["params"], i_r_mw_cm2=1e308),
+                   "intensity": PAPER_BLOCK["intensity"],
+                   "design": {"n_trials": 1000, "p1": 0.1}}
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["synth", "--config", write_cfg(tmp_path, payload),
+                        "--out", str(out), "--seed", "5", "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"validation error: params.i_r_mw_cm2: {OMEGA_BOUND}i_sat = 12\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,rows,i_r", [
+        ("saturation", "x,y,sigma\n5,0.001,1e-4\n1e308,0.003,1e-4\n", None),
+        ("wavepacket", TestFitCommand.SATURATION, 1e308),
+        ("spectrum", TestFitCommand.SATURATION, 1e308)],
+        ids=["saturation", "wavepacket", "spectrum"])
+    def test_fit_start_point_exit_2(self, tmp_path, capsys, kind, rows, i_r):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text(TestFitCommand.SATURATION)
+        bad.write_text(rows)
+        block = {"kind": kind, "path": str(bad), "delta_mhz": 1.7}
+        if i_r is not None:
+            block["i_r_mw_cm2"] = i_r
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "saturation", "path": str(good),
+                          "delta_mhz": 1.7}, block],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["fit", "--config", cfg, "--out", str(out),
+                        "--quiet"]) == 2
+        # checked at the start point, i_sat = 10 by default
+        assert capsys.readouterr().err == (
+            f"validation error: datasets[1]: {OMEGA_BOUND}i_sat = 10\n")
+        assert not out.exists()

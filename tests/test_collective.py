@@ -207,9 +207,12 @@ class TestMonteCarlo:
             chi_monte_carlo(GEOM, 50, seed=0)
 
     def test_sample_count_fits_int64(self):
-        with pytest.raises(ParamError, match="2\\*\\*63") as exc:
-            chi_monte_carlo(GEOM, 2**63, seed=0)
-        assert exc.value.fields == ("n_samples",)
+        # the bound, 1e8 pairs, holds every count within int64 and memory
+        for n_samples in (2**63, 10**8 + 1):
+            with pytest.raises(ParamError,
+                               match="n_samples <= 1e\\+08") as exc:
+                chi_monte_carlo(GEOM, n_samples, seed=0)
+            assert exc.value.fields == ("n_samples",)
 
     def test_deterministic_for_fixed_seed(self):
         a = chi_monte_carlo(GEOM, 20000, seed=123)

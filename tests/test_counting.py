@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingest_oracle import log_file
 from qmemread import (CorrelationSummary, ModelError, ParamError,
                       ReadoutParams, StatsError, SynthDesign,
                       conditional_wavepacket, correlations, ingest,
@@ -24,7 +25,8 @@ PAPER_STYLE = ReadoutParams.from_user_units(
 
 
 def make_store(lines, **kw):
-    return ingest(iter(lines), **kw)
+    with log_file(lines) as path:
+        return ingest(path, **kw)
 
 
 class TestIngest:

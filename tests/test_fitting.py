@@ -7,8 +7,8 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 
-from fit_oracle import (design_residuals, design_residuals_batch,
-                        oracle_model_eval, oracle_residuals, profile)
+from fit_oracle import (design_residuals_batch, oracle_model_eval,
+                        oracle_residuals, profile)
 from qmemread import (ParamError, RankDeficiencyError, ReadoutParams,
                       integrate_Pc, mhz_to_angular, rabi_from_intensity)
 import qmemread.fitting as fitting
@@ -233,10 +233,13 @@ def st_dataset(draw):
     y = draw(st.lists(st.floats(-0.1, 0.1, **finite), min_size=n, max_size=n))
     sigma = draw(st.lists(st.floats(1e-4, 1.0, **finite), min_size=n,
                           max_size=n))
-    mask = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n,
+    keep = draw(st.one_of(st.none(), st.lists(st.booleans(), min_size=n,
                                               max_size=n)))
+    if keep is not None:        # a subset of the rows, possibly none
+        x, y, sigma = ([v for v, k in zip(col, keep) if k]
+                       for col in (x, y, sigma))
     return Dataset(
-        kind=kind, x=x, y=y, sigma=sigma, mask=mask,
+        kind=kind, x=x, y=y, sigma=sigma,
         delta_mhz=draw(st.sampled_from([0.0, 1.7, -25.7])),
         i_r=draw(st.one_of(st.sampled_from([0.0, 95.0]),
                            st.floats(0.0, 250.0, **finite))),
@@ -252,8 +255,9 @@ class TestCompiledDesign:
         ref = oracle_residuals(theta, sets, GAMMA_NAT, TAU)
         assert np.array_equal(residuals(theta, sets, GAMMA_NAT, TAU), ref)
         design = fitting._Design(fitting._canonical(sets))
-        assert np.array_equal(residuals(theta, design, GAMMA_NAT, TAU),
-                              design_residuals(theta, design, GAMMA_NAT, TAU))
+        assert np.array_equal(
+            fitting._residuals_batch([theta], design, GAMMA_NAT, TAU),
+            design_residuals_batch([theta], design, GAMMA_NAT, TAU))
 
     def test_critical_points_of_several_datasets(self):
         # i_r = chi^2 I_sat/2 drives at Omega = chi Gamma/2: with Delta = 0
@@ -285,12 +289,11 @@ class TestCompiledDesign:
                                                         TAU))
 
     def test_fit_equals_oracle_driven_fit(self, monkeypatch):
-        # both evaluators fit looks up, trial points and Jacobian columns
+        # the evaluator fit looks up for trial points and Jacobian columns
         for seed in range(1, 31):
             sets = paper_design(seed=seed)
             got = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
             with monkeypatch.context() as patch:
-                patch.setattr(fitting, "residuals", design_residuals)
                 patch.setattr(fitting, "_residuals_batch",
                               design_residuals_batch)
                 ref = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT,
@@ -422,24 +425,6 @@ class TestFit:
             assert abs(res_a.values[key] - res_b.values[key]) \
                 <= 1e-12 * abs(res_a.values[key])
 
-    def test_masked_dataset_permutation_is_bit_identical(self):
-        # the mask must travel with its points through the canonical sort
-        grid = np.linspace(-30.0, 30.0, 21)
-        spec = noisy_copy(noiseless_dataset("spectrum", grid, i_r=24.0), seed=3)
-        wp = noisy_copy(noiseless_dataset("wavepacket", np.arange(0, 161, 4.0),
-                                          delta=1.7, i_r=95.0), seed=4)
-        mask = np.abs(grid) >= 8.0
-        order = np.random.default_rng(1).permutation(grid.size)
-        sets_a = [Dataset(kind="spectrum", x=grid, y=spec.y, sigma=spec.sigma,
-                          i_r=24.0, mask=mask), wp]
-        sets_b = [wp, Dataset(kind="spectrum", x=grid[order], y=spec.y[order],
-                              sigma=spec.sigma[order], i_r=24.0,
-                              mask=mask[order])]
-        kwargs = dict(free=("chi", "scale_f"),
-                      init=dict(TRUTH, chi=2.0, scale_f=3.0),
-                      gamma_nat=GAMMA_NAT, tau=TAU, ftol=1e-15)
-        assert_bit_identical(fit(sets_a, **kwargs), fit(sets_b, **kwargs))
-
     def test_repeated_abscissae_permutation_is_bit_identical(self):
         # points sharing an x are ordered by y and sigma, not by input order
         t = np.repeat(np.arange(0.0, 161.0, 4.0), 3)
@@ -490,23 +475,6 @@ class TestFit:
         res = fit(paper_design(), free=("chi", "scale_f"), init=TRUTH,
                   bounds={"i_sat": (5.0, 20.0)}, gamma_nat=GAMMA_NAT, tau=TAU)
         assert res.param_order == ("chi", "scale_f")
-
-    def test_resonance_mask_excludes_points(self):
-        # spectra can mask the resonance region where the model is known to
-        # overshoot; masked points must not pull the fit
-        grid = np.linspace(-30.0, 30.0, 21)
-        ds = noiseless_dataset("spectrum", grid, i_r=24.0)
-        # poison the masked region: corrupt resonance ordinates badly
-        y_bad = ds.y.copy()
-        center = np.abs(grid) < 8.0
-        y_bad[center] *= 0.3
-        mask = ~center
-        poisoned = Dataset(kind="spectrum", x=grid, y=y_bad, sigma=ds.sigma,
-                           i_r=24.0, mask=mask)
-        res = fit([poisoned], free=("scale_f",), init=dict(TRUTH, scale_f=1.0),
-                  gamma_nat=GAMMA_NAT, tau=TAU)
-        assert res.values["scale_f"] == pytest.approx(TRUTH["scale_f"],
-                                                      rel=1e-6)
 
     def test_nonconvergence_is_flagged_with_best_point(self):
         sets = paper_design(seed=11)
@@ -719,7 +687,7 @@ class TestFactorReuse:
         for i_sat, chi, gamma_nat in steps:
             theta = dict(TRUTH, i_sat=i_sat, chi=chi)
             assert np.array_equal(
-                residuals(theta, design, gamma_nat, TAU),
+                fitting._residuals_batch([theta], design, gamma_nat, TAU)[0],
                 oracle_residuals(theta, design.datasets, gamma_nat, TAU)), \
                 (i_sat, chi, gamma_nat)
 

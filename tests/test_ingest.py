@@ -8,8 +8,6 @@ workers, to ``tests/ingest_oracle.py``: the csv reader and f-string writer
 they replaced, and test ``_in_order`` itself.
 """
 
-import contextlib
-import io
 import tempfile
 import threading
 import time
@@ -22,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ingest_oracle import CHANNELS, oracle_ingest, oracle_write
+from ingest_oracle import CHANNELS, log_file, oracle_ingest, oracle_write
 from qmemread import (EventStore, ParamError, ReadoutParams, SynthDesign,
                       counting, ingest, synthesize_log, write_log)
 
@@ -114,19 +112,17 @@ _undecodable = st.sampled_from(["2,F1\udcffA,7", "2,F1A,7\udce9", "\udcff",
 
 
 @st.composite
-def logs(draw, bare_cr=False, undecodable=False):
-    """(lines, terminators): line texts and the ending of each; the last
-    may have none.  Valid rows repeat often enough to make duplicates.
-    ``undecodable`` adds lines holding surrogate escapes."""
-    line = st.one_of(_line, _undecodable) if undecodable else _line
-    lines = draw(st.lists(line, max_size=40))
+def logs(draw):
+    """(lines, terminators): line texts, some holding surrogate escapes,
+    and the ending of each (a newline, CRLF or a bare CR); the last may
+    have none.  Valid rows repeat often enough to make duplicates."""
+    lines = draw(st.lists(st.one_of(_line, _undecodable), max_size=40))
     pool = [ln for ln in lines if ln]
     lines += draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
     lines = draw(st.permutations(lines))
     if draw(st.booleans()):
         lines = ["trial,channel,t_ns"] + lines
-    ends = ["\n", "\r\n"] + (["\r"] if bare_cr else [])
-    terms = [draw(st.sampled_from(ends)) for _ in lines]
+    terms = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
     if terms and draw(st.booleans()):
         terms[-1] = ""                      # no final newline
     return lines, terms
@@ -138,36 +134,7 @@ _N_TRIALS = st.sampled_from([None, 50])
 
 class TestDifferential:
     @settings(max_examples=300, deadline=None)
-    @given(log=logs(), chunk=_CHUNKS, n_trials=_N_TRIALS, bare=st.booleans())
-    def test_line_iterable(self, log, chunk, n_trials, bare):
-        text = "".join(ln + end for ln, end in zip(*log))
-        items = io.StringIO(text).readlines()      # one line per item
-        if bare and '"' not in text:
-            # outside quotes, an item's end ends its line with or without
-            # a newline
-            items = [item.removesuffix("\n") for item in items]
-        with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
-            assert_same_as_oracle(lambda: iter(items), n_trials)
-
-    @settings(max_examples=300, deadline=None)
-    @given(log=logs(bare_cr=True), chunk=_CHUNKS, n_trials=_N_TRIALS)
-    def test_text_stream(self, log, chunk, n_trials):
-        # a text stream is an iterable of lines: one in memory and an open
-        # file, each keeping every line's own ending (newline="")
-        text = "".join(ln + end for ln, end in zip(*log))
-        with tempfile.TemporaryDirectory() as tmp, \
-                contextlib.ExitStack() as files:
-            path = Path(tmp) / "log.csv"
-            path.write_text(text, encoding="utf-8", newline="")
-            with mock.patch.object(counting, "_CHUNK_BYTES", chunk):
-                assert_same_as_oracle(
-                    lambda: io.StringIO(text, newline=""), n_trials)
-                assert_same_as_oracle(lambda: files.enter_context(
-                    open(path, encoding="utf-8", newline="")), n_trials)
-
-    @settings(max_examples=300, deadline=None)
-    @given(log=logs(bare_cr=True, undecodable=True), chunk=_CHUNKS,
-           n_trials=_N_TRIALS)
+    @given(log=logs(), chunk=_CHUNKS, n_trials=_N_TRIALS)
     def test_file(self, log, chunk, n_trials):
         data = "".join(ln + end for ln, end in zip(*log)).encode(
             "utf-8", "surrogateescape")
@@ -192,9 +159,10 @@ class TestDifferential:
         lines = [f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F2B,{WINDOW - 1}",
                  "3,F1B,7", f"{BIG_TRIAL},F1A,{WINDOW - 1}",
                  f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F1A,0"]
-        assert_same_as_oracle(lambda: iter(lines), n_trials)
-        with pytest.warns(UserWarning, match="1 duplicate"):
-            store = ingest(iter(lines), n_trials, WINDOW)
+        with log_file(lines) as path:
+            assert_same_as_oracle(lambda: path, n_trials)
+            with pytest.warns(UserWarning, match="1 duplicate"):
+                store = ingest(path, n_trials, WINDOW)
         assert store.trial.tolist() == [3, BIG_TRIAL, BIG_TRIAL, BIG_TRIAL,
                                         BIG_TRIAL + 1]
         assert store.t_ns.tolist() == [7, 0, WINDOW - 1, WINDOW - 1, 0]
@@ -243,8 +211,8 @@ class TestDifferential:
         monkeypatch.setattr(counting, "_strict_chunk", parse)
         monkeypatch.setattr(counting, "_check_row", judge)
         monkeypatch.setattr(counting, "_CHUNK_BYTES", 64)
-        with _workers(3):
-            store = ingest(iter(lines), None, WINDOW)
+        with _workers(3), log_file(lines) as path:
+            store = ingest(path, None, WINDOW)
         assert validators == {threading.current_thread()}
         assert parsers and threading.current_thread() not in parsers
         assert (len(store), store.n_records, store.n_validated) == (300, 300,
@@ -254,8 +222,9 @@ class TestDifferential:
     def test_trial_beyond_int64_is_a_parse_error(self, n_trials):
         lines = ["9223372036854775808,F1A,5", "3,F1B,7",
                  f"{10 ** 19},F2A,7", f"{2 ** 63 - 1},F2B,7"]
-        assert_same_as_oracle(lambda: iter(lines), n_trials)
-        store = ingest(iter(lines), n_trials, WINDOW)
+        with log_file(lines) as path:
+            assert_same_as_oracle(lambda: path, n_trials)
+            store = ingest(path, n_trials, WINDOW)
         assert store.trial.tolist() == ([3, 2 ** 63 - 1] if n_trials is None
                                         else [3])
         assert [line for line, _ in store.parse_errors] == (
@@ -275,13 +244,14 @@ class TestDifferential:
 
     def test_window_beyond_int64_raises_before_reading(self):
         # read, the time >= 2**63 would pass the window check and overflow
-        with pytest.raises(ParamError) as info:
-            ingest(iter(["1,F1A,9999999999999999999"]), trial_window_ns=10 ** 20)
+        with log_file(["1,F1A,9999999999999999999"]) as path, \
+                pytest.raises(ParamError) as info:
+            ingest(path, trial_window_ns=10 ** 20)
         assert info.value.fields == ("trial_window_ns",)
 
     def test_window_of_2_63_keeps_every_int64_time(self):
-        store = ingest(iter([f"1,F1A,{2 ** 63 - 1}", f"1,F1B,{2 ** 63}"]),
-                       trial_window_ns=2 ** 63)
+        with log_file([f"1,F1A,{2 ** 63 - 1}", f"1,F1B,{2 ** 63}"]) as path:
+            store = ingest(path, trial_window_ns=2 ** 63)
         assert store.t_ns.tolist() == [2 ** 63 - 1]
         assert [line for line, _ in store.parse_errors] == [2]
 
