@@ -20,8 +20,7 @@ from .collective import (ChiEstimate, EnsembleGeometry, branching_ratio,
                          chi_closed_form, chi_monte_carlo, chi_quadrature,
                          extraction_ceiling)
 from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
-                       ModelError, StatsError, SynthDesign,
-                       conditional_wavepacket, correlations, ingest,
-                       probabilities, synthesize_log, write_log)
+                       SynthDesign, conditional_wavepacket, correlations,
+                       ingest, probabilities, synthesize_log, write_log)
 from .fitting import (Dataset, FitResult, RankDeficiencyError, fit,
                       model_eval, residuals)

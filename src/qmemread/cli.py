@@ -12,9 +12,9 @@ fit             weighted least squares over datasets listed in the config
 
 Every quantity in the JSON config carries an explicit unit suffix
 (delta_mhz, i_r_mw_cm2, tau_ns, ...) and is read by the command's table in
-``TABLES`` (README.md lists them).  Exit codes: 0 success, 1 runtime
-failure, 2 config/validation failure.  Every run writes a manifest; a
-failed run removes any partial outputs.
+``TABLES`` (README.md lists them).  Exit codes: 0 success, 1 a defect,
+2 a config/validation failure naming its key.  Every run writes a
+manifest; a failed run removes any partial outputs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import scipy
 from . import __version__
 from .collective import (EnsembleGeometry, branching_ratio, chi_closed_form,
                          chi_monte_carlo, chi_quadrature, extraction_ceiling)
-from .counting import (DEFAULT_TRIAL_WINDOW_NS, ModelError, SynthDesign,
+from .counting import (DEFAULT_TRIAL_WINDOW_NS, SynthDesign,
                        conditional_wavepacket, correlations, ingest,
                        probabilities, synthesize_log, write_log)
 from .fitting import Dataset, fit
@@ -240,17 +240,20 @@ TABLES = {
 _ARG_KEYS = {"window1": "window1_ns", "window2": "window2_ns",
              "herald_window": "herald_window_ns",
              "t_range": "wavepacket_range_ns", "horizon": "horizon_ns",
-             "i_r": "i_r_grid_mw_cm2", "delta": "delta_grid_mhz"}
+             "i_r": "i_r_grid_mw_cm2", "delta": "delta_grid_mhz",
+             **{key: name for name, key in _FIT_KEYS.items()}}
 
 
 @contextlib.contextmanager
-def _named(path=None):
-    """Re-raise a library ParamError as a ConfigError naming the config
-    block ``path`` or, by default, the key of the argument it names."""
+def _named(path=None, **keys):
+    """Re-raise a library ParamError as a ConfigError naming a config key
+    for the first field it names: its key in ``keys``, else the block
+    ``path``, else its key in ``_ARG_KEYS``, else the field itself."""
     try:
         yield
     except ParamError as exc:
-        key = path or _ARG_KEYS.get(exc.fields[0], exc.fields[0])
+        field = exc.fields[0]
+        key = keys.get(field) or path or _ARG_KEYS.get(field, field)
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -259,12 +262,8 @@ def _readout(cfg, i_r, source) -> ReadoutParams:
     intensity ``i_r``, which the command reads from its key ``source``."""
     params = dict(cfg["params"], i_r_mw_cm2=i_r,
                   i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
-    try:
+    with _named("params", i_sat="intensity", i_r=source):
         return ReadoutParams.from_user_units(**params)
-    except ParamError as exc:
-        block = ("intensity" if exc.fields == ("i_sat",)
-                 else source if exc.fields == ("i_r",) else "params")
-        raise ConfigError(f"{block}: {exc}") from exc
 
 
 def _write_json(path, obj) -> str:
@@ -342,8 +341,9 @@ def cmd_wavepacket(cfg, run, seed):
     if len(dict(curves)) < len(curves):
         raise ConfigError("i_r_mw_cm2: two values give one file name")
     for tag, params in curves:
-        curve = pc_curve(params, t_start=t0 * 1e-3, t_end=t1 * 1e-3,
-                         n_points=n_points)
+        with _named("window"):
+            curve = pc_curve(params, t_start=t0 * 1e-3, t_end=t1 * 1e-3,
+                             n_points=n_points)
         out = run.csv(f"wavepacket_{tag}.csv", "t_ns,pc_per_ns", "%.12g,%.12g",
                       curve.t_ns, curve.pc_per_ns)
         run.note(f"wrote {out}")
@@ -375,7 +375,8 @@ def cmd_chi(cfg, run, seed):
         geom = EnsembleGeometry(**cfg["geometry"])
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
-    mc = chi_monte_carlo(geom, cfg["n_samples"], seed)
+    with _named():
+        mc = chi_monte_carlo(geom, cfg["n_samples"], seed)
     report = {
         "closed_form": {"chi": cf.value, "standard_error": cf.standard_error},
         "quadrature": {"chi": qd.value, "standard_error": qd.standard_error},
@@ -392,10 +393,8 @@ def cmd_synth(cfg, run, seed):
     params = _readout(cfg, cfg["params"]["i_r_mw_cm2"], "params.i_r_mw_cm2")
     with _named("design"):
         design = SynthDesign(**cfg["design"])
-    try:
+    with _named("params"):     # P_c > 1, found before any draw
         store = synthesize_log(params, design, seed)
-    except ModelError as exc:   # raised before any draw: the config's fault
-        raise ConfigError(f"params: {exc}") from exc
     out = run.path("synth_log.csv")
     write_log(store, out)
     run.json("synth_meta.json", {
@@ -406,12 +405,12 @@ def cmd_synth(cfg, run, seed):
 
 
 def cmd_stats(cfg, run, seed):
-    w1 = cfg["window1_ns"]
-    with _named():
+    w1, herald = cfg["window1_ns"], cfg["herald_window_ns"]
+    with _named(herald_window="herald_window_ns" if herald else "window1_ns"):
         store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
                        trial_window_ns=cfg["trial_window_ns"])
         summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
-        binned = conditional_wavepacket(store, cfg["herald_window_ns"] or w1,
+        binned = conditional_wavepacket(store, herald or w1,
                                         bin_width_ns=cfg["bin_width_ns"],
                                         t_range=cfg["wavepacket_range_ns"])
     report = summary.to_json()
@@ -452,10 +451,11 @@ def cmd_fit(cfg, run, seed):
                                          sigma=sig[keep])
         datasets.append(ds)
 
-    result = fit(datasets, free=tuple(_FIT_KEYS[n] for n in cfg["free"]),
-                 init=init or None, bounds=bounds or None,
-                 gamma_nat=mhz_to_angular(cfg["gamma_nat_mhz"]),
-                 tau=cfg["tau_ns"] * 1e-3)
+    with _named():
+        result = fit(datasets, free=tuple(_FIT_KEYS[n] for n in cfg["free"]),
+                     init=init or None, bounds=bounds or None,
+                     gamma_nat=mhz_to_angular(cfg["gamma_nat_mhz"]),
+                     tau=cfg["tau_ns"] * 1e-3)
     payload = result.to_json()
     # mirror values back into user-facing units
     for field, got in (("values_user_units", result.values),

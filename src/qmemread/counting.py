@@ -33,13 +33,7 @@ _CODE = {name: i for i, name in enumerate(CHANNELS)}
 
 DEFAULT_TRIAL_WINDOW_NS = 1500  # detector-on period per trial
 
-
-class StatsError(ValueError):
-    """Statistics are undefined for the requested data (e.g. no trials)."""
-
-
-class ModelError(ValueError):
-    """The synthesis model is inconsistent (e.g. P_c > 1)."""
+_MAX_BINS = 10 ** 6     # bins of one conditional wavepacket (8 MB an array)
 
 
 @dataclass
@@ -517,9 +511,10 @@ def probabilities(store: EventStore, window1, window2) -> CorrelationSummary:
     of trials with a count on both detectors of field 1 (2), the
     beamsplitter-pair coincidence.  Trials are counted from the sorted trial
     indices of the events, so memory grows with the events, not n_trials.
+    No trials raise ParamError naming ``n_trials``.
     """
     if store.n_trials <= 0:
-        raise StatsError("no trials: probabilities are undefined")
+        raise ParamError(["n_trials"], "no trials: probabilities are undefined")
     for name, (lo, hi) in (("window1", window1), ("window2", window2)):
         if not (0 <= lo <= hi < store.trial_window_ns):
             raise ParamError([name], f"{name} must lie within the trial window")
@@ -622,28 +617,31 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
     number of heralds; g12(t) = p_c(t) / p2(t) with p2(t) the unconditional
     per-bin field-2 probability.  ``bin_width_ns`` >= 1 (use 1 ns for
     wavepackets, wider bins for correlation traces).  ``herald_window``
-    (inclusive) and ``t_range`` (half-open) must lie in the trial window.
-    Each field-2 event's trial is searched in the sorted herald trials, so
-    memory grows with the events, not with n_trials.
+    (inclusive) and ``t_range`` (half-open; 1 to ``_MAX_BINS`` = 1e6 bins)
+    must lie in the trial window.  ParamError names the argument that does
+    not, ``n_trials`` if there are none, and ``herald_window`` if it holds
+    no herald.  Each field-2 event's trial is searched in the sorted herald
+    trials, so memory grows with the events and bins, not with n_trials.
     """
     if bin_width_ns < 1:
         raise ParamError(["bin_width_ns"], "bin width must be >= 1 ns")
     if store.n_trials <= 0:
-        raise StatsError("no trials")
+        raise ParamError(["n_trials"], "no trials: wavepacket undefined")
     lo_h, hi_h = herald_window
     lo, hi = t_range if t_range is not None else (0, store.trial_window_ns)
     if not (0 <= lo_h <= hi_h < store.trial_window_ns):
         raise ParamError(["herald_window"], "herald_window must lie within the trial window")
     if not (0 <= lo and hi <= store.trial_window_ns):
         raise ParamError(["t_range"], "t_range must lie within the trial window")
+    n_bins = int((hi - lo) // bin_width_ns)
+    if not 1 <= n_bins <= _MAX_BINS:
+        raise ParamError(["t_range"], f"range of {n_bins} bins; need 1 to "
+                         f"{_MAX_BINS}")
+    hi = lo + n_bins * bin_width_ns
     heralds, _ = _field_trials(store, 1, herald_window)
     if heralds.size == 0:
-        raise StatsError("empty herald set: conditional wavepacket undefined")
-
-    n_bins = int((hi - lo) // bin_width_ns)
-    if n_bins < 1:
-        raise ParamError(["t_range"], "range shorter than one bin")
-    hi = lo + n_bins * bin_width_ns
+        raise ParamError(["herald_window"],
+                         "empty herald set: conditional wavepacket undefined")
 
     t = store.t_ns
     at = np.flatnonzero((store.channel >= 2) & (t >= lo) & (t < hi))
@@ -710,8 +708,8 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
     and channel.  Events are drawn as store keys, sorted once, and a key
     drawn twice is one event (``n_duplicates``).  Deterministic for a fixed
     seed (draw order: heralds, herald channels, emissions, emission times,
-    field-2 channels, background total, background keys).  Raises
-    ModelError if the integrated wavepacket exceeds 1.
+    field-2 channels, background total, background keys).  A P_c above 1
+    raises ParamError naming ``scale_f``, before any draw.
     """
     rng = np.random.default_rng(seed)
     window = design.window_ns
@@ -719,8 +717,8 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
                                     window - design.read_start_ns))
     total_pc = float(cdf[-1])
     if total_pc > 1.0:
-        raise ModelError(f"integrated wavepacket P_c = {total_pc:.4g} > 1; "
-                         "reduce scale_f or the sampling window")
+        raise ParamError(["scale_f"], f"integrated wavepacket P_c = {total_pc:.4g}"
+                         " > 1; reduce scale_f or the sampling window")
 
     her_trials = np.flatnonzero(rng.random(design.n_trials) < design.p1)
     her_chan = rng.integers(0, 2, her_trials.size)

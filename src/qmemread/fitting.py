@@ -385,9 +385,9 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     ``FitResult`` lists the other diagnostics.
 
     The start point's read intensities (saturation x, other kinds' i_r)
-    are checked by ``rabi_from_intensity`` at the initial i_sat; a
-    ParamError naming ``i_r`` also names the dataset's index.  The points
-    TRF steps to are not checked.
+    are checked by ``rabi_from_intensity`` at the initial i_sat; one out
+    of range raises ParamError naming ``datasets[i]``, the dataset's place
+    in ``datasets``.  The points TRF steps to are not checked.
 
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
@@ -454,7 +454,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         except ParamError as exc:
             if exc.fields != ("i_r",):
                 raise
-            raise ParamError(["i_r"], f"datasets[{i}]: {exc}") from exc
+            raise ParamError([f"datasets[{i}]"], str(exc)) from exc
 
     design = _Design(_canonical(datasets))
     evaluated = []          # parameter sets per model evaluation

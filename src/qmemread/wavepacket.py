@@ -56,6 +56,7 @@ _SERIES_CUTOFF = 1e-4
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _FLAT_GAMMA = 1e-150
 _TINY = np.finfo(float).tiny
+_MAX_POINTS = 10 ** 6   # points of one pc_curve grid (8 MB an array)
 
 # pc_integral: below |z| = _CRIT_FRAC * lam the divided difference is a
 # Cauchy integral on |u| = (_CONTOUR_FRAC * lam)^2.  The nodes, stored as
@@ -227,15 +228,16 @@ class SweepCurve:
 
 def pc_curve(params: ReadoutParams, t_start=0.0, t_end=0.160,
              n_points=161) -> WavepacketCurve:
-    """Sample p_c on a uniform grid t_start..t_end (us), n_points >= 2.
+    """Sample p_c on a uniform grid t_start..t_end (us), ``n_points`` in
+    [2, ``_MAX_POINTS`` = 1e6]; ParamError names an argument out of range.
 
     The default grid reproduces the 1 ns acquisition resolution over a
     160 ns read window.  Values are probabilities per 1 ns bin.
     """
     if not (t_end > t_start >= 0):
         raise ParamError(["t_start", "t_end"], "need t_end > t_start >= 0")
-    if n_points < 2:
-        raise ParamError(["n_points"], "need n_points >= 2")
+    if not 2 <= n_points <= _MAX_POINTS:
+        raise ParamError(["n_points"], f"need 2 <= n_points <= {_MAX_POINTS}")
     t = np.linspace(t_start, t_end, int(n_points))
     return WavepacketCurve(t_ns=t * 1e3, pc_per_ns=pc_at(t, params) / 1e3)
 

@@ -860,6 +860,88 @@ class TestStatsWindowRanges:
         assert not out.exists()
 
 
+# an input whose statistics are undefined, or a count past its bound:
+# exit 2 naming the config key, before any output is written
+STATS_BASE = {"n_trials": 2, "window1_ns": [20, 20], "window2_ns": [50, 349]}
+FAULT_LOGS = {"header.csv": "trial,channel,t_ns\n",
+              "log.csv": TestStatsWindowRanges.LOG,
+              "no_herald.csv": "trial,channel,t_ns\n0,F2A,60\n1,F1B,700\n"}
+EMPTY_HERALDS = "empty herald set: conditional wavepacket undefined"
+SAT_DATASET = {"kind": "saturation", "path": "sat.csv", "delta_mhz": 1.7}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("stats", {"log_path": "header.csv", "window1_ns": [20, 20],
+               "window2_ns": [50, 349]},
+     "n_trials: no trials: probabilities are undefined"),
+    ("stats", dict(STATS_BASE, log_path="no_herald.csv",
+                   herald_window_ns=[10, 30]),
+     f"herald_window_ns: {EMPTY_HERALDS}"),
+    ("stats", dict(STATS_BASE, log_path="no_herald.csv"),
+     f"window1_ns: {EMPTY_HERALDS}"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=1_000_001,
+                   wavepacket_range_ns=[0, 1_000_001]),
+     "wavepacket_range_ns: range of 1000001 bins; need 1 to 1000000"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=1e12,
+                   wavepacket_range_ns=[0, 999_999_999_999]),
+     "wavepacket_range_ns: range of 999999999999 bins; need 1 to 1000000"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=2 ** 62,
+                   wavepacket_range_ns=[0, 2 ** 62 - 1]),
+     f"wavepacket_range_ns: range of {2 ** 62 - 1} bins; need 1 to 1000000"),
+    ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                    "window": {"t_end_ns": 1_000_000}},
+     "window: need 2 <= n_points <= 1000000"),
+    ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                    "window": {"t_end_ns": 1e12}},
+     "window: need 2 <= n_points <= 1000000"),
+    ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                    "window": {"t_end_ns": 1e155}},
+     "window: need 2 <= n_points <= 1000000"),
+    ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
+                    "window": {"step_ns": 1e-300}},
+     "window: need 2 <= n_points <= 1000000"),
+    ("synth", {"params": dict(PAPER_BLOCK["params"], scale_f=400,
+                              i_r_mw_cm2=95),
+               "intensity": PAPER_BLOCK["intensity"],
+               "design": {"n_trials": 1000, "p1": 0.1}},
+     "params: integrated wavepacket P_c = 2.016 > 1; reduce scale_f or the "
+     "sampling window"),
+    ("chi", {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                          "wavenumber_per_m": 1e7}, "n_samples": 50},
+     "n_samples: need n_samples >= 100"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["gamma_deph_mhz"],
+             "init": {"gamma_deph_mhz": 0}},
+     "gamma_deph_mhz: gamma_deph must be > 0 to be fitted freely"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["i_sat_mw_cm2"],
+             "init": {"i_sat_mw_cm2": 0}},
+     "i_sat_mw_cm2: i_sat must be > 0 to be fitted freely"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["scale_f"],
+             "init": {"i_sat_mw_cm2": -1}},
+     "i_sat_mw_cm2: invalid parameter(s): i_sat"),
+], ids=["stats-no-trials", "stats-no-herald", "stats-no-herald-default",
+        "stats-bins-above-bound", "stats-bins-1e12", "stats-bins-2**62",
+        "wavepacket-points-above-bound", "wavepacket-points-1e12",
+        "wavepacket-t-end-1e155", "wavepacket-step-1e-300", "synth-pc-above-1",
+        "chi-too-few-samples", "fit-gamma-deph", "fit-i-sat", "fit-held-i-sat"])
+def test_input_fault_names_config_key(tmp_path, capsys, monkeypatch, command,
+                                      payload, message):
+    # without these checks, stats exits 1 naming no key on a log with no
+    # trial or no herald, and on 1e12 or 2**62 bins (MemoryError, "array is
+    # too big"); wavepacket exits 1 on 1e12 points or more; chi's and
+    # fit's lines carry no key, fit's naming gamma_deph and i_sat instead
+    monkeypatch.chdir(tmp_path)
+    for name, text in FAULT_LOGS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "sat.csv").write_text(TestFitCommand.SATURATION)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([command, "--config", write_cfg(tmp_path, payload),
+                    "--out", str(out), "--seed", "5", "--quiet"]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not out.exists()
+
+
 def test_fit_inverted_bounds_exit_2(tmp_path, capsys):
     data_path = tmp_path / "wp.csv"
     data_path.write_text("t_ns,pc_per_ns,sigma\n"

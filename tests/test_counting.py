@@ -9,11 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ingest_oracle import log_file
-from qmemread import (CorrelationSummary, ModelError, ParamError,
-                      ReadoutParams, StatsError, SynthDesign,
-                      conditional_wavepacket, correlations, ingest,
-                      integrate_Pc, mhz_to_angular, pc_at, pc_integral,
-                      probabilities, synthesize_log, write_log)
+from qmemread import (CorrelationSummary, ParamError, ReadoutParams,
+                      SynthDesign, conditional_wavepacket, correlations,
+                      ingest, integrate_Pc, mhz_to_angular, pc_at,
+                      pc_integral, probabilities, synthesize_log, write_log)
 import qmemread.counting as counting
 from qmemread.counting import CHANNELS, _emission_cdf
 
@@ -148,8 +147,9 @@ class TestProbabilities:
 
     def test_zero_trials_error(self):
         store = make_store([])
-        with pytest.raises(StatsError):
+        with pytest.raises(ParamError) as info:
             probabilities(store, (0, 10), (20, 30))
+        assert info.value.fields == ("n_trials",)
 
     def test_window_validation(self):
         store = make_store(["0,F1A,10"])
@@ -218,8 +218,36 @@ class TestConditionalWavepacket:
 
     def test_empty_herald_set(self):
         store = make_store(["0,F2A,100"], n_trials=10)
-        with pytest.raises(StatsError):
+        with pytest.raises(ParamError) as info:
             conditional_wavepacket(store, (0, 49), 1)
+        assert info.value.fields == ("herald_window",)
+
+    def test_zero_trials_error(self):
+        with pytest.raises(ParamError) as info:
+            conditional_wavepacket(make_store([]), (0, 49), 1)
+        assert info.value.fields == ("n_trials",)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_bin_count_bound(self, monkeypatch, extra):
+        # the bound itself reaches the histogram, one bin more is named
+        # before it; the histogram is not built at the bound
+        class Reached(Exception):
+            pass
+
+        def bincount(idx, minlength):
+            raise Reached(minlength)
+
+        n = counting._MAX_BINS + extra
+        store = make_store(["0,F1A,20"], trial_window_ns=n)
+        monkeypatch.setattr(np, "bincount", bincount)
+        if extra:
+            with pytest.raises(ParamError) as info:
+                conditional_wavepacket(store, (0, 49), 1)
+            assert info.value.fields == ("t_range",)
+        else:
+            with pytest.raises(Reached) as info:
+                conditional_wavepacket(store, (0, 49), 1)
+            assert info.value.args == (n,)
 
     def test_bin_width_validation(self):
         store = make_store(["0,F1A,20"])
@@ -316,7 +344,7 @@ class TestStatsAgainstOracles:
         n_heralds, n_all, n_her = wavepacket_oracle(store, herald, bin_width,
                                                     (lo, hi))
         if n_heralds == 0:
-            with pytest.raises(StatsError, match="empty herald set"):
+            with pytest.raises(ParamError, match="empty herald set"):
                 conditional_wavepacket(store, herald, bin_width, (lo, hi))
             return
         bw = conditional_wavepacket(store, herald, bin_width, (lo, hi))
@@ -345,7 +373,7 @@ class TestStatsAgainstOracles:
                 recount_oracle(store, a, b)
             n_heralds, _, n_her = wavepacket_oracle(store, h, 1, t_range)
             if n_heralds == 0:
-                with pytest.raises(StatsError, match="empty herald set"):
+                with pytest.raises(ParamError, match="empty herald set"):
                     conditional_wavepacket(store, h)
                 continue
             bw = conditional_wavepacket(store, h)
@@ -403,8 +431,9 @@ class TestSynthesize:
 
     def test_model_inconsistency_error(self):
         params = PAPER_STYLE.replace(scale_f=4.1 * 60)  # P_c > 1
-        with pytest.raises(ModelError):
+        with pytest.raises(ParamError, match="P_c = .* > 1") as info:
             synthesize_log(params, SynthDesign(n_trials=10, p1=0.5), seed=0)
+        assert info.value.fields == ("scale_f",)
 
     def test_design_validation(self):
         with pytest.raises(ParamError):

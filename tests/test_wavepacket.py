@@ -213,6 +213,27 @@ class TestPcCurve:
         with pytest.raises(ParamError):
             pc_curve(PAPER_STYLE, 0.0, 0.1, 1)
 
+    @pytest.mark.parametrize("extra", [0, 1, 10 ** 300])
+    def test_point_count_bound(self, monkeypatch, extra):
+        # the bound itself reaches the grid, a larger count is named before
+        # anything is allocated; the grid is not built at the bound
+        class Reached(Exception):
+            pass
+
+        def linspace(start, stop, num):
+            raise Reached(num)
+
+        n = wavepacket._MAX_POINTS + extra
+        monkeypatch.setattr(np, "linspace", linspace)
+        if extra:
+            with pytest.raises(ParamError) as info:
+                pc_curve(PAPER_STYLE, 0.0, 0.1, n)
+            assert info.value.fields == ("n_points",)
+        else:
+            with pytest.raises(Reached) as info:
+                pc_curve(PAPER_STYLE, 0.0, 0.1, n)
+            assert info.value.args == (n,)
+
     def test_acquisition_grid_convention(self):
         curve = pc_curve(PAPER_STYLE, 0.0, 0.160, 161)
         assert np.allclose(curve.t_ns, np.arange(161), atol=1e-9)
