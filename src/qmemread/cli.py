@@ -49,6 +49,8 @@ class ConfigError(ValueError):
     """Configuration problem; message carries the path to the field."""
 
 
+_CSV_ROWS = 1 << 14         # CSV rows formatted per block
+
 # user-facing fit parameter names -> internal keys
 _FIT_KEYS = {"gamma_deph_mhz": "gamma_deph", "i_sat_mw_cm2": "i_sat",
              "chi": "chi", "scale_f": "scale_f"}
@@ -291,12 +293,15 @@ class _Run:
 
     def csv(self, name, header, row_format, *columns) -> Path:
         """Write the CSV ``name``: the ``header`` row, then one row per index
-        of the equal-length ``columns``, rendered as ``row_format % row``."""
+        of the equal-length ``columns``, rendered as ``row_format % row``
+        ``_CSV_ROWS`` rows at a time, not whole columns of Python floats."""
         out = self.path(name)
-        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        columns = [np.asarray(c) for c in columns]
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            fh.writelines(row_format % row + "\n" for row in rows)
+            for lo in range(0, len(columns[0]), _CSV_ROWS):
+                rows = zip(*(c[lo:lo + _CSV_ROWS].tolist() for c in columns))
+                fh.writelines(row_format % row + "\n" for row in rows)
         return out
 
     def json(self, name, obj) -> Path:

@@ -15,7 +15,6 @@ closed-form wavepacket provides end-to-end pipeline tests.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import warnings
@@ -43,7 +42,7 @@ class EventStore:
     ``parse_errors`` lists (line_number, reason) for rejected malformed
     lines; ``n_rejected_channel`` counts well-formed rows with an unknown
     channel; exact duplicate rows are collapsed into ``n_duplicates``.
-    ``ingest`` also sets ``n_records``, the csv records it read (the
+    ``ingest`` also sets ``n_records``, the lines of the file it read (the
     numbering of ``parse_errors``), and ``n_validated``, how many of them
     went through the per-line validator rather than the vectorised parse.
 
@@ -190,8 +189,8 @@ class _Tally:
     def __init__(self, n_trials, window):
         self.n_trials = n_trials
         self.window = window
-        self.records = 0        # csv records (lines) read
-        self.validated = 0      # records judged by _check_row
+        self.records = 0        # lines read
+        self.validated = 0      # lines judged by _check_row
         self.columns = []       # (trial, channel, t_ns) arrays of strict lines
         self.rows = []          # (trial, channel, t_ns) from _check_row
         self.errors = []
@@ -199,11 +198,11 @@ class _Tally:
 
 
 def _check_row(tally, lineno, row):
-    """Validate one csv record of a log.  Every line that the vectorised
-    path of ``ingest`` does not accept is judged, and its error worded,
-    here."""
+    """Validate the fields ``row`` of one line of a log.  Every line that
+    the vectorised path of ``ingest`` does not accept is judged, and its
+    error worded, here."""
     tally.validated += 1
-    if not row or (len(row) == 1 and not row[0].strip()):
+    if len(row) == 1 and not row[0].strip():
         return
     if lineno == 1 and row[0].strip().lower() == "trial":
         return
@@ -239,8 +238,8 @@ def _check_row(tally, lineno, row):
 
 def _chunks(path):
     """The bytes of the log file ``path``, read in blocks of
-    ``_CHUNK_BYTES`` and cut after newlines; only the last chunk may end
-    without one."""
+    ``_CHUNK_BYTES`` and cut after ``\\n``, so each chunk holds whole lines;
+    only the last chunk may end without one."""
     tail = b""
     with open(path, "rb") as fh:
         while block := fh.read(_CHUNK_BYTES):
@@ -251,31 +250,6 @@ def _chunks(path):
             tail = buf[cut:]
     if tail:
         yield tail
-
-
-def _csv_records(chunk, tally, final):
-    """Read ``chunk`` record by record through ``csv``, which alone knows
-    quoting and lone carriage returns.  Unless ``final``, a record whose
-    quoted field is still open at the chunk's end is returned unread, to
-    be read again with the next chunk."""
-    lines = chunk.splitlines(keepends=True)     # at \n, \r\n and lone \r
-    ran_out = False
-
-    def feed():
-        nonlocal ran_out
-        for line in lines:
-            yield line.decode("utf-8", errors="replace")
-        ran_out = True
-
-    reader = csv.reader(feed())
-    done = 0
-    for row in reader:
-        if ran_out and not final:
-            return b"".join(lines[done:])
-        done = reader.line_num
-        tally.records += 1
-        _check_row(tally, tally.records, row)
-    return b""
 
 
 def _digits(a, end, length):
@@ -296,18 +270,15 @@ def _digits(a, end, length):
 
 
 def _strict_chunk(chunk, window, n_trials):
-    """``(chunk, parse)``: ``parse`` is None if the chunk holds a quote or
-    a lone carriage return.  Otherwise its lines of the strict grammar are
-    parsed and checked as arrays, and ``parse`` is the (trial, code, t)
-    columns of those that pass the window and ``n_trials`` checks, the
-    line count, and the (index, text) of every other line, for ``_check_row``.
+    """The lines of ``chunk`` (ended by ``\\n``, one ``\\r`` before it
+    dropped) parsed and checked as arrays: the (trial, code, t) columns of
+    the lines of the strict grammar that pass the window and ``n_trials``
+    checks, the line count, and the (index, text) of every other line, for
+    ``_check_row``.
 
     Runs on a worker thread, so it reads no state and calls no public
     function of this module (those may be wrapped by callers that are not
     thread-safe)."""
-    if b'"' in chunk or (b"\r" in chunk and
-                         chunk.count(b"\r") != chunk.count(b"\r\n")):
-        return chunk, None
     text = chunk if chunk.endswith(b"\n") else chunk + b"\n"
     a = np.frombuffer(text, dtype=np.uint8)
     marks = np.flatnonzero((a == 44) | (a == 10))   # commas and newlines
@@ -338,44 +309,44 @@ def _strict_chunk(chunk, window, n_trials):
     judged = [(i, text[starts[i]:ends[i]].removesuffix(b"\r")
                .decode("utf-8", errors="replace"))
               for i in np.flatnonzero(~accepted).tolist()]
-    return chunk, (trial[ok], code[ok], t[ok], ends.size, judged)
+    return trial[ok], code[ok], t[ok], ends.size, judged
 
 
 def _take_chunk(tally, trial, code, t, n_lines, judged):
     """Add a chunk parsed by ``_strict_chunk`` to the tally: copies of its
-    kept columns, and its other lines through ``_check_row`` in line
-    order, numbered on from the records read before.  The copies are made
-    here, on the calling thread: an array allocated on a worker and kept
-    to the end would pin that worker's malloc arena resident."""
+    kept columns, and its other lines, split at every comma, through
+    ``_check_row`` in line order, numbered on from the lines read before.
+    The copies are made here, on the calling thread: an array allocated on
+    a worker and kept to the end would pin that worker's malloc arena
+    resident."""
     first = tally.records + 1                       # the chunk's first line
     tally.records += n_lines
     tally.columns.append((trial.copy(), code.copy(), t.copy()))
     for i, text in judged:
-        _check_row(tally, first + i, next(csv.reader((text,))))
+        _check_row(tally, first + i, text.split(","))
 
 
 def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
     """Parse the detection log file at ``path`` into an EventStore.
 
     Its lines are ``trial,channel,t_ns`` (header row optional), its bytes
-    decoded as UTF-8, each undecodable byte as U+FFFD.
-    Malformed lines are skipped and reported with their line number in
-    ``parse_errors``; rows with an unknown channel are tallied; duplicate
-    rows are collapsed with a warning.
+    decoded as UTF-8, each undecodable byte as U+FFFD.  A line ends at
+    ``\\n`` (one ``\\r`` before it is dropped) and its fields are split at
+    every comma, with no quoting: a quote or a lone ``\\r`` is a byte of a
+    malformed line.  Malformed lines are skipped and reported with their
+    line number in the file in ``parse_errors``; rows with an unknown
+    channel are tallied; duplicate rows are collapsed with a warning.
 
     The log is read in chunks of 256 KB cut at newlines, so memory grows
     with the events kept, not with the file.  In each chunk, lines of the
-    strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` (optionally
-    ending in ``\\r``) are parsed and checked as arrays, on a thread pool
-    sized to the CPUs this process may use (``_in_order``).  The calling
-    thread takes the chunks in log order.  Every other line (the header,
-    blanks, signs, spaces, underscores, other digits, unknown channels,
-    wrong field counts) is judged by the per-line validator there, and a
-    chunk holding a quote or a lone ``\\r``, or any chunk while a quoted
-    record cut by a chunk's end is open, is read record by record through
-    ``csv`` there.  Both routes give the same events, rejects, duplicate
-    count and ``parse_errors`` (in line order, numbered as csv records) as
-    reading every line through ``csv``, for any worker count or scheduling.
+    strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` are parsed and
+    checked as arrays, on a thread pool sized to the CPUs this process may
+    use (``_in_order``).  The calling thread takes the chunks in log order.
+    Every other line (the header, blanks, signs, spaces, quotes,
+    underscores, other digits, unknown channels, wrong field counts) is
+    judged by the per-line validator there, so the events, rejects,
+    duplicate count and ``parse_errors`` (in line order) do not depend on
+    the worker count or scheduling.
 
     ``n_trials`` (when given) and ``trial_window_ns`` below 1, and a
     ``trial_window_ns`` above 2**63 (times are int64), raise ParamError
@@ -389,15 +360,9 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
         raise ParamError(["trial_window_ns"],
                          f"trial_window_ns must be <= 2**63, got {trial_window_ns}")
     tally = _Tally(n_trials, trial_window_ns)
-    carry = b""                     # a csv record cut by a chunk's end
     tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(path))
-    for chunk, parse in _in_order(_strict_chunk, tasks):
-        if parse is None or carry:
-            carry = _csv_records(carry + chunk, tally, final=False)
-        else:
-            _take_chunk(tally, *parse)
-    if carry:
-        _csv_records(carry, tally, final=True)
+    for parse in _in_order(_strict_chunk, tasks):
+        _take_chunk(tally, *parse)
     return _sorted_store(tally)
 
 

@@ -62,8 +62,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
-                     ReadoutParams, _check_saturation, _rabi, mhz_to_angular,
-                     rabi_from_intensity)
+                     ReadoutParams, _check_saturation, _outside, _rabi,
+                     mhz_to_angular, rabi_from_intensity)
 from .wavepacket import _b_squared, _envelope, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
@@ -97,11 +97,11 @@ class Dataset:
 
     Construction checks every value the model reads, so a built dataset can
     be evaluated at any valid parameters: x, y and sigma are finite;
-    wavepacket times and saturation intensities are >= 0; ``delta_mhz`` is
-    finite and ``i_r`` finite and >= 0 where the kind needs them; a
-    detuning (``delta_mhz``, or a spectrum's x) stays finite in rad/us; the
-    P_c kinds' horizon is > 0 (inf allowed).  A failure raises ParamError
-    naming the field.
+    wavepacket times and saturation intensities are >= 0; ``i_r`` is finite
+    and >= 0 where the kind needs it; and, in ``params.DOMAIN``'s units, a
+    detuning (``delta_mhz``, or a spectrum's x) is at most 1e20 rad/us in
+    size, a wavepacket time at most 1e20 us and the P_c kinds' horizon in
+    [1e-20, 1e20] us or inf.  A failure raises ParamError naming the field.
     """
 
     kind: str
@@ -128,21 +128,21 @@ class Dataset:
         if self.kind != "spectrum":
             if np.any(self.x < 0):
                 raise ParamError(["x"], f"{self.kind} x must be >= 0")
-            if self.delta_mhz is None or not math.isfinite(self.delta_mhz):
-                raise ParamError(["delta_mhz"],
-                                 f"{self.kind} needs a finite delta_mhz")
-            if not math.isfinite(mhz_to_angular(self.delta_mhz)):
-                raise ParamError(["delta_mhz"], "delta_mhz overflows in rad/us")
-        else:
-            with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(mhz_to_angular(self.x))):
-                    raise ParamError(["x"], "spectrum x overflows in rad/us")
+            if self.delta_mhz is None:
+                raise ParamError(["delta_mhz"], f"{self.kind} needs a delta_mhz")
+        spectrum = self.kind == "spectrum"
+        with np.errstate(over="ignore"):    # the model's units
+            delta = mhz_to_angular(self.x if spectrum else self.delta_mhz)
+        for name, kind, value in (
+                ("x" if spectrum else "delta_mhz", "delta", delta),
+                ("x", "t", self.x * 1e-3) if self.kind == "wavepacket"
+                else ("horizon_us", "horizon", self.horizon_us)):
+            if why := _outside(kind, value):
+                raise ParamError([name], f"{name} must give {why}")
         if self.kind != "saturation" and not (
                 self.i_r is not None and math.isfinite(self.i_r)
                 and self.i_r >= 0):
             raise ParamError(["i_r"], f"{self.kind} needs a finite i_r >= 0")
-        if self.kind != "wavepacket" and not self.horizon_us > 0:
-            raise ParamError(["horizon_us"], "horizon_us must be > 0 (or inf)")
 
 
 @dataclass
@@ -398,7 +398,10 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     points of its 2-point Jacobian, which scipy then reads from them; should
     one of those raise ParamError, the trial point is evaluated alone.  So
     an iteration whose step is accepted makes one model evaluation
-    (``model_evals`` is ``nfev`` when no Jacobian point was missed).
+    (``model_evals`` is ``nfev`` when no Jacobian point was missed).  A
+    trial point outside the model's domain (``ReadoutParams`` raises, or
+    its value overflows) gets infinite residuals, which TRF rejects by
+    shrinking its trust region; the start point raises instead.
 
     Raises RankDeficiencyError when the Jacobian at the returned point (the
     one the covariance is built from) has a zero column or two parallel
@@ -466,7 +469,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         evaluated.append(len(rows))
         return rows
 
-    def trial(u_vec):
+    def trial(u_vec, start=False):
         # the trial point with the Jacobian scipy takes there if it accepts
         # the step; a rejected trial's rows are dropped with the next one
         points = _stencil(u_vec)
@@ -474,11 +477,16 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         try:
             rows = evaluate([u_vec, *points])
         except (ParamError, OverflowError):     # the latter from _from_u
-            return evaluate([u_vec])[0]
+            try:
+                return evaluate([u_vec])[0]
+            except (ParamError, OverflowError):
+                if start:
+                    raise
+                return np.full(design.y.size, np.inf)   # TRF shrinks its step
         stencil.update(zip((p.tobytes() for p in points), rows[1:]))
         return rows[0]
 
-    r = trial(u)
+    r = trial(u, start=True)
     m = r.size
     if m <= len(free):
         raise ParamError(["datasets"], "fewer residuals than free parameters")

@@ -23,8 +23,15 @@ DEFAULT_GAMMA_NAT_MHZ = 5.2
 # pulse lasts 50 ns and reading starts right after it; configurable.
 DEFAULT_TAU_US = 0.050
 
-# largest Rabi frequency (rad/us); products of rates stay finite below it
-_MAX_RABI = 1e60
+# The model's numeric domain, field -> (lo, hi, unit).  On it every closed
+# form of ``wavepacket`` is finite: they multiply up to four rates and
+# times, as in (|Delta| chi Gamma)^2 or (gamma^2 tau)^4, and P_c <= scale_f
+# / (chi Gamma).  A horizon may also be infinite.
+DOMAIN = {"omega": (0.0, 1e60, " rad/us"), "chi": (1.0, 1e20, ""),
+          "delta": (-1e20, 1e20, " rad/us"), "scale_f": (0.0, 1e20, ""),
+          "gamma_nat": (1e-20, 1e20, " rad/us"), "tau": (0.0, 1e20, " us"),
+          "gamma_deph": (0.0, 1e20, " rad/us"), "t": (0.0, 1e20, " us"),
+          "horizon": (1e-20, 1e20, " us, or inf")}
 
 
 class ParamError(ValueError):
@@ -33,6 +40,30 @@ class ParamError(ValueError):
     def __init__(self, fields, message=None):
         self.fields = tuple(fields)
         super().__init__(message or ("invalid parameter(s): " + ", ".join(self.fields)))
+
+
+def _outside(kind, values):
+    """The range DOMAIN[``kind``] as text if an element of ``values`` lies
+    outside it (NaN does; an infinite horizon does not), else None."""
+    lo, hi, unit = DOMAIN[kind]
+    if isinstance(values, (int, float)):        # the common scalar, fast
+        inside = lo <= values <= hi or (kind == "horizon" and values == math.inf)
+    else:
+        v = np.asarray(values, dtype=float)
+        if kind == "horizon":
+            v = v[v != math.inf]
+        inside = v.size == 0 or lo <= v.min() and v.max() <= hi
+    return None if inside else f"{kind} in [{lo:g}, {hi:g}]{unit}"
+
+
+def _check_domain(need="need", **values):
+    """Raise ParamError naming each of ``values`` (by its field of DOMAIN)
+    with an element outside its range, the message ``need`` those ranges."""
+    bad = [(name, text) for name, v in values.items()
+           if (text := _outside(name, v))]
+    if bad:
+        raise ParamError([name for name, _ in bad],
+                         f"{need} " + "; ".join(text for _, text in bad))
 
 
 def mhz_to_angular(f_mhz):
@@ -51,7 +82,7 @@ def rabi_from_intensity(i_r, i_sat, gamma_nat):
     The transition saturates as (Omega/Gamma)^2 = I_r/(2 I_s), I_s = ``i_sat``
     in mW/cm^2 and Gamma = ``gamma_nat`` in rad/us.  ParamError names
     ``i_sat`` and/or ``gamma_nat`` unless finite and > 0, then ``i_r``
-    unless finite and >= 0 with Omega at most ``_MAX_RABI`` (1e60 rad/us).
+    unless finite and >= 0 with Omega in ``DOMAIN`` (at most 1e60 rad/us).
     """
     _check_saturation(i_sat, gamma_nat)
     i_r_arr = np.asarray(i_r, dtype=float)
@@ -59,9 +90,9 @@ def rabi_from_intensity(i_r, i_sat, gamma_nat):
         raise ParamError(["i_r"], "read intensity must be finite and >= 0")
     with np.errstate(over="ignore"):
         out = _rabi(i_r_arr, i_sat, gamma_nat)
-    if np.any(out > _MAX_RABI):
+    if _outside("omega", out):
         raise ParamError(["i_r"], "read intensity gives a Rabi frequency above "
-                         f"{_MAX_RABI:g} rad/us at i_sat = {i_sat:g}")
+                         f"{DOMAIN['omega'][1]:g} rad/us at i_sat = {i_sat:g}")
     return out if np.ndim(i_r) else float(out)
 
 
@@ -90,8 +121,8 @@ class ReadoutParams:
     tau        : delay between heralding detection and read turn-on, us, >= 0
     scale_f    : overall proportionality constant, >= 0
 
-    Every value must be finite.  Construction and ``replace`` raise
-    ParamError naming each field that breaks its bound.
+    Every value must lie in its range of ``DOMAIN``; construction and
+    ``replace`` raise ParamError naming each field that does not.
     """
 
     omega: float
@@ -103,23 +134,10 @@ class ReadoutParams:
     scale_f: float = 1.0
 
     def __post_init__(self):
-        bad = []
-        if not (math.isfinite(self.omega) and self.omega >= 0):
-            bad.append("omega")
-        if not math.isfinite(self.delta):
-            bad.append("delta")
-        if not (math.isfinite(self.gamma_nat) and self.gamma_nat > 0):
-            bad.append("gamma_nat")
-        if not (math.isfinite(self.chi) and self.chi >= 1):
-            bad.append("chi")
-        if not (math.isfinite(self.gamma_deph) and self.gamma_deph >= 0):
-            bad.append("gamma_deph")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            bad.append("tau")
-        if not (math.isfinite(self.scale_f) and self.scale_f >= 0):
-            bad.append("scale_f")
-        if bad:
-            raise ParamError(bad)
+        _check_domain(omega=self.omega, delta=self.delta,
+                      gamma_nat=self.gamma_nat, chi=self.chi,
+                      gamma_deph=self.gamma_deph, tau=self.tau,
+                      scale_f=self.scale_f)
 
     @property
     def chi_gamma(self) -> float:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import (ParamError, ReadoutParams, mhz_to_angular,
+from .params import (ParamError, ReadoutParams, _check_domain, mhz_to_angular,
                      rabi_from_intensity)
 
 # Switch to the series form of sinh(z t/2)/z below this |z t| (removable
@@ -57,6 +57,7 @@ _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _FLAT_GAMMA = 1e-150
 _TINY = np.finfo(float).tiny
 _MAX_POINTS = 10 ** 6   # points of one pc_curve grid (8 MB an array)
+_BLOCK = 1 << 15        # pc_curve points evaluated per pc_at call
 
 # pc_integral: below |z| = _CRIT_FRAC * lam the divided difference is a
 # Cauchy integral on |u| = (_CONTOUR_FRAC * lam)^2.  The nodes, stored as
@@ -129,13 +130,14 @@ def _alpha(om, de, cg):
 
 
 def amplitude_B(t, params: ReadoutParams):
-    """Complex excited-state amplitude B(t) for t >= 0 (us), a scalar or an
-    array of times.
+    """Complex excited-state amplitude B(t) for t in [0, 1e20] us (the
+    ``DOMAIN`` of ``params``), a scalar or an array of times.
 
     Evaluated as a half-difference of combined exponentials
     exp[((+-alpha_+ - chi Gamma/2)/2 + i(...)/2) t]; both real exponents are
-    <= 0 thanks to alpha_+ <= chi Gamma / 2, so nothing overflows even for
-    chi Gamma t of hundreds.  Near the critically damped point (z -> 0) the
+    <= 0 thanks to alpha_+ <= chi Gamma / 2 (the larger one is held there
+    against rounding), so nothing overflows even for chi Gamma t of
+    hundreds.  Near the critically damped point (z -> 0) the
     removable singularity of sinh(z t/2)/z is handled by its Taylor series.
 
     The constant global phase from the storage interval is dropped; it
@@ -144,8 +146,7 @@ def amplitude_B(t, params: ReadoutParams):
     """
     (t_arr, om, de, cg), unwrap = _flat(t, params.omega, params.delta,
                                         params.chi_gamma)
-    if np.any(t_arr < 0):
-        raise ParamError(["t"], "amplitude_B requires t >= 0")
+    _check_domain("amplitude_B requires", t=t_arr)
     return unwrap(_amplitude(t_arr, om, de, cg))
 
 
@@ -168,8 +169,10 @@ def _amplitude(t, om, de, cg, at=None):
 
     base = rate * t
     w = half_z * t
+    grow = base + w         # real part <= 0 but for rounding, held there
+    np.minimum(grow.real, 0.0, out=grow.real)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = (np.exp(base + w) - np.exp(base - w)) / two_z
+        out = (np.exp(grow) - np.exp(base - w)) / two_z
     small = np.flatnonzero(np.abs(w) < 0.5 * _SERIES_CUTOFF)
     if small.size:
         w2 = w[small] * w[small]
@@ -189,7 +192,7 @@ def _envelope(t, gd, tau):
 
 
 def pc_at(t, params: ReadoutParams):
-    """Conditional detection density p_c(t) per us at t (us), t >= 0.
+    """Conditional detection density p_c(t) per us at t (us) in [0, 1e20].
 
     p_c(t) = F exp(-gamma^2 (t+tau)^2) |B(t)|^2.  Probability per 1 ns bin
     is this value / 1000 (see ``pc_curve``).  ``t`` may be an array; each
@@ -198,8 +201,7 @@ def pc_at(t, params: ReadoutParams):
     (t_arr, om, de, cg, gd, f), unwrap = _flat(
         t, params.omega, params.delta, params.chi_gamma, params.gamma_deph,
         params.scale_f)
-    if np.any(t_arr < 0):
-        raise ParamError(["t"], "pc_at requires t >= 0")
+    _check_domain("pc_at requires", t=t_arr)
     return unwrap(_pc_at(t_arr, om, de, cg, gd, params.tau, f))
 
 
@@ -239,7 +241,9 @@ def pc_curve(params: ReadoutParams, t_start=0.0, t_end=0.160,
     if not 2 <= n_points <= _MAX_POINTS:
         raise ParamError(["n_points"], f"need 2 <= n_points <= {_MAX_POINTS}")
     t = np.linspace(t_start, t_end, int(n_points))
-    return WavepacketCurve(t_ns=t * 1e3, pc_per_ns=pc_at(t, params) / 1e3)
+    pc = np.concatenate([pc_at(t[lo:lo + _BLOCK], params)     # bounds the
+                         for lo in range(0, t.size, _BLOCK)])   # temporaries
+    return WavepacketCurve(t_ns=t * 1e3, pc_per_ns=pc / 1e3)
 
 
 def _gauss_laplace(s, gamma, tau, horizon):
@@ -289,12 +293,13 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
     """P_c over [0, horizon] (us) in closed form, elementwise over arrays.
 
     ``omega`` and ``delta`` (rad/us) default to those of ``params``; they
-    and ``horizon`` (> 0, inf allowed) may be broadcastable arrays, one
-    value per point, and the other parameters are scalars.  A given omega
-    or delta is checked as ``ReadoutParams`` checks its own (omega finite
-    and >= 0, delta finite); ParamError names each that is not.  Returns a
-    float for scalar inputs, else an ndarray of the broadcast shape; each
-    point gets the bits of a scalar call with its own values.
+    and ``horizon`` (in [1e-20, 1e20] us, or inf) may be broadcastable
+    arrays, one value per point, and the other parameters are scalars.
+    Each is checked against its range of ``params.DOMAIN`` (omega in
+    [0, 1e60], |delta| at most 1e20); ParamError names each that breaks
+    it.  Returns a float for scalar inputs, else an ndarray of the
+    broadcast shape; each point gets the bits of a scalar call with its own
+    values.
 
     With s_1,2 = -chi Gamma/2 +- alpha_+, s_3 = -chi Gamma/2 + i alpha_-
     and L(s) the integral of e^{s t} under the envelope over [0, T]
@@ -321,12 +326,7 @@ def pc_integral(params: ReadoutParams, horizon=math.inf, *, omega=None,
         horizon, params.omega if omega is None else omega,
         params.delta if delta is None else delta, params.chi_gamma,
         params.gamma_deph, params.scale_f)
-    if not (hz > 0).all():
-        raise ParamError(["horizon"], "horizon must be > 0 (or infinite)")
-    bad = [name for name, ok in (("omega", np.isfinite(om) & (om >= 0)),
-                                 ("delta", np.isfinite(de))) if not ok.all()]
-    if bad:
-        raise ParamError(bad)
+    _check_domain(horizon=hz, omega=om, delta=de)
     return unwrap(_pc_integral(hz, om, de, cg, gd, params.tau, f))
 
 

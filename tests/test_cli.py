@@ -20,6 +20,34 @@ PAPER_BLOCK = {
 # the error of a read intensity whose Rabi frequency passes 1e60 rad/us,
 # before the value of i_sat
 OMEGA_BOUND = "read intensity gives a Rabi frequency above 1e+60 rad/us at "
+# the ranges of params.DOMAIN, as its errors state them
+DELTA_DOMAIN = "delta in [-1e+20, 1e+20] rad/us"
+HORIZON_DOMAIN = "need horizon in [1e-20, 1e+20] us, or inf"
+PARAM_RANGES = {"chi": "chi in [1, 1e+20]", "delta_mhz": DELTA_DOMAIN,
+                "gamma_deph_mhz": "gamma_deph in [0, 1e+20] rad/us",
+                "tau_ns": "tau in [0, 1e+20] us",
+                "scale_f": "scale_f in [0, 1e+20]"}
+# the read drive of each command, in the model's domain
+DRIVES = {"wavepacket": {"i_r_mw_cm2": [95]},
+          "sweep-intensity": {"i_r_grid_mw_cm2": [24, 95]},
+          "sweep-detuning": {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7]}}
+SWEEPS = ("sweep-intensity", "sweep-detuning")
+# finite config numbers whose squares and products overflowed the closed
+# forms: each exited 0 writing nan or inf rows
+DOMAIN_ROWS = (
+    [(c, {**DRIVES[c], "params": dict(PAPER_BLOCK["params"], **{key: v})},
+      f"params: need {PARAM_RANGES[key]}")
+     for key, commands, values in (
+         ("chi", tuple(DRIVES), (1e155, 1e200, 1e308)),
+         ("delta_mhz", ("wavepacket", "sweep-intensity"), (1e155, 1e200)),
+         ("gamma_deph_mhz", SWEEPS, (1e155, 1e200)),
+         ("tau_ns", SWEEPS, (1e155, 1e200, 1e308)),
+         ("scale_f", SWEEPS, (1e308,)))
+     for c in commands for v in values]
+    + [(c, {**DRIVES[c], "horizon_ns": 1e-300}, "horizon_ns: " + HORIZON_DOMAIN)
+       for c in SWEEPS]
+    + [("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, v, -v]},
+        f"delta_grid_mhz: need {DELTA_DOMAIN}") for v in (1e155, 1e200, 1e300)])
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -211,17 +239,17 @@ class TestSweepCommands:
 
     @pytest.mark.parametrize("command,extra,message", [
         ("sweep-intensity", {"i_r_grid_mw_cm2": [24, 95], "horizon_ns": -5},
-         "horizon_ns: horizon must be > 0 (or infinite)"),
+         "horizon_ns: " + HORIZON_DOMAIN),
         ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7],
                             "horizon_ns": -5},
-         "horizon_ns: horizon must be > 0 (or infinite)"),
+         "horizon_ns: " + HORIZON_DOMAIN),
         ("sweep-intensity", {"i_r_grid_mw_cm2": [24, -95]},
          "i_r_grid_mw_cm2: read intensity must be finite and >= 0"),
         ("sweep-detuning", {"i_r_mw_cm2": -95, "delta_grid_mhz": [0, 1.7]},
          "i_r_mw_cm2: read intensity must be finite and >= 0"),
         # finite in MHz, inf in rad/us
         ("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1e308]},
-         "delta_grid_mhz: invalid parameter(s): delta"),
+         "delta_grid_mhz: need " + DELTA_DOMAIN),
         # finite, but Omega^2 would overflow into nan rows
         ("wavepacket", {"i_r_mw_cm2": [95, 1e308]},
          "i_r_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
@@ -229,12 +257,16 @@ class TestSweepCommands:
          "i_r_grid_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
         ("sweep-detuning", {"i_r_mw_cm2": 1e308, "delta_grid_mhz": [0, 1.7]},
          "i_r_mw_cm2: " + OMEGA_BOUND + "i_sat = 12"),
+        *DOMAIN_ROWS,
     ])
     def test_range_error_names_config_key(self, tmp_path, capsys, command,
                                           extra, message):
         cfg = write_cfg(tmp_path, {**PAPER_BLOCK, **extra})
         out = tmp_path / "out"
-        assert run([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([command, "--config", cfg, "--out", str(out),
+                        "--quiet"]) == 2
         assert capsys.readouterr().err == f"validation error: {message}\n"
         assert not out.exists()
 
@@ -520,8 +552,8 @@ class TestPipeline:
             assert run(["stats", "--config", cfg, "--out", str(out),
                         "--quiet"]) == 0
         block = json.loads((out / "stats_summary.json").read_text())["ingest"]
-        # 10 csv records; all but the three clean rows (the duplicate
-        # among them) go through the per-line validator
+        # 10 lines; all but the three clean rows (the duplicate among
+        # them) go through the per-line validator
         assert block == {
             "n_records": 10, "n_validated": 7,
             "n_events": 2, "n_duplicates": 1, "n_rejected_channel": 1,
@@ -762,10 +794,10 @@ class TestFitCommand:
         assert not (out / "fit_result.json").exists()
 
     @pytest.mark.parametrize("kind,rows,message", [
-        ("saturation", SATURATION, "delta_mhz overflows in rad/us"),
-        ("wavepacket", SATURATION, "delta_mhz overflows in rad/us"),
+        ("saturation", SATURATION, "delta_mhz must give " + DELTA_DOMAIN),
+        ("wavepacket", SATURATION, "delta_mhz must give " + DELTA_DOMAIN),
         ("spectrum", "x,y,sigma\n0,0.001,1e-4\n1e308,0.003,1e-4\n",
-         "spectrum x overflows in rad/us")],
+         "x must give " + DELTA_DOMAIN)],
         ids=["saturation", "wavepacket", "spectrum"])
     def test_detuning_overflowing_in_rad_per_us_exit_2(self, tmp_path, capsys,
                                                        kind, rows, message):

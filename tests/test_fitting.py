@@ -383,6 +383,36 @@ class TestFit:
         assert res.nfev == res.njev == res.model_evals == 7
         assert res.model_rows == 35
 
+    @staticmethod
+    def scaled_saturation(scale_f):
+        """A noiseless saturation curve at ``scale_f`` times TRUTH's."""
+        i_r = np.array([5, 10, 20, 30, 45, 60, 80, 100, 125, 150, 175, 200.0])
+        return noiseless_dataset("saturation", i_r, delta=1.7,
+                                 theta=dict(TRUTH, scale_f=scale_f))
+
+    def test_trial_past_the_domain_is_a_rejected_step(self, monkeypatch):
+        # from 1e15, TRF's steps toward 5e19 pass scale_f's bound of 1e20;
+        # those trials get infinite residuals and the fit goes on
+        real, tried = fitting._residuals_batch, []
+
+        def spy(thetas, *args):
+            tried.extend(th["scale_f"] for th in thetas)
+            return real(thetas, *args)
+        monkeypatch.setattr(fitting, "_residuals_batch", spy)
+        res = fit([self.scaled_saturation(5e19)], free=("scale_f",),
+                  init=dict(TRUTH, scale_f=1e15), gamma_nat=GAMMA_NAT, tau=TAU)
+        assert max(tried) > 1e20
+        assert res.converged and res.values["scale_f"] == pytest.approx(5e19)
+        assert res.model_evals < res.nfev       # a trial made no evaluation
+
+    def test_best_point_past_the_domain_named(self):
+        # the data ask for scale_f 1e21: the fit ends at the bound, when a
+        # Jacobian point crosses it, naming the parameter
+        with pytest.raises(ParamError) as info:
+            fit([self.scaled_saturation(1e21)], free=("scale_f",),
+                init=dict(TRUTH, scale_f=1e19), gamma_nat=GAMMA_NAT, tau=TAU)
+        assert info.value.fields == ("scale_f",)
+
     def test_round_trip_quick(self):
         for seed in (1, 2, 3):
             sets = paper_design(seed=seed)

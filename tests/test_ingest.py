@@ -4,8 +4,8 @@
 other line through the per-line validator; ``write_log`` renders rows as
 arrays.  Both run their array work on a thread pool through
 ``counting._in_order``.  These tests hold both, on pools of one and of three
-workers, to ``tests/ingest_oracle.py``: the csv reader and f-string writer
-they replaced, and test ``_in_order`` itself.
+workers, to ``tests/ingest_oracle.py``: a line-by-line reader of the log's
+grammar and the f-string writer, and test ``_in_order`` itself.
 """
 
 import tempfile
@@ -254,6 +254,60 @@ class TestDifferential:
             store = ingest(path, trial_window_ns=2 ** 63)
         assert store.t_ns.tolist() == [2 ** 63 - 1]
         assert [line for line, _ in store.parse_errors] == [2]
+
+
+HEADER = b"trial,channel,t_ns\n"
+NON_INTEGER = "non-integer trial or time"
+
+
+# lines whose outcome the grammar decides: a quote is a byte like any
+# other and a lone CR does not end a line; after the header at line 1
+@pytest.mark.parametrize("body,events,rejected,errors,n_records", [
+    (b'"5",F1A,3\n', [], 0, [(2, NON_INTEGER)], 2),
+    (b'5,"F1A",3\n', [], 1, [], 2),
+    (b'5,F1A,"3"\n', [], 0, [(2, NON_INTEGER)], 2),
+    (b'5,"F2B,3\n6,F1A,4\n7,F2A,5\n', [(6, 0, 4), (7, 2, 5)], 1, [], 4),
+    (b'5,"F1\nA",3\n', [], 0, [(2, "expected 3 fields, got 2"),
+                               (3, "expected 3 fields, got 2")], 3),
+    (b"0,F1A,20\r1,F1B,20\n", [], 0, [(2, "expected 3 fields, got 5")], 2),
+    (b"2,F2A,7\r\n", [(2, 2, 7)], 0, [], 2)],
+    ids=["quoted-trial", "quoted-channel", "quoted-time", "unmatched-quote",
+         "quote-spanning-newline", "lone-cr", "crlf"])
+def test_line_grammar(tmp_path, body, events, rejected, errors, n_records):
+    path = tmp_path / "log.csv"
+    path.write_bytes(HEADER + body)
+    for workers in WORKERS:
+        for chunk in (4, 1 << 22):
+            with _workers(workers), \
+                    mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                store = ingest(path, None, WINDOW)
+            assert list(zip(store.trial.tolist(), store.channel.tolist(),
+                            store.t_ns.tolist())) == events
+            assert store.n_rejected_channel == rejected
+            assert store.parse_errors == errors
+            assert store.n_records == n_records
+
+
+def test_stray_quote_rejects_its_line_alone(tmp_path):
+    # the quote opened a csv record that swallowed the rest of the log:
+    # past 128 KB, csv's field limit ended the ingest with an error
+    params = ReadoutParams.from_user_units(
+        delta_mhz=1.7, chi=2.7, gamma_deph_mhz=1.55, scale_f=4.1,
+        i_r_mw_cm2=95.0, i_sat_mw_cm2=12.0)
+    store = synthesize_log(params, SynthDesign(n_trials=20_000, p1=0.05,
+                                               background_per_ns=2e-4), seed=5)
+    path = tmp_path / "log.csv"
+    write_log(store, path)
+    lines = path.read_bytes().split(b"\n")
+    lines[10] = b'"' + lines[10]                # line 11: the 10th event
+    path.write_bytes(b"\n".join(lines))
+    assert path.stat().st_size >= 200_000
+    back = ingest(path, n_trials=store.n_trials)
+    for column in ("trial", "channel", "t_ns"):
+        assert np.array_equal(getattr(back, column),
+                              np.delete(getattr(store, column), 9))
+    assert back.parse_errors == [(11, NON_INTEGER)]
+    assert back.n_records == len(store) + 1
 
 
 class TestInOrder:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import simpson
 
 from pc_oracle import adaptive_pc
+from qmemread.params import DOMAIN
 import qmemread.wavepacket as wavepacket
 from qmemread import (ParamError, ReadoutParams, alpha_pair,
                       amplitude_B, detuning_spectrum, integrate_Pc,
@@ -103,7 +105,8 @@ class TestAmplitude:
         with pytest.raises(ParamError) as info:
             func(-1.0, ReadoutParams(omega=1.0, delta=0.0))
         assert info.value.fields == ("t",)
-        assert str(info.value) == f"{func.__name__} requires t >= 0"
+        assert str(info.value) == (f"{func.__name__} requires t in "
+                                   "[0, 1e+20] us")
 
     def test_strong_drive_oscillation(self):
         # Delta = 0, Omega >> chi*Gamma: |B|^2 oscillates at
@@ -736,3 +739,74 @@ class TestPerPointHorizon:
         with pytest.raises(ParamError) as info:
             pc_integral(PAPER_STYLE, np.array([0.160, bad, math.inf]))
         assert info.value.fields == ("horizon",)
+
+
+def _domain_values(kind):
+    """The ends of ``kind``'s range in ``params.DOMAIN``, with 0 and 1 where
+    the range holds them."""
+    lo, hi, _unit = DOMAIN[kind]
+    return sorted({lo, hi} | {v for v in (0.0, 1.0) if lo <= v <= hi})
+
+
+class TestDomain:
+    """Every corner of ``params.DOMAIN`` (each field at an end of its range,
+    or at 0 or 1), and every critically damped drive of one, gives finite
+    ``pc_at``, ``amplitude_B`` and ``pc_integral`` without a RuntimeWarning
+    (an error under this suite's settings); just outside, ParamError names
+    the field."""
+
+    FIELDS = ("delta", "gamma_nat", "chi", "gamma_deph", "tau", "scale_f")
+
+    def test_corners_are_finite(self):
+        t = np.array(_domain_values("t"))
+        horizon = np.array(_domain_values("horizon") + [math.inf])
+        for values in itertools.product(*map(_domain_values, self.FIELDS)):
+            p = ReadoutParams(omega=0.0, **dict(zip(self.FIELDS, values)))
+            critical = p.chi_gamma / 2 if p.delta == 0 else 0.0
+            for omega in {*_domain_values("omega"), critical}:
+                p = p.replace(omega=omega)
+                assert np.isfinite(pc_integral(p, horizon)).all(), p
+                assert np.isfinite(pc_at(t, p)).all(), p
+                assert np.isfinite(amplitude_B(t, p)).all(), p
+
+    def test_log_uniform_points_are_finite(self):
+        # inside the corners: weak drives under a fast decay at long times
+        # put alpha_+ within rounding of chi Gamma / 2, where the amplitude's
+        # decaying exponent must not round up to a growing one
+        rng = np.random.default_rng(3)
+
+        def draw(kind, size=None):
+            lo, hi, _unit = DOMAIN[kind]
+            u = rng.uniform(math.log(max(lo, 1e-30)), math.log(hi), size)
+            return np.clip(np.exp(u), lo, hi)
+        t = np.append(draw("t", 8), 0.0)
+        horizon = np.append(draw("horizon", 8), math.inf)
+        for _ in range(400):
+            p = ReadoutParams(omega=draw("omega"), gamma_nat=draw("gamma_nat"),
+                              delta=draw("delta") * rng.choice([-1.0, 1.0]),
+                              **{k: draw(k) * rng.integers(2)
+                                 for k in ("gamma_deph", "tau")},
+                              chi=draw("chi"), scale_f=draw("scale_f"))
+            assert np.isfinite(pc_integral(p, horizon)).all(), p
+            assert np.isfinite(pc_at(t, p)).all(), p
+            assert np.isfinite(amplitude_B(t, p)).all(), p
+
+    @pytest.mark.parametrize("field", ["omega", *FIELDS])
+    def test_just_outside_names_the_field(self, field):
+        lo, hi, _unit = DOMAIN[field]
+        for bad in (math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf),
+                    math.nan):
+            with pytest.raises(ParamError) as info:
+                PAPER_STYLE.replace(**{field: bad})
+            assert info.value.fields == (field,)
+
+    @pytest.mark.parametrize("kind", ["t", "horizon", "omega", "delta"])
+    def test_per_point_values_checked(self, kind):
+        lo, hi, _unit = DOMAIN[kind]
+        for bad in (math.nextafter(hi, math.inf), math.nextafter(lo, -math.inf)):
+            with pytest.raises(ParamError) as info:
+                if kind == "t":
+                    pc_at(np.array([0.1, bad]), PAPER_STYLE)
+                else:
+                    pc_integral(PAPER_STYLE, **{kind: np.array([0.1, bad])})
+            assert info.value.fields == (kind,)
