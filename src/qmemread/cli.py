@@ -243,7 +243,14 @@ _ARG_KEYS = {"window1": "window1_ns", "window2": "window2_ns",
              "herald_window": "herald_window_ns",
              "t_range": "wavepacket_range_ns", "horizon": "horizon_ns",
              "i_r": "i_r_grid_mw_cm2", "delta": "delta_grid_mhz",
+             "tau": "tau_ns", "gamma_nat": "gamma_nat_mhz",
              **{key: name for name, key in _FIT_KEYS.items()}}
+# ReadoutParams field -> the key of the params or intensity block that sets it
+_READOUT_KEYS = {"delta": "params.delta_mhz", "chi": "params.chi",
+                 "gamma_deph": "params.gamma_deph_mhz",
+                 "scale_f": "params.scale_f",
+                 "gamma_nat": "params.gamma_nat_mhz", "tau": "params.tau_ns",
+                 "i_sat": "intensity.i_sat_mw_cm2"}
 
 
 @contextlib.contextmanager
@@ -259,12 +266,18 @@ def _named(path=None, **keys):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _leaves(block, cfg) -> dict:
+    """Each key of the config block ``block`` -> its dotted path, for the
+    library type whose fields are that block's keys."""
+    return {key: f"{block}.{key}" for key in cfg[block]}
+
+
 def _readout(cfg, i_r, source) -> ReadoutParams:
     """ReadoutParams from the params and intensity blocks at the read
     intensity ``i_r``, which the command reads from its key ``source``."""
     params = dict(cfg["params"], i_r_mw_cm2=i_r,
                   i_sat_mw_cm2=cfg["intensity"]["i_sat_mw_cm2"])
-    with _named("params", i_sat="intensity", i_r=source):
+    with _named(**_READOUT_KEYS, i_r=source, omega=source):
         return ReadoutParams.from_user_units(**params)
 
 
@@ -376,7 +389,7 @@ def cmd_sweep_detuning(cfg, run, seed):
 
 
 def cmd_chi(cfg, run, seed):
-    with _named("geometry"):
+    with _named(**_leaves("geometry", cfg)):
         geom = EnsembleGeometry(**cfg["geometry"])
     cf = chi_closed_form(geom)
     qd = chi_quadrature(geom)
@@ -396,9 +409,9 @@ def cmd_chi(cfg, run, seed):
 
 def cmd_synth(cfg, run, seed):
     params = _readout(cfg, cfg["params"]["i_r_mw_cm2"], "params.i_r_mw_cm2")
-    with _named("design"):
+    with _named(**_leaves("design", cfg)):
         design = SynthDesign(**cfg["design"])
-    with _named("params"):     # P_c > 1, found before any draw
+    with _named(**_READOUT_KEYS):     # P_c > 1, found before any draw
         store = synthesize_log(params, design, seed)
     out = run.path("synth_log.csv")
     write_log(store, out)

@@ -64,7 +64,8 @@ class EnsembleGeometry:
     length_m     : cloud rms length L along the mode axis, m
     wavenumber_per_m : optical wavenumber k, 1/m
 
-    Each value is finite, and (kW)^2 and (kL)^2 lie within [1e-100, 1e100].
+    Each value is finite, (kW)^2 and (kL)^2 lie within [1e-100, 1e100],
+    and the closed-form chi = 1 + N / (2 (kW)^2) and 2 chi - 1 are finite.
     Construction raises ParamError naming the fields out of bounds.
     """
 
@@ -93,6 +94,12 @@ class EnsembleGeometry:
                 raise ParamError([name, "wavenumber_per_m"],
                                  f"({symbol})^2 = {kx * kx:g} is outside "
                                  f"[{lo:g}, {hi:g}]: {name}, wavenumber_per_m")
+        chi = _closed_form(self)
+        if not math.isfinite(2.0 * chi - 1.0):
+            raise ParamError(["n_atoms", "waist_m", "wavenumber_per_m"],
+                             f"chi = 1 + N / (2 (kW)^2) = {chi:g}: need chi "
+                             "and 2 chi - 1 finite: n_atoms, waist_m, "
+                             "wavenumber_per_m")
 
     @property
     def regime_flags(self) -> dict:
@@ -130,9 +137,13 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
     if not (flags["waist_resolved"] and flags["pencil_shaped"]):
         warnings.warn("geometry outside the closed-form validity regime "
                       f"(flags: {flags})", stacklevel=2)
+    return ChiEstimate(value=_closed_form(geom), standard_error=0.0)
+
+
+def _closed_form(geom) -> float:
+    """chi = 1 + N / (2 W^2 k^2)."""
     w, k = geom.waist_m, geom.wavenumber_per_m
-    value = 1.0 + geom.n_atoms / (2.0 * w * w * k * k)
-    return ChiEstimate(value=value, standard_error=0.0)
+    return 1.0 + geom.n_atoms / (2.0 * w * w * k * k)
 
 
 def _kernel(kz, kr):

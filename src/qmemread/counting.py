@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -25,14 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamError, ReadoutParams
-from .wavepacket import pc_integral
+from .wavepacket import _MAX_POINTS, pc_integral
 
 CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
+_INTEGER = re.compile(r"-?[0-9]{1,15}")     # a trial or time of a log line
 
 DEFAULT_TRIAL_WINDOW_NS = 1500  # detector-on period per trial
 
 _MAX_BINS = 10 ** 6     # bins of one conditional wavepacket (8 MB an array)
+_MAX_BACKGROUND = 1e8   # expected background counts of one synthetic log
 
 
 @dataclass
@@ -43,8 +46,8 @@ class EventStore:
     lines; ``n_rejected_channel`` counts well-formed rows with an unknown
     channel; exact duplicate rows are collapsed into ``n_duplicates``.
     ``ingest`` also sets ``n_records``, the lines of the file it read (the
-    numbering of ``parse_errors``), and ``n_validated``, how many of them
-    went through the per-line validator rather than the vectorised parse.
+    numbering of ``parse_errors``), and ``n_validated``, the lines that are
+    not events, which the vectorised parse left to the per-line validator.
 
     The columns are read, never written, after construction; the statistics
     keep each field's last in-window selection here, so ``probabilities``
@@ -157,8 +160,6 @@ def _store(keys, span, n_trials, window):
 
 def _sorted_store(tally):
     """The store of the events ``ingest`` kept in ``tally``."""
-    rows = np.array(tally.rows, dtype=np.int64).reshape(-1, 3)
-    tally.columns.append((rows[:, 0], rows[:, 1].astype(np.int8), rows[:, 2]))
     trial, channel, t_ns = (np.concatenate(c) for c in zip(*tally.columns))
     tally.columns.clear()           # free the chunks' arrays before sorting
     last = int(trial.max(initial=-1))
@@ -191,49 +192,35 @@ class _Tally:
         self.window = window
         self.records = 0        # lines read
         self.validated = 0      # lines judged by _check_row
-        self.columns = []       # (trial, channel, t_ns) arrays of strict lines
-        self.rows = []          # (trial, channel, t_ns) from _check_row
+        self.columns = [(np.empty(0, np.int64), np.empty(0, np.int8),
+                         np.empty(0, np.int64))]    # then one per chunk
         self.errors = []
         self.rejected = 0
 
 
 def _check_row(tally, lineno, row):
-    """Validate the fields ``row`` of one line of a log.  Every line that
-    the vectorised path of ``ingest`` does not accept is judged, and its
-    error worded, here."""
+    """Say why line ``lineno`` of a log, split into the fields ``row``, is
+    no event (``ingest``'s array parse took every event): a trial or time
+    is 1 to 15 ASCII digits, and the channel is compared as written."""
     tally.validated += 1
     if len(row) == 1 and not row[0].strip():
         return
     if lineno == 1 and row[0].strip().lower() == "trial":
         return
     if len(row) != 3:
-        tally.errors.append((lineno, f"expected 3 fields, got {len(row)}"))
-        return
-    ch = row[1].strip()
-    try:
-        tr = int(row[0])
-        t = int(row[2])
-    except ValueError:
-        tally.errors.append((lineno, "non-integer trial or time"))
-        return
-    if tr < 0:
-        tally.errors.append((lineno, "negative trial index"))
-        return
-    if not (0 <= t < tally.window):
-        tally.errors.append((lineno, f"time {t} outside trial window "
-                                     f"[0, {tally.window})"))
-        return
-    if ch not in _CODE:
+        error = f"expected 3 fields, got {len(row)}"
+    elif not (_INTEGER.fullmatch(row[0]) and _INTEGER.fullmatch(row[2])):
+        error = "non-integer trial or time"
+    elif row[0].startswith("-"):
+        error = "negative trial index"
+    elif row[2].startswith("-") or int(row[2]) >= tally.window:
+        error = f"time {int(row[2])} outside trial window [0, {tally.window})"
+    elif row[1] not in _CODE:
         tally.rejected += 1
         return
-    if tally.n_trials is not None and tr >= tally.n_trials:
-        tally.errors.append((lineno,
-                             f"trial {tr} >= n_trials {tally.n_trials}"))
-        return
-    if tr >= 1 << 63:
-        tally.errors.append((lineno, f"trial {tr} beyond the int64 range"))
-        return
-    tally.rows.append((tr, _CODE[ch], t))
+    else:                   # the vectorised parse took every other line
+        error = f"trial {int(row[0])} >= n_trials {tally.n_trials}"
+    tally.errors.append((lineno, error))
 
 
 def _chunks(path):
@@ -333,20 +320,20 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
     decoded as UTF-8, each undecodable byte as U+FFFD.  A line ends at
     ``\\n`` (one ``\\r`` before it is dropped) and its fields are split at
     every comma, with no quoting: a quote or a lone ``\\r`` is a byte of a
-    malformed line.  Malformed lines are skipped and reported with their
-    line number in the file in ``parse_errors``; rows with an unknown
-    channel are tallied; duplicate rows are collapsed with a warning.
+    malformed line.  The events are the lines of the grammar
+    ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` with a time below
+    ``trial_window_ns`` and a trial below ``n_trials``.  Other lines but
+    blanks and a line-1 header are tallied in ``n_rejected_channel`` (an
+    unknown channel) or in ``parse_errors`` (with their line number).
+    Duplicate rows are collapsed with a warning.
 
     The log is read in chunks of 256 KB cut at newlines, so memory grows
-    with the events kept, not with the file.  In each chunk, lines of the
-    strict grammar ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` are parsed and
-    checked as arrays, on a thread pool sized to the CPUs this process may
-    use (``_in_order``).  The calling thread takes the chunks in log order.
-    Every other line (the header, blanks, signs, spaces, quotes,
-    underscores, other digits, unknown channels, wrong field counts) is
-    judged by the per-line validator there, so the events, rejects,
-    duplicate count and ``parse_errors`` (in line order) do not depend on
-    the worker count or scheduling.
+    with the events kept, not with the file.  Each chunk is parsed and
+    checked as arrays, the one parse that keeps events, on a thread pool
+    sized to the CPUs this process may use (``_in_order``).  The calling
+    thread takes the chunks in log order and sends each other line to the
+    per-line validator, which says why it is no event.  So the results, in
+    line order, do not depend on the worker count or scheduling.
 
     ``n_trials`` (when given) and ``trial_window_ns`` below 1, and a
     ``trial_window_ns`` above 2**63 (times are int64), raise ParamError
@@ -632,7 +619,8 @@ class SynthDesign:
     Field-1 heralds fire with probability ``p1`` at ``herald_t_ns``; on a
     herald, a field-2 detection is drawn with probability P_c at a time
     sampled from the normalized wavepacket, offset by ``read_start_ns``.
-    ``background_per_ns`` adds uncorrelated counts on every channel.
+    ``background_per_ns`` adds uncorrelated counts on every channel.  Caps
+    bound memory: ``read_ns`` <= 1e6 and 1e8 expected background counts.
     """
 
     n_trials: int
@@ -661,6 +649,18 @@ class SynthDesign:
             bad.append("background_per_ns")
         if bad:
             raise ParamError(bad)
+        counts = 4 * self.background_per_ns * self.window_ns * self.n_trials
+        if not counts <= _MAX_BACKGROUND:
+            raise ParamError(["background_per_ns"], f"{counts:.4g} expected "
+                             f"background counts; need <= {_MAX_BACKGROUND:.0e}")
+        if self.read_ns > _MAX_POINTS:
+            raise ParamError(["read_window_ns"], f"read window of {self.read_ns}"
+                             f" ns in the trial window; need <= {_MAX_POINTS:.0e}")
+
+    @property
+    def read_ns(self) -> int:
+        """ns of the read window inside the trial window."""
+        return min(self.read_window_ns, self.window_ns - self.read_start_ns)
 
 
 def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventStore:
@@ -678,8 +678,7 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
     """
     rng = np.random.default_rng(seed)
     window = design.window_ns
-    cdf = _emission_cdf(params, min(design.read_window_ns,
-                                    window - design.read_start_ns))
+    cdf = _emission_cdf(params, design.read_ns)
     total_pc = float(cdf[-1])
     if total_pc > 1.0:
         raise ParamError(["scale_f"], f"integrated wavepacket P_c = {total_pc:.4g}"

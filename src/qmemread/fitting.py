@@ -75,12 +75,15 @@ DEFAULT_INIT = {"gamma_deph": mhz_to_angular(1.0), "i_sat": 10.0,
 _DATASET_KINDS = ("wavepacket", "saturation", "spectrum")
 
 
-class RankDeficiencyError(RuntimeError):
-    """Normal equations singular; names the degenerate parameters."""
+class RankDeficiencyError(ParamError):
+    """Normal equations singular: an input fault of the data and the free
+    parameters.  ``fields`` names the insensitive or degenerate parameters,
+    ``pairs`` the (a, a) of each insensitive one or the degenerate pairs."""
 
     def __init__(self, message, pairs):
         self.pairs = tuple(pairs)
-        super().__init__(message)
+        super().__init__(dict.fromkeys(k for pair in self.pairs for k in pair),
+                         message)
 
 
 @dataclass(frozen=True)
@@ -403,9 +406,10 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     its value overflows) gets infinite residuals, which TRF rejects by
     shrinking its trust region; the start point raises instead.
 
-    Raises RankDeficiencyError when the Jacobian at the returned point (the
-    one the covariance is built from) has a zero column or two parallel
-    ones, naming the insensitive parameters or degenerate pairs.
+    Raises RankDeficiencyError, a ParamError, when the Jacobian at the
+    returned point (the one the covariance is built from) has a zero column
+    or two parallel ones, naming the insensitive parameters or degenerate
+    pairs.
     """
     if not datasets:
         raise ParamError(["datasets"], "need at least one dataset")

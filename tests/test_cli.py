@@ -33,17 +33,22 @@ DRIVES = {"wavepacket": {"i_r_mw_cm2": [95]},
           "sweep-detuning": {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, 1.7]}}
 SWEEPS = ("sweep-intensity", "sweep-detuning")
 # finite config numbers whose squares and products overflowed the closed
-# forms: each exited 0 writing nan or inf rows
+# forms: each exited 0 writing nan or inf rows.  A params row keeps the test
+# id it was given when the error named the params block alone: its command,
+# its place in the table (after 8 other rows) and that message.
 DOMAIN_ROWS = (
-    [(c, {**DRIVES[c], "params": dict(PAPER_BLOCK["params"], **{key: v})},
-      f"params: need {PARAM_RANGES[key]}")
-     for key, commands, values in (
-         ("chi", tuple(DRIVES), (1e155, 1e200, 1e308)),
-         ("delta_mhz", ("wavepacket", "sweep-intensity"), (1e155, 1e200)),
-         ("gamma_deph_mhz", SWEEPS, (1e155, 1e200)),
-         ("tau_ns", SWEEPS, (1e155, 1e200, 1e308)),
-         ("scale_f", SWEEPS, (1e308,)))
-     for c in commands for v in values]
+    [pytest.param(
+        c, {**DRIVES[c], "params": dict(PAPER_BLOCK["params"], **{key: v})},
+        f"params.{key}: need {PARAM_RANGES[key]}",
+        id=f"{c}-extra{i}-params: need {PARAM_RANGES[key]}")
+     for i, (key, c, v) in enumerate((
+         (key, c, v) for key, commands, values in (
+             ("chi", tuple(DRIVES), (1e155, 1e200, 1e308)),
+             ("delta_mhz", ("wavepacket", "sweep-intensity"), (1e155, 1e200)),
+             ("gamma_deph_mhz", SWEEPS, (1e155, 1e200)),
+             ("tau_ns", SWEEPS, (1e155, 1e200, 1e308)),
+             ("scale_f", SWEEPS, (1e308,)))
+         for c in commands for v in values), start=8)]
     + [(c, {**DRIVES[c], "horizon_ns": 1e-300}, "horizon_ns: " + HORIZON_DOMAIN)
        for c in SWEEPS]
     + [("sweep-detuning", {"i_r_mw_cm2": 95, "delta_grid_mhz": [0, v, -v]},
@@ -900,6 +905,9 @@ FAULT_LOGS = {"header.csv": "trial,channel,t_ns\n",
               "no_herald.csv": "trial,channel,t_ns\n0,F2A,60\n1,F1B,700\n"}
 EMPTY_HERALDS = "empty herald set: conditional wavepacket undefined"
 SAT_DATASET = {"kind": "saturation", "path": "sat.csv", "delta_mhz": 1.7}
+SYNTH_BASE = {"params": dict(PAPER_BLOCK["params"], i_r_mw_cm2=95),
+              "intensity": PAPER_BLOCK["intensity"]}
+SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
 
 
 @pytest.mark.parametrize("command,payload,message", [
@@ -936,8 +944,28 @@ SAT_DATASET = {"kind": "saturation", "path": "sat.csv", "delta_mhz": 1.7}
                               i_r_mw_cm2=95),
                "intensity": PAPER_BLOCK["intensity"],
                "design": {"n_trials": 1000, "p1": 0.1}},
-     "params: integrated wavepacket P_c = 2.016 > 1; reduce scale_f or the "
-     "sampling window"),
+     "params.scale_f: integrated wavepacket P_c = 2.016 > 1; reduce scale_f "
+     "or the sampling window"),
+    ("synth", {**SYNTH_BASE, "design": dict(SYNTH_DESIGN,
+                                            background_per_ns=1e300)},
+     "design.background_per_ns: 6e+306 expected background counts; "
+     "need <= 1e+08"),
+    ("synth", {**SYNTH_BASE, "design": dict(SYNTH_DESIGN,
+                                            background_per_ns=1e10)},
+     "design.background_per_ns: 6e+16 expected background counts; "
+     "need <= 1e+08"),
+    ("synth", {**SYNTH_BASE, "design": dict(SYNTH_DESIGN, window_ns=2e8,
+                                            read_window_ns=1e8)},
+     "design.read_window_ns: read window of 100000000 ns in the trial "
+     "window; need <= 1e+06"),
+    ("synth", {**SYNTH_BASE, "design": dict(SYNTH_DESIGN, window_ns=1_000_100,
+                                            read_window_ns=1e8)},
+     "design.read_window_ns: read window of 1000050 ns in the trial "
+     "window; need <= 1e+06"),
+    ("chi", {"geometry": {"n_atoms": 1e308, "waist_m": 1e-9, "length_m": 1e-3,
+                          "wavenumber_per_m": 1e7}, "n_samples": 200},
+     "geometry.n_atoms: chi = 1 + N / (2 (kW)^2) = inf: need chi and "
+     "2 chi - 1 finite: n_atoms, waist_m, wavenumber_per_m"),
     ("chi", {"geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
                           "wavenumber_per_m": 1e7}, "n_samples": 50},
      "n_samples: need n_samples >= 100"),
@@ -950,17 +978,36 @@ SAT_DATASET = {"kind": "saturation", "path": "sat.csv", "delta_mhz": 1.7}
     ("fit", {"datasets": [SAT_DATASET], "free": ["scale_f"],
              "init": {"i_sat_mw_cm2": -1}},
      "i_sat_mw_cm2: invalid parameter(s): i_sat"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["gamma_deph_mhz"],
+             "init": {"gamma_deph_mhz": 1e-300}},
+     "gamma_deph_mhz: model is insensitive to parameter(s): gamma_deph"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["scale_f"], "tau_ns": 1e300},
+     "tau_ns: need tau in [0, 1e+20] us"),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["scale_f"],
+             "gamma_nat_mhz": 1e-300},
+     "gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
+    ("sweep-intensity", {**PAPER_BLOCK, "i_r_grid_mw_cm2": [95],
+                         "params": dict(PAPER_BLOCK["params"],
+                                        gamma_nat_mhz=1e300)},
+     "params.gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
 ], ids=["stats-no-trials", "stats-no-herald", "stats-no-herald-default",
         "stats-bins-above-bound", "stats-bins-1e12", "stats-bins-2**62",
         "wavepacket-points-above-bound", "wavepacket-points-1e12",
         "wavepacket-t-end-1e155", "wavepacket-step-1e-300", "synth-pc-above-1",
-        "chi-too-few-samples", "fit-gamma-deph", "fit-i-sat", "fit-held-i-sat"])
+        "synth-background-1e300", "synth-background-1e10",
+        "synth-read-window-1e8", "synth-read-window-past-trial-window",
+        "chi-closed-form-overflow", "chi-too-few-samples", "fit-gamma-deph",
+        "fit-i-sat", "fit-held-i-sat", "fit-rank-deficient-gamma-deph",
+        "fit-tau", "fit-gamma-nat", "sweep-intensity-gamma-nat"])
 def test_input_fault_names_config_key(tmp_path, capsys, monkeypatch, command,
                                       payload, message):
     # without these checks, stats exits 1 naming no key on a log with no
     # trial or no herald, and on 1e12 or 2**62 bins (MemoryError, "array is
     # too big"); wavepacket exits 1 on 1e12 points or more; chi's and
-    # fit's lines carry no key, fit's naming gamma_deph and i_sat instead
+    # fit's lines carry no key, fit's naming gamma_deph and i_sat instead;
+    # synth exits 1 or runs out of memory on a background or read window
+    # past its cap, chi exits 0 writing Infinity and NaN, and a fit
+    # insensitive to a free parameter exits 1
     monkeypatch.chdir(tmp_path)
     for name, text in FAULT_LOGS.items():
         (tmp_path / name).write_text(text)

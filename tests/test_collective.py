@@ -45,6 +45,22 @@ class TestGeometry:
                              wavenumber_per_m=k)
         assert exc.value.fields == fields
 
+    @pytest.mark.parametrize("n_atoms", [1e308, 2e304])
+    def test_closed_form_chi_finite(self, n_atoms):
+        # at (kW)^2 = 1e-4, N = 1e308 overflows chi itself, and N = 2e304
+        # gives chi = 1e308, whose branching ratio 2 chi - 1 overflows
+        with pytest.raises(ParamError) as exc:
+            EnsembleGeometry(n_atoms=n_atoms, waist_m=1e-9, length_m=1e-3,
+                             wavenumber_per_m=1e7)
+        assert exc.value.fields == ("n_atoms", "waist_m", "wavenumber_per_m")
+        # chi = 2.5e307: its branching ratio and ceiling stay finite
+        geom = EnsembleGeometry(n_atoms=5e303, waist_m=1e-9, length_m=1e-3,
+                                wavenumber_per_m=1e7)
+        with pytest.warns(UserWarning, match="validity regime"):
+            chi = chi_closed_form(geom).value
+        assert math.isfinite(branching_ratio(chi))
+        assert math.isfinite(extraction_ceiling(chi))
+
     def test_products_near_the_domain_edges_accepted(self):
         for kw in (1e-49, 1e49):
             geom = EnsembleGeometry(n_atoms=1.0, waist_m=kw, length_m=kw,

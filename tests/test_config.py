@@ -251,7 +251,8 @@ PROBES = [
      ["i_r_mw_cm2: must be a non-empty list of numbers, got 95"]),
     # the config alone decides P_c, so P_c > 1 is found before any draw
     ("synth", "params.scale_f", 400,
-     ["params: integrated wavepacket P_c = 2.016 > 1; reduce scale_f"]),
+     ["params.scale_f: integrated wavepacket P_c = 2.016 > 1; reduce "
+      "scale_f"]),
 ] + [(name, "seed", 5, ["config: unknown key(s) ['seed']"])
      for name in TABLES]
 
@@ -357,12 +358,14 @@ def test_intensities_with_one_file_name(tmp_path, capsys, base, values):
 
 # ---------------------------------------------------------------------------
 # intensity.i_sat_mw_cm2 is required, checked by
-# ReadoutParams.from_user_units and named under its own block
+# ReadoutParams.from_user_units and named by its own key
 
 @pytest.mark.parametrize("intensity,message", [
     pytest.param(None, "config: missing required key(s) ['intensity']",
                  id="no-intensity-block"),
-    ({"i_sat_mw_cm2": -1}, "intensity: invalid parameter(s): i_sat"),
+    pytest.param({"i_sat_mw_cm2": -1},       # test id from its old message
+                 "intensity.i_sat_mw_cm2: invalid parameter(s): i_sat",
+                 id="intensity1-intensity: invalid parameter(s): i_sat"),
     ({}, "intensity: missing required key(s) ['i_sat_mw_cm2']")])
 def test_i_sat_named_under_intensity(tmp_path, capsys, intensity, message):
     cfg = {"params": {"delta_mhz": 1.7}, "i_r_mw_cm2": [95]}

@@ -443,6 +443,32 @@ class TestSynthesize:
         with pytest.raises(ParamError):
             SynthDesign(n_trials=10, p1=0.5, background_per_ns=-1e-6)
 
+    def test_designs_at_the_allocation_caps_accepted(self):
+        # 4 background_per_ns window_ns n_trials = 1e8 expected counts
+        SynthDesign(n_trials=1000, p1=0.5, background_per_ns=1e8 / 6e6)
+        # a read window of 1e6 ns, as asked or cut by the trial window
+        SynthDesign(n_trials=10, p1=0.5, window_ns=2 * 10 ** 6,
+                    read_window_ns=10 ** 6)
+        SynthDesign(n_trials=10, p1=0.5, window_ns=10 ** 6 + 50,
+                    read_window_ns=10 ** 8)
+
+    @pytest.mark.parametrize("key,design", [
+        ("background_per_ns", dict(n_trials=1000,
+                                   background_per_ns=1e8 / 6e6 * 1.000001)),
+        ("background_per_ns", dict(n_trials=1000, background_per_ns=1e300)),
+        ("background_per_ns", dict(n_trials=10 ** 9, window_ns=10 ** 9,
+                                   background_per_ns=1e-9)),
+        ("read_window_ns", dict(n_trials=10, window_ns=2 * 10 ** 6,
+                                read_window_ns=10 ** 6 + 1)),
+        ("read_window_ns", dict(n_trials=10, window_ns=10 ** 6 + 51,
+                                read_window_ns=10 ** 8))],
+        ids=["background-past-cap", "background-1e300", "background-of-cells",
+             "read-window-past-cap", "read-window-cut-by-trial-window"])
+    def test_allocation_caps(self, key, design):
+        with pytest.raises(ParamError) as info:
+            SynthDesign(p1=0.5, **design)
+        assert info.value.fields == (key,)
+
     def test_planted_herald_probability(self):
         design = SynthDesign(n_trials=200_000, p1=0.0036)
         store = synthesize_log(PAPER_STYLE, design, seed=8)

@@ -521,8 +521,12 @@ class TestFit:
         t = np.arange(0.0, 60.0, 4.0)
         dead = Dataset(kind="wavepacket", x=t, y=np.zeros_like(t),
                        sigma=np.ones_like(t), delta_mhz=1.7, i_r=0.0)
-        with pytest.raises(RankDeficiencyError, match="insensitive"):
+        with pytest.raises(RankDeficiencyError, match="insensitive") as info:
             fit([dead], free=("chi", "scale_f"), gamma_nat=GAMMA_NAT, tau=TAU)
+        # an input fault, naming the parameters
+        assert isinstance(info.value, ParamError)
+        assert info.value.fields == ("chi", "scale_f")
+        assert info.value.pairs == (("chi", "chi"), ("scale_f", "scale_f"))
 
     @staticmethod
     def one_time_wavepacket():
@@ -536,6 +540,7 @@ class TestFit:
             fit([self.one_time_wavepacket()], free=("gamma_deph", "scale_f"),
                 gamma_nat=GAMMA_NAT, tau=TAU)
         assert info.value.pairs == (("gamma_deph", "scale_f"),)
+        assert info.value.fields == ("gamma_deph", "scale_f")
 
     def test_rank_deficiency_raises_without_warnings(self):
         t = np.arange(0.0, 60.0, 4.0)

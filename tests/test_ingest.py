@@ -1,11 +1,12 @@
 """Chunked ingest and vectorised write against their line-by-line oracles.
 
-``ingest`` parses lines of the strict grammar as arrays and sends every
-other line through the per-line validator; ``write_log`` renders rows as
-arrays.  Both run their array work on a thread pool through
-``counting._in_order``.  These tests hold both, on pools of one and of three
-workers, to ``tests/ingest_oracle.py``: a line-by-line reader of the log's
-grammar and the f-string writer, and test ``_in_order`` itself.
+``ingest`` parses lines of the strict grammar as arrays, the only parse
+that keeps an event, and sends every other line to the per-line validator,
+which says why the line is rejected; ``write_log`` renders rows as arrays.
+Both run their array work on a thread pool through ``counting._in_order``.
+These tests hold both, on pools of one and of three workers, to
+``tests/ingest_oracle.py``: a line-by-line reader of the log's grammar and
+the f-string writer, and test ``_in_order`` itself.
 """
 
 import tempfile
@@ -25,9 +26,10 @@ from qmemread import (EventStore, ParamError, ReadoutParams, SynthDesign,
                       counting, ingest, synthesize_log, write_log)
 
 WINDOW = 100
-# the packed sort key (trial * span + t) * 4 + channel overflows int64 here
-# for span = WINDOW, so the sort must fall back to lexsort
-BIG_TRIAL = 10 ** 17
+# the packed sort key (trial * span + t) * 4 + channel overflows int64 for
+# 15-digit trials and span = BIG_WINDOW, so the sort must fall back to lexsort
+BIG_TRIAL = 10 ** 14
+BIG_WINDOW = 200_000
 # pool sizes every result must be the same for
 WORKERS = (1, 3)
 
@@ -156,16 +158,20 @@ class TestDifferential:
 
     @pytest.mark.parametrize("n_trials", [None, BIG_TRIAL + 5])
     def test_key_overflow_falls_back_to_lexsort(self, n_trials):
-        lines = [f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F2B,{WINDOW - 1}",
-                 "3,F1B,7", f"{BIG_TRIAL},F1A,{WINDOW - 1}",
+        last = BIG_WINDOW - 1
+        lines = [f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F2B,{last}",
+                 "3,F1B,7", f"{BIG_TRIAL},F1A,{last}",
                  f"{BIG_TRIAL + 1},F1A,0", f"{BIG_TRIAL},F1A,0"]
         with log_file(lines) as path:
-            assert_same_as_oracle(lambda: path, n_trials)
-            with pytest.warns(UserWarning, match="1 duplicate"):
-                store = ingest(path, n_trials, WINDOW)
+            assert_same_as_oracle(lambda: path, n_trials, BIG_WINDOW)
+            with pytest.warns(UserWarning, match="1 duplicate"), \
+                    mock.patch.object(np, "lexsort",
+                                      wraps=np.lexsort) as lexsort:
+                store = ingest(path, n_trials, BIG_WINDOW)
+        assert lexsort.call_count == 1
         assert store.trial.tolist() == [3, BIG_TRIAL, BIG_TRIAL, BIG_TRIAL,
                                         BIG_TRIAL + 1]
-        assert store.t_ns.tolist() == [7, 0, WINDOW - 1, WINDOW - 1, 0]
+        assert store.t_ns.tolist() == [7, 0, last, last, 0]
         assert store.channel.tolist() == [1, 0, 0, 3, 0]
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
@@ -193,8 +199,9 @@ class TestDifferential:
         assert (back.n_records, back.n_validated) == (len(store) + 1, 1)
 
     def test_validator_runs_on_the_calling_thread(self, monkeypatch):
-        # every third line is signed, so it leaves the vectorised parse for
-        # the validator; 64-byte chunks spread them over many pool tasks
+        # every third line is signed, so the vectorised parse leaves it to
+        # the validator, which rejects it; 64-byte chunks spread them over
+        # many pool tasks
         lines = [f"+{i},F1B,3" if i % 3 == 0 else f"{i},F2A,{i % WINDOW}"
                  for i in range(300)]
         parsers, validators = set(), set()
@@ -215,22 +222,26 @@ class TestDifferential:
             store = ingest(path, None, WINDOW)
         assert validators == {threading.current_thread()}
         assert parsers and threading.current_thread() not in parsers
-        assert (len(store), store.n_records, store.n_validated) == (300, 300,
+        assert (len(store), store.n_records, store.n_validated) == (200, 300,
                                                                     100)
+        assert store.parse_errors_by_reason()["non_integer"] == 100
 
     @pytest.mark.parametrize("n_trials", [None, 50])
     def test_trial_beyond_int64_is_a_parse_error(self, n_trials):
+        # a trial of 16 digits or more is not an integer of the grammar
         lines = ["9223372036854775808,F1A,5", "3,F1B,7",
-                 f"{10 ** 19},F2A,7", f"{2 ** 63 - 1},F2B,7"]
+                 f"{10 ** 19},F2A,7", f"{2 ** 63 - 1},F2B,7",
+                 f"{10 ** 15},F1A,7", f"{10 ** 15 - 1},F2B,7"]
         with log_file(lines) as path:
             assert_same_as_oracle(lambda: path, n_trials)
             store = ingest(path, n_trials, WINDOW)
-        assert store.trial.tolist() == ([3, 2 ** 63 - 1] if n_trials is None
+        assert store.trial.tolist() == ([3, 10 ** 15 - 1] if n_trials is None
                                         else [3])
-        assert [line for line, _ in store.parse_errors] == (
-            [1, 3] if n_trials is None else [1, 3, 4])
-        assert store.parse_errors_by_reason()["trial_out_of_range"] == len(
-            store.parse_errors)
+        assert store.parse_errors[:4] == [(line, NON_INTEGER)
+                                          for line in (1, 3, 4, 5)]
+        assert store.parse_errors[4:] == ([] if n_trials is None else
+                                          [(6, f"trial {10 ** 15 - 1} >= "
+                                               "n_trials 50")])
 
     @pytest.mark.parametrize("key,value", [
         ("n_trials", 0), ("n_trials", -3),
@@ -250,10 +261,13 @@ class TestDifferential:
         assert info.value.fields == ("trial_window_ns",)
 
     def test_window_of_2_63_keeps_every_int64_time(self):
-        with log_file([f"1,F1A,{2 ** 63 - 1}", f"1,F1B,{2 ** 63}"]) as path:
+        # every time of the grammar (15 digits) is an int64 below the window
+        lines = [f"1,F1A,{10 ** 15 - 1}", f"1,F1B,{2 ** 63 - 1}",
+                 f"1,F2A,{2 ** 63}"]
+        with log_file(lines) as path:
             store = ingest(path, trial_window_ns=2 ** 63)
-        assert store.t_ns.tolist() == [2 ** 63 - 1]
-        assert [line for line, _ in store.parse_errors] == [2]
+        assert store.t_ns.tolist() == [10 ** 15 - 1]
+        assert store.parse_errors == [(2, NON_INTEGER), (3, NON_INTEGER)]
 
 
 HEADER = b"trial,channel,t_ns\n"
@@ -286,6 +300,45 @@ def test_line_grammar(tmp_path, body, events, rejected, errors, n_records):
             assert store.n_rejected_channel == rejected
             assert store.parse_errors == errors
             assert store.n_records == n_records
+
+
+# lines that Python's int() read as events before the grammar had one
+# acceptor; at line 2, between the header and an event line
+@pytest.mark.parametrize("line,errors,rejected", [
+    ("+5,F1A,3", [(2, NON_INTEGER)], 0),
+    ("5,F1A,+3", [(2, NON_INTEGER)], 0),
+    (" 12 ,F2B,3", [(2, NON_INTEGER)], 0),
+    ("12,F1A, 7", [(2, NON_INTEGER)], 0),
+    ("1_000,F1A,3", [(2, NON_INTEGER)], 0),
+    ("1,F1A,1_0", [(2, NON_INTEGER)], 0),
+    ("\u0663,F1A,5", [(2, NON_INTEGER)], 0),
+    ("\uff11\uff12,F1A,5", [(2, NON_INTEGER)], 0),
+    ("1234567890123456,F1A,3", [(2, NON_INTEGER)], 0),
+    ("0000000000000000007,F1A,3", [(2, NON_INTEGER)], 0),
+    ("5,F1A,0000000000000000003", [(2, NON_INTEGER)], 0),
+    ("12, F1B ,3", [], 1),
+    ("-0,F1A,3", [(2, "negative trial index")], 0),
+    ("5,F1A,-0", [(2, f"time 0 outside trial window [0, {WINDOW})")], 0)],
+    ids=["signed-trial", "signed-time", "spaced-trial", "spaced-time",
+         "underscore-trial", "underscore-time", "arabic-indic-digit",
+         "fullwidth-digits", "16-digit-trial", "19-digit-padded-trial",
+         "19-digit-padded-time", "spaced-channel", "minus-zero-trial",
+         "minus-zero-time"])
+def test_int_grammar_lines_are_rejected(tmp_path, line, errors, rejected):
+    path = tmp_path / "log.csv"
+    path.write_bytes(HEADER + f"{line}\n7,F2A,9\n".encode())
+    assert_same_as_oracle(lambda: path, None)
+    for workers in WORKERS:
+        for chunk in (4, 1 << 22):
+            with _workers(workers), \
+                    mock.patch.object(counting, "_CHUNK_BYTES", chunk):
+                store = ingest(path, None, WINDOW)
+            assert list(zip(store.trial.tolist(), store.channel.tolist(),
+                            store.t_ns.tolist())) == [(7, 2, 9)]
+            assert store.n_trials == 8
+            assert store.parse_errors == errors
+            assert store.n_rejected_channel == rejected
+            assert (store.n_records, store.n_validated) == (3, 2)
 
 
 def test_stray_quote_rejects_its_line_alone(tmp_path):
