@@ -488,14 +488,16 @@ def cmd_fit(cfg, run, seed):
 def _read_dataset_csv(path):
     """(x, y, sigma): the first three columns of a CSV after its header row.
 
-    Every field must parse as a number; an empty or non-numeric one, a file
-    with no data row or one with fewer than 3 columns is a ConfigError
-    naming the file.
+    The file is opened as named: ``np.loadtxt`` gets the open handle, so
+    its ``DataSource`` neither reads a compressed sibling of a missing file
+    nor downloads a URL.  Every field must parse as a number; an empty or
+    non-numeric one, a file with no data row or one with fewer than 3
+    columns is a ConfigError naming the file.
     """
     try:
-        with warnings.catch_warnings():
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")   # "input contained no data"
-            raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            raw = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if raw.shape[0] == 0 or raw.shape[1] < 3:

@@ -103,12 +103,17 @@ class EnsembleGeometry:
 
     @property
     def regime_flags(self) -> dict:
-        """True where an approximation regime holds (1/(Wk) << 1, 1/(Lk) << 1)."""
-        w, l, k = self.waist_m, self.length_m, self.wavenumber_per_m
+        """True where an approximation regime holds (1/(Wk) << 1, 1/(Lk) << 1).
+
+        Formed from kW and kL, whose squares the domain keeps normal: W^2
+        alone can underflow.
+        """
+        kw = self.wavenumber_per_m * self.waist_m
+        kl = self.wavenumber_per_m * self.length_m
         return {
-            "waist_resolved": 1.0 / (w * k) <= _REGIME_RATIO,
-            "length_resolved": 1.0 / (l * k) <= _REGIME_RATIO,
-            "pencil_shaped": l / (w * w * k) <= _REGIME_RATIO,
+            "waist_resolved": 1.0 / kw <= _REGIME_RATIO,
+            "length_resolved": 1.0 / kl <= _REGIME_RATIO,
+            "pencil_shaped": kl / (kw * kw) <= _REGIME_RATIO,
         }
 
 
@@ -141,9 +146,9 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
 
 
 def _closed_form(geom) -> float:
-    """chi = 1 + N / (2 W^2 k^2)."""
-    w, k = geom.waist_m, geom.wavenumber_per_m
-    return 1.0 + geom.n_atoms / (2.0 * w * w * k * k)
+    """chi = 1 + N / (2 (kW)^2), from kW: W^2 alone can underflow."""
+    kw = geom.wavenumber_per_m * geom.waist_m
+    return 1.0 + geom.n_atoms / (2.0 * (kw * kw))
 
 
 def _kernel(kz, kr):

@@ -23,9 +23,10 @@ and scale_f given per point, whatever the datasets and horizons; the
 models are exact, with no quadrature, so they carry no discretisation
 error into the fit.  A wavepacket ordinate is split into factors by what
 they depend on, (scale_f envelope) |B|^2: the envelope on gamma_deph
-alone, |B|^2 on (i_sat, chi, Gamma) and the drive.  |B|^2 is computed
-once per distinct (i_sat, chi, Gamma) of an evaluation, with Omega and
-alpha_+- once per distinct drive.  Each point gets the value a
+alone, |B|^2 on (i_sat, chi Gamma) and the drive.  The distinct
+(i_sat, chi Gamma) sets of an evaluation go through one real-arithmetic
+``wavepacket._b_squared`` call, their drives stacked, with Omega and
+alpha_+- once per distinct drive of each set.  Each point gets the value a
 per-dataset evaluation gives, bit for bit.
 
 scipy's 2-point Jacobian at an accepted trial point u evaluates u + h_i e_i
@@ -38,10 +39,10 @@ of one Jacobian together; the stencil of a trial scipy rejects goes
 unused.  So a paper fit (four free parameters, every trial accepted)
 makes 7 model evaluations of 5 parameter sets each, one per trial point.
 Within a trial's evaluation, the stencil moves i_sat and chi away from the
-trial point, and gamma_deph and scale_f not, so |B|^2 is computed for 3
-parameter sets per trial (21 per paper fit).  Each row equals a k = 1
-evaluation at its own parameters, bit for bit, so the fit is the one
-scipy's serial map gives.
+trial point, and gamma_deph and scale_f not, so the evaluation's one
+|B|^2 call covers 3 parameter sets (7 calls per paper fit).  Each row
+equals a k = 1 evaluation at its own parameters, bit for bit, so the fit
+is the one scipy's serial map gives.
 
 Inputs are checked once, where their types are built: a ``Dataset`` checks
 its data on construction, and ``ReadoutParams`` and the i_sat check of
@@ -267,10 +268,12 @@ def _model(thetas, design, gamma_nat, tau):
     parameter sets ``thetas``, shape (k, points) in dataset order.
 
     A wavepacket ordinate is (scale_f envelope) |B|^2, each factor computed
-    once per distinct value of what it depends on: |B|^2 per (i_sat, chi)
-    (Gamma is one per evaluation), the drive's Omega and alpha terms once
-    per distinct drive within that, and the envelope per gamma_deph.  The P_c points of all k sets go through
-    one ``_pc_integral`` call, chi Gamma, gamma_deph and scale_f given per
+    once per distinct value of what it depends on: |B|^2 per (i_sat,
+    chi Gamma) (Gamma is one per evaluation) and the envelope per
+    gamma_deph.  The |B|^2 sets go through one ``_b_squared`` call, their
+    drives stacked, so Omega and alpha_+- are computed once per drive of
+    each set.  The P_c points of all k sets go through one
+    ``_pc_integral`` call, chi Gamma, gamma_deph and scale_f given per
     point.  Each row has the bits of a k = 1 call at its own ``theta``.
     """
     params = [ReadoutParams(omega=0.0, delta=0.0, gamma_nat=gamma_nat,
@@ -282,17 +285,21 @@ def _model(thetas, design, gamma_nat, tau):
     m = np.empty((len(thetas), design.y.size))
     if design.wave:
         pos, t, at, i_r, delta = design.wave
-        b_squared, envelope = {}, {}
+        sets = {}       # (i_sat, chi Gamma) -> its row of the stacked call
+        for th, p in zip(thetas, params):
+            sets.setdefault((th["i_sat"], p.chi_gamma), len(sets))
+        n = len(sets)
+        om = [_rabi(i_r, i_sat, gamma_nat) for i_sat, _ in sets]
+        b_squared = _b_squared(
+            np.tile(t, n), np.concatenate(om), np.tile(delta, n),
+            np.repeat([cg for _, cg in sets], i_r.size),
+            (at + i_r.size * np.arange(n)[:, None]).ravel()).reshape(n, -1)
+        envelope = {}
         for row, th, p in zip(m, thetas, params):
-            key = (th["i_sat"], p.chi)
-            if key not in b_squared:
-                b_squared[key] = _b_squared(
-                    t, _rabi(i_r, th["i_sat"], gamma_nat), delta,
-                    p.chi_gamma, at)
             if p.gamma_deph not in envelope:
                 envelope[p.gamma_deph] = _envelope(t, p.gamma_deph, tau)
-            row[pos] = (p.scale_f * envelope[p.gamma_deph] * b_squared[key]
-                        / 1e3)
+            row[pos] = (p.scale_f * envelope[p.gamma_deph]
+                        * b_squared[sets[th["i_sat"], p.chi_gamma]] / 1e3)
     if design.pc:
         pos, horizon, i_r, delta = design.pc
         k = len(thetas)

@@ -11,9 +11,20 @@ the conditional detection density of the extracted photon is
     p_c(t) = F exp(-gamma^2 (t + tau)^2) |B(t)|^2 ,
 
 a combination of damped Rabi oscillation and the Gaussian decay of the
-stored coherence.  Total extraction probability P_c = integral of p_c dt
-over a horizon T, finite or not, in closed form (``pc_integral``): |B|^2 is
-a sum of three exponentials e^{s t}, each integrating under the envelope to
+stored coherence.  Only ``amplitude_B`` forms the complex B.  Everything
+else needs |B|^2 alone, taken in real arithmetic from |sinh(z t/2)|^2 =
+sinh^2(a+ t/2) + sin^2(a- t/2); with beta = chi Gamma/2,
+
+    |B|^2 = Omega^2/|z|^2 [e^{(a+ - beta) t} expm1(-a+ t)^2 / 4
+                           + e^{-beta t} sin^2(a- t/2)] ,
+
+two nonnegative terms with exponents <= 0, so there is no cancellation
+near the critically damped point z = 0, where the limit is
+Omega^2 t^2 e^{-beta t}/4.
+
+Total extraction probability P_c = integral of p_c dt over a horizon T,
+finite or not, in closed form (``pc_integral``): |B|^2 is a sum of three
+exponentials e^{s t}, each integrating under the envelope to
 
     integral_t^inf e^{s t' - gamma^2 (t' + tau)^2} dt'
         = sqrt(pi)/(2 gamma) exp(s t - gamma^2 (t + tau)^2)
@@ -49,8 +60,8 @@ import numpy as np
 from .params import (ParamError, ReadoutParams, _check_domain, mhz_to_angular,
                      rabi_from_intensity)
 
-# Switch to the series form of sinh(z t/2)/z below this |z t| (removable
-# singularity at the critically damped point).
+# amplitude_B switches to the series form of sinh(z t/2)/z below this |z t|
+# (removable singularity at the critically damped point).
 _SERIES_CUTOFF = 1e-4
 
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
@@ -150,22 +161,14 @@ def amplitude_B(t, params: ReadoutParams):
     return unwrap(_amplitude(t_arr, om, de, cg))
 
 
-def _amplitude(t, om, de, cg, at=None):
-    """``amplitude_B`` over 1-d arrays, with no checks.
-
-    ``om`` and ``de`` are given per drive and ``at`` is each time's index
-    into them; with ``at`` None there is one drive per time.  ``cg`` > 0
-    is a scalar or an array of the drives' shape.  The drive's terms are
-    computed once per drive and then gathered, so each time gets the bits
-    of a call with one drive per time.
-    """
+def _amplitude(t, om, de, cg):
+    """``amplitude_B`` over 1-d arrays of one length (t, omega, delta, chi
+    Gamma > 0: one value per time), with no checks."""
     ap, am = _alpha(om, de, cg)
     z = ap + 1j * am
     # common decaying/oscillating prefactor exponent: -chi Gamma/4 - i Delta/2
     rate = -0.25 * cg - 0.5j * de
     half_z, two_z, drive = 0.5 * z, 2.0 * z, 1j * om
-    if at is not None:
-        rate, half_z, two_z, drive = rate[at], half_z[at], two_z[at], drive[at]
 
     base = rate * t
     w = half_z * t
@@ -181,9 +184,54 @@ def _amplitude(t, om, de, cg, at=None):
     return drive * out
 
 
+def _gap(om, de, beta, ap):
+    """beta - alpha_+ >= 0 (beta = chi Gamma/2), as (beta^2 - alpha_+^2) /
+    (beta + alpha_+) with the numerator the smaller root of y^2 - (beta^2 +
+    Omega^2 + Delta^2) y + beta^2 Omega^2 = 0, taken without cancellation
+    (alpha_+ -> beta under weak drive)."""
+    return 2.0 * (beta * om) ** 2 / (
+        (beta * beta + om * om + de * de
+         + np.hypot(beta - om, de) * np.hypot(beta + om, de)) * (beta + ap))
+
+
 def _b_squared(t, om, de, cg, at=None):
-    """|B(t)|^2 over 1-d arrays, drives given as in ``_amplitude``."""
-    return np.square(np.abs(_amplitude(t, om, de, cg, at)))
+    """|B(t)|^2 over 1-d arrays, with no checks.
+
+    ``om``, ``de`` and ``cg`` > 0 are given per drive and ``at`` is each
+    time's index into them; with ``at`` None there is one drive per time.
+    The drive's terms are computed once per drive and then gathered, so
+    each time gets the bits of a call with one drive per time.
+
+    In real arithmetic, with beta = chi Gamma/2 and |sinh(z t/2)|^2 =
+    sinh^2(a+ t/2) + sin^2(a- t/2),
+
+        |B|^2 = e^{(a+ - beta) t} (Omega expm1(-a+ t) / (2|z|))^2
+                + e^{-beta t} (Omega sin(a- t/2) / |z|)^2 .
+
+    Both exponents are <= 0, a+ - beta taken as -``_gap`` without
+    cancellation, and the two terms are >= 0, so nothing overflows or
+    cancels as z -> 0 or under weak drive.
+    Omega/|z| is taken before squaring, with |z| from ``hypot``, so |z|^2
+    never underflows; each factor it scales is at most Omega t.  Only z = 0
+    exactly takes the limit Omega^2 t^2 e^{-beta t}/4.
+    """
+    ap, am = _alpha(om, de, cg)
+    beta = 0.5 * cg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = om / np.hypot(ap, am)       # not finite at z = 0 alone
+    grow = -_gap(om, de, beta, ap)
+    if at is not None:
+        ap, am, beta, ratio, grow = (ap[at], am[at], beta[at], ratio[at],
+                                     grow[at])
+    decay = np.exp(-beta * t)
+    with np.errstate(invalid="ignore"):     # inf * 0 at z = 0, replaced below
+        out = (np.exp(grow * t) * np.square(0.5 * ratio * np.expm1(-ap * t))
+               + decay * np.square(ratio * np.sin(0.5 * am * t)))
+    crit = np.flatnonzero(~np.isfinite(ratio))
+    if crit.size:
+        om = om[crit] if at is None else om[at[crit]]
+        out[crit] = decay[crit] * np.square(0.5 * om * t[crit])
+    return out
 
 
 def _envelope(t, gd, tau):
@@ -336,14 +384,9 @@ def _pc_integral(hz, om, de, cg, gd, tau, f):
     scalar tau, with no checks."""
     ap, am = _alpha(om, de, cg)
     beta = 0.5 * cg
-    # -s_1 = beta - alpha_+ = (beta^2 - alpha_+^2)/(beta + alpha_+), with the
-    # numerator the smaller root of y^2 - (beta^2 + Omega^2 + Delta^2) y +
-    # beta^2 Omega^2 = 0 taken without cancellation (alpha_+ -> beta under
-    # weak drive).  Below the normal double range it flags a drive so weak
-    # (Omega = 0 included) that P_c, proportional to Omega^2, is 0.
-    rate = 2.0 * (beta * om) ** 2 / (
-        (beta * beta + om * om + de * de
-         + np.hypot(beta - om, de) * np.hypot(beta + om, de)) * (beta + ap))
+    # -s_1 = beta - alpha_+; below the normal double range it flags a drive
+    # so weak (Omega = 0 included) that P_c, proportional to Omega^2, is 0
+    rate = _gap(om, de, beta, ap)
     lam = np.maximum(np.maximum(beta + 2.0 * gd * gd * tau, gd), 1.0 / hz)
     z2 = ap * ap + am * am
     crit = z2 < (_CRIT_FRAC * lam) ** 2

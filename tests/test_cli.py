@@ -1,3 +1,4 @@
+import gzip
 import hashlib
 import json
 import warnings
@@ -414,6 +415,23 @@ class TestChiCommand:
         mc = json.loads((out / "chi.json").read_text())["monte_carlo"]
         assert mc["chi"] < 1.0 - 3.0 * mc["standard_error"]
 
+    def test_underflowing_waist_square_exits_0(self, tmp_path):
+        # W^2 = 1e-340 underflows where (kW)^2 = (kL)^2 = 1e-100 lies inside
+        # the domain; squaring W before k divided by zero (exit 1)
+        out = tmp_path / "chi"
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 2e6, "waist_m": 1e-170, "length_m": 1e-170,
+                         "wavenumber_per_m": 1e120},
+            "n_samples": 2_000})
+        with pytest.warns(UserWarning, match="validity regime"):
+            assert run(["chi", "--config", cfg, "--out", str(out),
+                        "--seed", "5", "--quiet"]) == 0
+        saved = json.loads((out / "chi.json").read_text())
+        assert saved["closed_form"]["chi"] == pytest.approx(1.0 + 1e106)
+        assert all(np.isfinite(saved[k]["chi"]) for k in
+                   ("closed_form", "quadrature", "monte_carlo"))
+        assert not any(saved["regime_flags"].values())
+
     @pytest.mark.parametrize("key,value", [
         ("waist_m", 1e-300), ("waist_m", 5e-324),
         ("wavenumber_per_m", 1e-300), ("wavenumber_per_m", 5e-324),
@@ -648,6 +666,32 @@ class TestFitCommand:
         assert result["optimality"] >= 0 and result["at_bound"] == {}
         assert result["jtj_cond"] == 1.0
         assert result["correlation"] == [[pytest.approx(1.0, abs=1e-15)]]
+
+    def test_reads_only_the_named_file(self, tmp_path, capsys):
+        # the dataset names a missing nope.csv next to a valid nope.csv.gz,
+        # which numpy's DataSource would open and fit (exit 0)
+        from qmemread.fitting import Dataset, model_eval
+        from qmemread.params import mhz_to_angular
+        t = np.arange(0.0, 161.0, 2.0)
+        shell = Dataset(kind="wavepacket", x=t, y=np.zeros_like(t),
+                        sigma=np.ones_like(t), delta_mhz=1.7, i_r=95.0)
+        y = model_eval({"gamma_deph": mhz_to_angular(1.55), "i_sat": 12.0,
+                        "chi": 2.7, "scale_f": 4.1},
+                       shell, mhz_to_angular(5.2), 0.05)
+        sig = 0.03 * y.max()
+        with gzip.open(tmp_path / "nope.csv.gz", "wt") as fh:
+            fh.write("t_ns,pc_per_ns,sigma\n")
+            fh.writelines(f"{ti:.12g},{yi:.12g},{sig:.12g}\n"
+                          for ti, yi in zip(t, y))
+        cfg = write_cfg(tmp_path, {
+            "datasets": [{"kind": "wavepacket",
+                          "path": str(tmp_path / "nope.csv"),
+                          "delta_mhz": 1.7, "i_r_mw_cm2": 95.0}],
+            "free": ["scale_f"]}, "fit.json")
+        out = tmp_path / "fit"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "nope.csv" in capsys.readouterr().err
+        assert not out.exists() or not list(out.glob("*"))
 
     def test_fit_on_synthesized_pipeline_output(self, tmp_path):
         # synth -> stats -> rebuild a dataset file from the binned

@@ -692,12 +692,13 @@ class TestFlatPcDesign:
 
 
 class TestFactorReuse:
-    """|B|^2 is computed once per (i_sat, chi, Gamma) of an evaluation; no
-    reuse changes a bit."""
+    """|B|^2 is computed once per (i_sat, chi Gamma) of an evaluation, all
+    of them in one stacked call; no reuse changes a bit."""
 
     def test_b_squared_sets_per_fit(self, monkeypatch):
         # a trial point is evaluated with its 2-point stencil, which moves
-        # i_sat and chi away from it; gamma_deph and scale_f reuse its |B|^2
+        # i_sat and chi away from it; gamma_deph and scale_f reuse its |B|^2,
+        # so each evaluation stacks 3 sets into its one call
         sets, calls = paper_design(seed=5), []
         real = fitting._b_squared
 
@@ -707,9 +708,9 @@ class TestFactorReuse:
         monkeypatch.setattr(fitting, "_b_squared", counting)
         res = fit(sets, init=DEFAULT_INIT, gamma_nat=GAMMA_NAT, tau=TAU)
         assert res.param_order == fitting.FREE_KEYS
-        assert len(calls) == 3 * res.model_evals == 3 * res.nfev == 21
-        # one drive per wavepacket dataset: 6 drives for 486 points
-        assert all(args[1].size == 6 and args[0].size == 486
+        assert len(calls) == res.model_evals == res.nfev == 7
+        # one drive per wavepacket dataset: 6 drives for 486 points, per set
+        assert all(args[1].size == 3 * 6 and args[0].size == 3 * 486
                    for args in calls)
 
     def test_key_holds_every_input(self):

@@ -177,10 +177,16 @@ class TestPcAt:
         assert pc_at(0.0, PAPER_STYLE) == 0.0
 
     def test_no_dephasing_reduces_to_amplitude(self):
+        # p_c = F |B|^2 exactly, from the real form; the complex amplitude's
+        # squared modulus rounds differently, within a few ulp (2.6e-15 here)
         p = PAPER_STYLE.replace(gamma_deph=0.0)
         t = np.linspace(0, 0.2, 101)
+        b_squared = wavepacket._b_squared(
+            t, *(np.full(t.size, v) for v in (p.omega, p.delta, p.chi_gamma)))
+        assert np.array_equal(pc_at(t, p), p.scale_f * b_squared)
         expected = p.scale_f * np.abs(amplitude_B(t, p)) ** 2
-        assert np.allclose(pc_at(t, p), expected, rtol=0, atol=0)
+        assert np.allclose(pc_at(t, p), expected,
+                           rtol=16 * np.finfo(float).eps, atol=0)
 
     def test_global_phase_irrelevant(self):
         # the dropped constant storage phase cannot affect p_c
@@ -810,3 +816,113 @@ class TestDomain:
                 else:
                     pc_integral(PAPER_STYLE, **{kind: np.array([0.1, bad])})
             assert info.value.fields == (kind,)
+
+
+def b_squared_terms_mp(t, omega, delta, chi_gamma):
+    """|B(t)|^2 of the exact inputs to 40 digits, in its two parts: (the
+    sinh^2 term, the amplitude of the sin^2 term, the sine's phase
+    alpha_- t/2), so |B|^2 = first + second sin^2(third).  The working
+    precision grows with chi Gamma t, whose sinh^2 and exp terms cancel in
+    their exponents."""
+    extra = max(0, math.ceil(math.log10(chi_gamma * t or 1.0)))
+    with mpmath.workdps(40 + extra):
+        t, om, de, cg = (mpmath.mpf(v) for v in (t, omega, delta, chi_gamma))
+        t_mid = (om ** 2 + de ** 2) / 2 - cg ** 2 / 8
+        s_rad = mpmath.sqrt(t_mid ** 2 + de ** 2 * cg ** 2 / 4)
+        ap, am = mpmath.sqrt(s_rad - t_mid), mpmath.sqrt(s_rad + t_mid)
+        decay = mpmath.exp(-cg * t / 2)
+        if s_rad == 0:                  # z = 0: the limit Omega^2 t^2 / 4
+            return om ** 2 * t ** 2 * decay / 4, mpmath.mpf(0), mpmath.mpf(0)
+        scale = om ** 2 * decay / (2 * s_rad)       # |z|^2 = 2 s_rad
+        return scale * mpmath.sinh(ap * t / 2) ** 2, scale, am * t / 2
+
+
+def b_squared_mp(t, omega, delta, chi_gamma):
+    sinh_term, amp, phase = b_squared_terms_mp(t, omega, delta, chi_gamma)
+    with mpmath.workdps(40):
+        return float(sinh_term + amp * mpmath.sin(phase) ** 2)
+
+
+class TestRealBSquared:
+    """The real |B|^2 core against a 40-digit |B|^2 of its exact inputs,
+    within RTOL relative (the worst case of these tests measured 1.4e-15;
+    the complex amplitude's squared modulus was 4e-12 off near the critical
+    point, and 1.7 off at a far corner where alpha_+ rounds to chi Gamma/2).
+    """
+
+    RTOL = 1e-14
+
+    @staticmethod
+    def core(t, omega, delta, chi_gamma):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return t, wavepacket._b_squared(
+            t, *(np.full(t.size, v) for v in (omega, delta, chi_gamma)))
+
+    def assert_close(self, t, omega, delta, chi_gamma):
+        t, got = self.core(t, omega, delta, chi_gamma)
+        for ti, value in zip(t, got):
+            ref = b_squared_mp(ti, omega, delta, chi_gamma)
+            assert abs(value - ref) <= self.RTOL * ref, (
+                ti, omega, delta, chi_gamma, value, ref)
+
+    @pytest.mark.parametrize("chi_gamma", [1e-20, 2.0, 2.7 * GAMMA, 1e40])
+    def test_critical_point_exactly(self, chi_gamma):
+        omega = chi_gamma / 2
+        pair = alpha_pair(omega, 0.0, chi_gamma)
+        assert pair.alpha_plus == pair.alpha_minus == 0.0      # z = 0
+        self.assert_close(np.linspace(0.0, 20.0 / chi_gamma, 9), omega, 0.0,
+                          chi_gamma)
+
+    @pytest.mark.parametrize("eps", [1e-12, -1e-12, 1e-9, -1e-9, 1e-6,
+                                     -1e-6, 1e-4, -1e-4, 1e-2, -1e-2])
+    def test_near_critical_point(self, eps):
+        # the drive or the detuning moves z off 0 by a relative eps
+        cg = 2.7 * GAMMA
+        t = np.linspace(0.0, 20.0 / cg, 11)
+        self.assert_close(t, cg / 2 * (1 + eps), 0.0, cg)
+        self.assert_close(t, cg / 2, eps * cg / 2, cg)
+
+    @pytest.mark.parametrize("delta,chi_gamma", [(0.0, 2.0), (5.0, 88.0),
+                                                 (-1e20, 1e-20), (1e20, 1e40)])
+    def test_zero_drive(self, delta, chi_gamma):
+        _, got = self.core([0.0, 1e-3, 1.0, 1e20], 0.0, delta, chi_gamma)
+        assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("chi_gamma,times", [
+        (1e-20, [1e19, 1e20]),          # |z|^2 would be subnormal
+        (2e39, [1e-40, 1e-39])])        # Omega^2/|z|^2 would overflow
+    def test_tiny_z(self, chi_gamma, times):
+        # on the critical drive a detuning of 1e-300 rad/us leaves
+        # |z| = sqrt(|Delta| chi Gamma), around 1e-160 and 1e-130
+        omega, delta = chi_gamma / 2, 1e-300
+        pair = alpha_pair(omega, delta, chi_gamma)
+        z2 = pair.alpha_plus ** 2 + pair.alpha_minus ** 2
+        with np.errstate(over="ignore"):
+            assert (0 < z2 < np.finfo(float).tiny
+                    or not np.isfinite(np.float64(omega) ** 2 / z2))
+        self.assert_close(times, omega, delta, chi_gamma)
+
+    def test_domain_corners(self):
+        # each corner of params.DOMAIN that sets |B|^2, and its critical
+        # drive; where the phase alpha_- t/2 is beyond what a double
+        # resolves (around 1e19 rad at the far corners), the value must lie
+        # between the sinh^2 term and that term plus the sin^2 amplitude
+        tiny = np.finfo(float).tiny
+        for delta, gamma_nat, chi in itertools.product(
+                *map(_domain_values, ("delta", "gamma_nat", "chi"))):
+            cg = ReadoutParams(omega=0.0, delta=delta, gamma_nat=gamma_nat,
+                               chi=chi).chi_gamma
+            critical = cg / 2 if delta == 0 else 0.0
+            for omega in {*_domain_values("omega"), critical}:
+                t, got = self.core(_domain_values("t"), omega, delta, cg)
+                for ti, value in zip(t, got):
+                    case = (ti, omega, delta, cg, value)
+                    sinh_term, amp, phase = b_squared_terms_mp(ti, omega,
+                                                               delta, cg)
+                    if phase < 1e6:
+                        ref = b_squared_mp(ti, omega, delta, cg)
+                        assert abs(value - ref) <= self.RTOL * ref + tiny, case
+                    else:
+                        lo, hi = float(sinh_term), float(sinh_term + amp)
+                        assert (lo * (1 - self.RTOL) - tiny <= value
+                                <= hi * (1 + self.RTOL) + tiny), case
