@@ -283,8 +283,10 @@ def _readout(cfg, i_r, source) -> ReadoutParams:
 
 def _write_json(path, obj) -> str:
     """Write ``obj`` to ``path`` as key-sorted, 2-space-indented JSON and a
-    final newline; return the JSON text without that newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    final newline; return the JSON text without that newline.  A value
+    that may be undefined is given as None (null); a NaN or infinity left
+    in ``obj`` is a ValueError, so none is written."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     path.write_text(text + "\n", encoding="utf-8")
     return text
 

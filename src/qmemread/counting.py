@@ -49,9 +49,7 @@ class EventStore:
     numbering of ``parse_errors``), and ``n_validated``, the lines that are
     not events, which the vectorised parse left to the per-line validator.
 
-    The columns are read, never written, after construction; the statistics
-    keep each field's last in-window selection here, so ``probabilities``
-    and ``conditional_wavepacket`` on one herald window select it once.
+    The columns are read, never written, after construction.
     """
 
     trial: np.ndarray
@@ -64,8 +62,6 @@ class EventStore:
     parse_errors: list = field(default_factory=list)
     n_records: int = 0
     n_validated: int = 0
-    _selected: dict = field(default_factory=dict, init=False, repr=False,
-                            compare=False)
 
     def __len__(self):
         return self.trial.size
@@ -486,23 +482,14 @@ def probabilities(store: EventStore, window1, window2) -> CorrelationSummary:
 
 def _field_trials(store, which, window):
     """Sorted distinct trials with a count of field ``which`` (1: codes 0-1,
-    2: 2-3) in the inclusive ``window``; how many have one on both detectors.
-
-    The result is kept on the store until another window of that field is
-    selected."""
+    2: 2-3) in the inclusive ``window``; how many have one on both detectors."""
     lo, hi = window
-    last = store._selected.get(which)
-    if last is not None and last[0] == (lo, hi):
-        return last[1]
     t = store.t_ns
     at = np.flatnonzero((store.channel >> 1 == which - 1) & (t >= lo) & (t <= hi))
     trial, channel = store.trial[at], store.channel[at]
     runs = np.flatnonzero(_run_starts(trial))
     both = np.minimum.reduceat(channel, runs) != np.maximum.reduceat(channel, runs)
-    selected = trial[runs], int(np.count_nonzero(both))
-    selected[0].flags.writeable = False
-    store._selected[which] = ((lo, hi), selected)
-    return selected
+    return trial[runs], int(np.count_nonzero(both))
 
 
 def _ratio_err(value, parts):

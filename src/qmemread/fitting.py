@@ -63,8 +63,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import (DEFAULT_GAMMA_NAT_MHZ, DEFAULT_TAU_US, ParamError,
-                     ReadoutParams, _check_saturation, _outside, _rabi,
-                     mhz_to_angular, rabi_from_intensity)
+                     ReadoutParams, _check_domain, _check_saturation,
+                     _outside, _rabi, mhz_to_angular, rabi_from_intensity)
 from .wavepacket import _b_squared, _envelope, _pc_integral
 
 FREE_KEYS = ("gamma_deph", "i_sat", "chi", "scale_f")
@@ -158,7 +158,8 @@ class FitResult:
     ``optimality`` (the infinity norm of the gradient of the cost in the
     fit variables, scaled at active bounds), ``at_bound`` (each free
     parameter at a bound box edge, "lower" or "upper"), ``jtj_cond`` (the
-    condition number of J^T J at the returned point), ``correlation``
+    condition number of J^T J at the returned point; inf where it
+    overflows, written as null by ``to_json``), ``correlation``
     (``cov`` normalised to unit diagonal), and ``model_evals`` and
     ``model_rows``: the model evaluations the fit made and the parameter
     sets they covered.
@@ -190,7 +191,8 @@ class FitResult:
             "converged": self.converged, "message": self.message,
             "nfev": self.nfev, "njev": self.njev,
             "optimality": self.optimality, "at_bound": self.at_bound,
-            "jtj_cond": self.jtj_cond,
+            "jtj_cond": (self.jtj_cond if math.isfinite(self.jtj_cond)
+                         else None),
             "correlation": self.correlation.tolist(),
             "model_evals": self.model_evals, "model_rows": self.model_rows,
         }
@@ -397,7 +399,11 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     The start point's read intensities (saturation x, other kinds' i_r)
     are checked by ``rabi_from_intensity`` at the initial i_sat; one out
     of range raises ParamError naming ``datasets[i]``, the dataset's place
-    in ``datasets``.  The points TRF steps to are not checked.
+    in ``datasets``.  The points TRF steps to are not checked.  Before
+    that, ``gamma_nat`` and ``tau`` outside ``params.DOMAIN`` raise
+    ParamError naming them; after it, a chi^2 at the start point that is
+    not finite (say every sigma 1e-300) raises ParamError naming
+    ``datasets``.
 
     The result depends only on the set of datasets and of points within
     each, bit for bit: both are put into a canonical order before any
@@ -418,6 +424,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
     or two parallel ones, naming the insensitive parameters or degenerate
     pairs.
     """
+    _check_domain(gamma_nat=gamma_nat, tau=tau)
     if not datasets:
         raise ParamError(["datasets"], "need at least one dataset")
     free = tuple(free)
@@ -497,11 +504,15 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
         stencil.update(zip((p.tobytes() for p in points), rows[1:]))
         return rows[0]
 
-    r = trial(u, start=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = trial(u, start=True)
+        history = [float(r @ r)]
     m = r.size
     if m <= len(free):
         raise ParamError(["datasets"], "fewer residuals than free parameters")
-    history = [float(r @ r)]
+    if not math.isfinite(history[0]):
+        raise ParamError(["datasets"], "chi^2 at the start point is not "
+                                       "finite; rescale y and sigma")
 
     def record(intermediate_result):
         history.append(2.0 * intermediate_result.cost)
@@ -537,6 +548,8 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
               for i, k in enumerate(free)}
     message = "max_iter reached" if sol.status == -2 else sol.message
     sv = np.linalg.svd(sol.jac, compute_uv=False)
+    with np.errstate(over="ignore", divide="ignore"):
+        jtj_cond = float((sv[0] / sv[-1]) ** 2)
     sd = np.sqrt(np.diag(cov_theta))     # > 0: no Jacobian column is zero
     return FitResult(values=values, errors=errors, cov=cov_theta,
                      param_order=free, red_chi2=2.0 * sol.cost / (m - len(free)),
@@ -546,7 +559,7 @@ def fit(datasets, free=FREE_KEYS, init=None, bounds=None,
                      optimality=float(sol.optimality),
                      at_bound={k: "lower" if a < 0 else "upper"
                                for k, a in zip(free, sol.active_mask) if a},
-                     jtj_cond=float((sv[0] / sv[-1]) ** 2),
+                     jtj_cond=jtj_cond,
                      correlation=cov_theta / np.outer(sd, sd),
                      model_evals=len(evaluated), model_rows=sum(evaluated))
 

@@ -60,10 +60,6 @@ import numpy as np
 from .params import (ParamError, ReadoutParams, _check_domain, mhz_to_angular,
                      rabi_from_intensity)
 
-# amplitude_B switches to the series form of sinh(z t/2)/z below this |z t|
-# (removable singularity at the critically damped point).
-_SERIES_CUTOFF = 1e-4
-
 _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _FLAT_GAMMA = 1e-150
 _TINY = np.finfo(float).tiny
@@ -144,12 +140,11 @@ def amplitude_B(t, params: ReadoutParams):
     """Complex excited-state amplitude B(t) for t in [0, 1e20] us (the
     ``DOMAIN`` of ``params``), a scalar or an array of times.
 
-    Evaluated as a half-difference of combined exponentials
-    exp[((+-alpha_+ - chi Gamma/2)/2 + i(...)/2) t]; both real exponents are
-    <= 0 thanks to alpha_+ <= chi Gamma / 2 (the larger one is held there
-    against rounding), so nothing overflows even for chi Gamma t of
-    hundreds.  Near the critically damped point (z -> 0) the
-    removable singularity of sinh(z t/2)/z is handled by its Taylor series.
+    Built from the real terms of ``_b_squared`` (beta = chi Gamma/2):
+    B = i Omega/(2z) e^{-i Delta t/2} e^{-(beta - a+) t/2} [-expm1(-a+ t)
+    cos(a- t/2) + i (1 + e^{-a+ t}) sin(a- t/2)], every exponent <= 0 and
+    beta - a+ from ``_gap``, so nothing cancels as z -> 0; only z = 0
+    exactly takes the limit i Omega (t/2) e^{-beta t/2 - i Delta t/2}.
 
     The constant global phase from the storage interval is dropped; it
     cancels in |B|^2.  Returns a complex scalar or an ndarray of the shape
@@ -165,23 +160,22 @@ def _amplitude(t, om, de, cg):
     """``amplitude_B`` over 1-d arrays of one length (t, omega, delta, chi
     Gamma > 0: one value per time), with no checks."""
     ap, am = _alpha(om, de, cg)
-    z = ap + 1j * am
-    # common decaying/oscillating prefactor exponent: -chi Gamma/4 - i Delta/2
-    rate = -0.25 * cg - 0.5j * de
-    half_z, two_z, drive = 0.5 * z, 2.0 * z, 1j * om
-
-    base = rate * t
-    w = half_z * t
-    grow = base + w         # real part <= 0 but for rounding, held there
-    np.minimum(grow.real, 0.0, out=grow.real)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = (np.exp(grow) - np.exp(base - w)) / two_z
-    small = np.flatnonzero(np.abs(w) < 0.5 * _SERIES_CUTOFF)
-    if small.size:
-        w2 = w[small] * w[small]
-        out[small] = (0.5 * t[small] * np.exp(base[small])
-                      * (1.0 + w2 / 6.0 + w2 * w2 / 120.0))
-    return drive * out
+    beta = 0.5 * cg
+    mod = np.hypot(ap, am)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = om / mod                    # not finite at z = 0 alone
+        # i Omega/(2z) as (Omega/|z|) conj(z)/|z|: |z|^2 would underflow
+        drive = 0.5j * ratio * (ap - 1j * am) / mod
+    half = 0.5 * am * t
+    with np.errstate(invalid="ignore"):     # inf * 0 at z = 0, replaced below
+        out = (drive * np.exp(-0.5 * _gap(om, de, beta, ap) * t)
+               * (-np.expm1(-ap * t) * np.cos(half)
+                  + 1j * (1.0 + np.exp(-ap * t)) * np.sin(half)))
+    crit = np.flatnonzero(~np.isfinite(ratio))
+    if crit.size:
+        tc = t[crit]
+        out[crit] = 0.5j * om[crit] * tc * np.exp(-0.5 * beta[crit] * tc)
+    return out * np.exp(-0.5j * de * t)
 
 
 def _gap(om, de, beta, ap):

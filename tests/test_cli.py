@@ -9,7 +9,7 @@ import pytest
 from qmemread import (ReadoutParams, SynthDesign,
                       conditional_wavepacket, detuning_spectrum, ingest,
                       pc_curve, saturation_curve, synthesize_log)
-from qmemread.cli import _read_dataset_csv, main
+from qmemread.cli import _read_dataset_csv, _write_json, main
 
 PAPER_BLOCK = {
     "params": {"delta_mhz": 1.7, "chi": 2.7, "gamma_deph_mhz": 1.55,
@@ -946,7 +946,13 @@ class TestStatsWindowRanges:
 STATS_BASE = {"n_trials": 2, "window1_ns": [20, 20], "window2_ns": [50, 349]}
 FAULT_LOGS = {"header.csv": "trial,channel,t_ns\n",
               "log.csv": TestStatsWindowRanges.LOG,
-              "no_herald.csv": "trial,channel,t_ns\n0,F2A,60\n1,F1B,700\n"}
+              "no_herald.csv": "trial,channel,t_ns\n0,F2A,60\n1,F1B,700\n",
+              "sat_sigma.csv": TestFitCommand.SATURATION.replace("1e-4",
+                                                                  "1e-300"),
+              "sat_y.csv": "x,y,sigma\n5,1e308,1e-4\n20,1e308,1e-4\n"
+                           "80,1e308,1e-4\n"}
+START_CHI2 = ("datasets: chi^2 at the start point is not finite; rescale y "
+              "and sigma")
 EMPTY_HERALDS = "empty herald set: conditional wavepacket undefined"
 SAT_DATASET = {"kind": "saturation", "path": "sat.csv", "delta_mhz": 1.7}
 SYNTH_BASE = {"params": dict(PAPER_BLOCK["params"], i_r_mw_cm2=95),
@@ -1034,6 +1040,13 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
                          "params": dict(PAPER_BLOCK["params"],
                                         gamma_nat_mhz=1e300)},
      "params.gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
+    ("fit", {"datasets": [dict(SAT_DATASET, path="sat_sigma.csv")],
+             "free": ["scale_f"]}, START_CHI2),
+    ("fit", {"datasets": [dict(SAT_DATASET, path="sat_y.csv")],
+             "free": ["scale_f"]}, START_CHI2),
+    ("fit", {"datasets": [SAT_DATASET], "free": ["scale_f"],
+             "gamma_nat_mhz": 1e300},
+     "gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
 ], ids=["stats-no-trials", "stats-no-herald", "stats-no-herald-default",
         "stats-bins-above-bound", "stats-bins-1e12", "stats-bins-2**62",
         "wavepacket-points-above-bound", "wavepacket-points-1e12",
@@ -1042,7 +1055,8 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
         "synth-read-window-1e8", "synth-read-window-past-trial-window",
         "chi-closed-form-overflow", "chi-too-few-samples", "fit-gamma-deph",
         "fit-i-sat", "fit-held-i-sat", "fit-rank-deficient-gamma-deph",
-        "fit-tau", "fit-gamma-nat", "sweep-intensity-gamma-nat"])
+        "fit-tau", "fit-gamma-nat", "sweep-intensity-gamma-nat",
+        "fit-sigma-1e-300", "fit-y-1e308", "fit-gamma-nat-1e300"])
 def test_input_fault_names_config_key(tmp_path, capsys, monkeypatch, command,
                                       payload, message):
     # without these checks, stats exits 1 naming no key on a log with no
@@ -1051,7 +1065,9 @@ def test_input_fault_names_config_key(tmp_path, capsys, monkeypatch, command,
     # fit's lines carry no key, fit's naming gamma_deph and i_sat instead;
     # synth exits 1 or runs out of memory on a background or read window
     # past its cap, chi exits 0 writing Infinity and NaN, and a fit
-    # insensitive to a free parameter exits 1
+    # insensitive to a free parameter exits 1; a fit exits 0 writing NaN
+    # errors on sigma 1e-300, exits 1 on y 1e308, and names datasets[0]
+    # for a linewidth of 1e300 MHz
     monkeypatch.chdir(tmp_path)
     for name, text in FAULT_LOGS.items():
         (tmp_path / name).write_text(text)
@@ -1079,6 +1095,14 @@ def test_fit_inverted_bounds_exit_2(tmp_path, capsys):
     assert run(["fit", "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "bounds for chi have lo > hi" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_json_output_rejects_non_finite_numbers(tmp_path):
+    # an undefined value is written as null; a NaN or infinity is a defect
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "out.json", {"value": bad})
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_stats_takes_undecodable_bytes_as_bad_lines(tmp_path):

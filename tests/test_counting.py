@@ -379,20 +379,14 @@ class TestStatsAgainstOracles:
             bw = conditional_wavepacket(store, h)
             assert (bw.n_heralds, bw.n_coinc.tolist()) == (n_heralds, n_her)
 
-    def test_default_herald_window_selects_field_1_once(self, monkeypatch):
-        # stats' default: the herald window is field 1's window
+    def test_default_herald_window_is_field_1_window(self):
+        # stats' default: the herald window is field 1's window, so the
+        # heralds are the trials p1 counts
         store = synthesize_log(PAPER_STYLE, SynthDesign(
             n_trials=3000, p1=0.2, background_per_ns=1e-4), seed=4)
-        selected = []
-        real = counting._run_starts
-        monkeypatch.setattr(counting, "_run_starts",
-                            lambda *cols: selected.append(1) or real(*cols))
         summary = probabilities(store, (20, 20), (50, 349))
         binned = conditional_wavepacket(store, (20, 20))
-        assert len(selected) == 2       # field 1 once, field 2 once
         assert binned.n_heralds == round(summary.p1 * store.n_trials)
-        conditional_wavepacket(store, (0, 49))
-        assert len(selected) == 3
 
 
 class TestTrialCountBeyondArrays:

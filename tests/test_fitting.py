@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from unittest import mock
@@ -565,6 +566,26 @@ class TestFit:
         with pytest.raises(ParamError):
             fit([], gamma_nat=GAMMA_NAT, tau=TAU)
 
+    @pytest.mark.parametrize("column,value,kwargs,fields", [
+        ("sigma", 1e-300, {}, ("datasets",)),
+        ("y", 1e308, {}, ("datasets",)),
+        ("y", None, {"gamma_nat": mhz_to_angular(1e300)}, ("gamma_nat",))])
+    def test_start_point_fault_names_its_field(self, column, value, kwargs,
+                                               fields):
+        # without the checks, sigma 1e-300 fits to NaN errors, y 1e308
+        # raises scipy's ValueError, and the linewidth's Rabi frequency is
+        # blamed on the dataset
+        ds = noiseless_dataset("saturation", np.array([5.0, 20.0, 80.0]),
+                               delta=1.7)
+        if value is not None:
+            ds = dataclasses.replace(ds, **{column: np.full(3, value)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParamError) as info:
+                fit([ds], free=("scale_f",),
+                    **{"gamma_nat": GAMMA_NAT, "tau": TAU, **kwargs})
+        assert info.value.fields == fields
+
     def test_covariance_tracks_scatter(self):
         # pulls (fit - truth) / reported error over K consecutive seeds: for
         # each parameter, mean 0 and standard deviation 1 within 4 standard
@@ -636,6 +657,12 @@ class TestDiagnostics:
         assert out["optimality"] == res.optimality
         assert out["jtj_cond"] == res.jtj_cond
         assert out["correlation"] == res.correlation.tolist()
+
+    def test_json_writes_an_overflowing_condition_as_null(self):
+        res = fit(paper_design(seed=5), init=DEFAULT_INIT,
+                  gamma_nat=GAMMA_NAT, tau=TAU)
+        out = dataclasses.replace(res, jtj_cond=math.inf).to_json()
+        assert out["jtj_cond"] is None
 
 
 class TestProfile:

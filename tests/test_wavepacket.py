@@ -133,7 +133,7 @@ class TestAmplitude:
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_series_cutoff_continuity(self):
-        # values just above/below the series switch agree
+        # just off the critical point, where z t is small
         cg = 2.0 * GAMMA
         p = ReadoutParams(omega=cg / 2 * (1 + 1e-9), delta=0.0,
                           gamma_nat=GAMMA, chi=2.0)
@@ -615,6 +615,17 @@ class TestPerPointCores:
             assert dens[i] == pc_at(t[i], p)
             assert total[i] == pc_integral(p, hz[i])
 
+    @property_settings
+    @given(st.lists(st_points(), min_size=1, max_size=12))
+    def test_amplitude_squared_equals_b_squared(self, points):
+        # the complex form and the real one are built from the same terms
+        t, om, de, chi = (np.array(col) for col in list(zip(*points))[:4])
+        cg = chi * GAMMA
+        b_squared = wavepacket._b_squared(t, om, de, cg)
+        squared = np.abs(wavepacket._amplitude(t, om, de, cg)) ** 2
+        assert np.all(np.abs(squared - b_squared)
+                      <= 64 * np.finfo(float).eps * b_squared)
+
 
 class TestSweeps:
     i_sat = 12.0
@@ -844,10 +855,9 @@ def b_squared_mp(t, omega, delta, chi_gamma):
 
 
 class TestRealBSquared:
-    """The real |B|^2 core against a 40-digit |B|^2 of its exact inputs,
-    within RTOL relative (the worst case of these tests measured 1.4e-15;
-    the complex amplitude's squared modulus was 4e-12 off near the critical
-    point, and 1.7 off at a far corner where alpha_+ rounds to chi Gamma/2).
+    """The real |B|^2 core, and |amplitude_B|^2 at the domain corners,
+    against a 40-digit |B|^2 of their exact inputs, within RTOL relative
+    (the worst case of these tests measured 1.4e-15).
     """
 
     RTOL = 1e-14
@@ -902,27 +912,54 @@ class TestRealBSquared:
                     or not np.isfinite(np.float64(omega) ** 2 / z2))
         self.assert_close(times, omega, delta, chi_gamma)
 
-    def test_domain_corners(self):
-        # each corner of params.DOMAIN that sets |B|^2, and its critical
-        # drive; where the phase alpha_- t/2 is beyond what a double
-        # resolves (around 1e19 rad at the far corners), the value must lie
-        # between the sinh^2 term and that term plus the sin^2 amplitude
-        tiny = np.finfo(float).tiny
+    @staticmethod
+    def domain_corners():
+        """ReadoutParams at each corner of params.DOMAIN that sets |B|^2,
+        and at its critical drive."""
         for delta, gamma_nat, chi in itertools.product(
                 *map(_domain_values, ("delta", "gamma_nat", "chi"))):
-            cg = ReadoutParams(omega=0.0, delta=delta, gamma_nat=gamma_nat,
-                               chi=chi).chi_gamma
-            critical = cg / 2 if delta == 0 else 0.0
+            p = ReadoutParams(omega=0.0, delta=delta, gamma_nat=gamma_nat,
+                              chi=chi)
+            critical = p.chi_gamma / 2 if delta == 0 else 0.0
             for omega in {*_domain_values("omega"), critical}:
-                t, got = self.core(_domain_values("t"), omega, delta, cg)
-                for ti, value in zip(t, got):
-                    case = (ti, omega, delta, cg, value)
-                    sinh_term, amp, phase = b_squared_terms_mp(ti, omega,
-                                                               delta, cg)
-                    if phase < 1e6:
-                        ref = b_squared_mp(ti, omega, delta, cg)
-                        assert abs(value - ref) <= self.RTOL * ref + tiny, case
-                    else:
-                        lo, hi = float(sinh_term), float(sinh_term + amp)
-                        assert (lo * (1 - self.RTOL) - tiny <= value
-                                <= hi * (1 + self.RTOL) + tiny), case
+                yield p.replace(omega=omega)
+
+    def assert_corners(self, squared):
+        # where the phase alpha_- t/2 is beyond what a double resolves
+        # (around 1e19 rad at the far corners), the value must lie between
+        # the sinh^2 term and that term plus the sin^2 amplitude
+        tiny = np.finfo(float).tiny
+        t = np.array(_domain_values("t"))
+        for p in self.domain_corners():
+            omega, delta, cg = p.omega, p.delta, p.chi_gamma
+            for ti, value in zip(t, squared(t, p)):
+                case = (ti, omega, delta, cg, value)
+                sinh_term, amp, phase = b_squared_terms_mp(ti, omega, delta,
+                                                           cg)
+                if phase < 1e6:
+                    ref = b_squared_mp(ti, omega, delta, cg)
+                    assert abs(value - ref) <= self.RTOL * ref + tiny, case
+                else:
+                    lo, hi = float(sinh_term), float(sinh_term + amp)
+                    assert (lo * (1 - self.RTOL) - tiny <= value
+                            <= hi * (1 + self.RTOL) + tiny), case
+
+    def test_domain_corners(self):
+        self.assert_corners(
+            lambda t, p: self.core(t, p.omega, p.delta, p.chi_gamma)[1])
+
+    def test_amplitude_domain_corners(self):
+        # at t = 1e20 us, Omega = 1, chi Gamma = 1e20 rad/us, alpha_+ is
+        # within rounding of chi Gamma/2, so the decay rests on _gap
+        self.assert_corners(lambda t, p: np.abs(amplitude_B(t, p)) ** 2)
+
+    def test_amplitude_matches_core_at_domain_corners(self):
+        # both forms share alpha_+-, the gap and the sine's phase, so they
+        # agree where the phase is beyond what a double resolves
+        tiny = np.finfo(float).tiny
+        t = np.array(_domain_values("t"))
+        for p in self.domain_corners():
+            _, core = self.core(t, p.omega, p.delta, p.chi_gamma)
+            squared = np.abs(amplitude_B(t, p)) ** 2
+            assert np.all(np.abs(squared - core)
+                          <= 64 * np.finfo(float).eps * core + tiny), p
