@@ -16,9 +16,8 @@ from .wavepacket import (AlphaPair, SweepCurve, WavepacketCurve, alpha_pair,
                          saturation_curve)
 from .dynamics import (AmplitudeTrajectory, IntegrationError, evolve,
                        reconstruct_B)
-from .collective import (ChiEstimate, EnsembleGeometry, branching_ratio,
-                         chi_closed_form, chi_monte_carlo, chi_quadrature,
-                         extraction_ceiling)
+from .collective import (EnsembleGeometry, branching_ratio, chi_closed_form,
+                         chi_monte_carlo, chi_quadrature, extraction_ceiling)
 from .counting import (BinnedWavepacket, CorrelationSummary, EventStore,
                        SynthDesign, conditional_wavepacket, correlations,
                        ingest, probabilities, synthesize_log, write_log)

@@ -394,16 +394,15 @@ def cmd_chi(cfg, run, seed):
     with _named(**_leaves("geometry", cfg)):
         geom = EnsembleGeometry(**cfg["geometry"])
     cf = chi_closed_form(geom)
-    qd = chi_quadrature(geom)
     with _named():
-        mc = chi_monte_carlo(geom, cfg["n_samples"], seed)
-    report = {
-        "closed_form": {"chi": cf.value, "standard_error": cf.standard_error},
-        "quadrature": {"chi": qd.value, "standard_error": qd.standard_error},
-        "monte_carlo": {"chi": mc.value, "standard_error": mc.standard_error,
+        mc, se = chi_monte_carlo(geom, cfg["n_samples"], seed)
+    report = {      # the exact estimates carry no sampling error
+        "closed_form": {"chi": cf, "standard_error": 0.0},
+        "quadrature": {"chi": chi_quadrature(geom), "standard_error": 0.0},
+        "monte_carlo": {"chi": mc, "standard_error": se,
                         "n_samples": cfg["n_samples"], "seed": seed},
-        "branching_ratio": branching_ratio(cf.value),
-        "extraction_ceiling": extraction_ceiling(cf.value),
+        "branching_ratio": branching_ratio(cf),
+        "extraction_ceiling": extraction_ceiling(cf),
         "regime_flags": geom.regime_flags,
     }
     run.note(_write_json(run.path("chi.json"), report))
@@ -539,7 +538,9 @@ def main(argv=None) -> int:
     try:
         config_text = Path(args.config).read_text(encoding="utf-8")
         cfg = json.loads(config_text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError: bytes not UTF-8, text not JSON, or an integer literal
+        # past Python's 4300-digit limit
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -117,23 +117,8 @@ class EnsembleGeometry:
         }
 
 
-@dataclass(frozen=True)
-class ChiEstimate:
-    """A cooperativity estimate with its statistical standard error."""
-
-    value: float
-    standard_error: float
-
-    def __post_init__(self):
-        # an exact chi is >= 1; a sampled one near 1 may land below it by chance
-        if not (self.value >= 1.0 if self.standard_error == 0.0
-                else math.isfinite(self.value)):
-            raise ParamError(["value"], f"chi estimate {self.value:g} (standard "
-                             f"error {self.standard_error:g}) is below 1 or not finite")
-
-
-def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
-    """chi = 1 + N / (2 W^2 k^2); exact-zero standard error.
+def chi_closed_form(geom: EnsembleGeometry) -> float:
+    """chi = 1 + N / (2 W^2 k^2), an exact number with no sampling error.
 
     Warns when the geometry is outside the validity regime of the formula
     (mode waist not optically resolved, or cloud not pencil-shaped).
@@ -142,7 +127,7 @@ def chi_closed_form(geom: EnsembleGeometry) -> ChiEstimate:
     if not (flags["waist_resolved"] and flags["pencil_shaped"]):
         warnings.warn("geometry outside the closed-form validity regime "
                       f"(flags: {flags})", stacklevel=2)
-    return ChiEstimate(value=_closed_form(geom), standard_error=0.0)
+    return _closed_form(geom)
 
 
 def _closed_form(geom) -> float:
@@ -173,22 +158,26 @@ def _batch_mean(size, seed_seq, scales) -> float:
     return _kernel(kz, np.sqrt(kr2 + kz * kz)).mean()
 
 
-def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed) -> ChiEstimate:
-    """Sampled-pair estimate of chi, deterministic for a fixed seed.
+def chi_monte_carlo(geom: EnsembleGeometry, n_samples,
+                    seed) -> tuple[float, float]:
+    """Sampled-pair estimate (chi, standard error), deterministic for a
+    fixed seed.
 
     Averages the pair kernel over separations of the stored-excitation
     position (drawn from the normalized cloud density) and a partner atom
-    of the same cloud, and reports 1 + N <K>.  Their difference is
-    N(0, diag(2W^2, 2W^2, 2L^2)), so each pair draws only rho^2 = 4W^2 E
-    and d_z = sqrt(2) L Z (E ~ Exp(1), Z ~ N(0, 1); rho^2 is 2W^2 times a
-    chi-square with two degrees of freedom).  The standard error comes
-    from the scatter of 30 near-equal batches (n_samples >= 100 keeps each
-    non-empty), each with its own seed derived from ``seed``.  The batches
-    run on ``counting._in_order``'s thread pool, sized to the CPUs this
-    process may use, which yields the batch means in batch order; since
-    each batch owns its seed, the result is the same to the last bit for
-    any worker count or scheduling.  ``n_samples`` must lie in
-    [100, 1e8]; the bound keeps the batches in flight within memory.
+    of the same cloud, and returns chi = 1 + N <K> and its standard error
+    as two floats; near chi = 1 the sampled chi may lie below 1 by chance.
+    The two positions differ by N(0, diag(2W^2, 2W^2, 2L^2)), so each pair
+    draws only rho^2 = 4W^2 E and d_z = sqrt(2) L Z (E ~ Exp(1),
+    Z ~ N(0, 1); rho^2 is 2W^2 times a chi-square with two degrees of
+    freedom).  The standard error comes from the scatter of 30 near-equal
+    batches (n_samples >= 100 keeps each non-empty), each with its own
+    seed derived from ``seed``.  The batches run on
+    ``counting._in_order``'s thread pool, sized to the CPUs this process
+    may use, which yields the batch means in batch order; since each batch
+    owns its seed, the result is the same to the last bit for any worker
+    count or scheduling.  ``n_samples`` must lie in [100, 1e8]; the bound
+    keeps the batches in flight within memory.
     """
     if n_samples < 100:
         raise ParamError(["n_samples"], "need n_samples >= 100")
@@ -196,7 +185,7 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed) -> ChiEstimate:
         raise ParamError(["n_samples"],
                          f"need n_samples <= {_MAX_SAMPLES:.0e}")
     if geom.n_atoms == 0:
-        return ChiEstimate(value=1.0, standard_error=0.0)
+        return 1.0, 0.0
     k = geom.wavenumber_per_m
     scales = ((2.0 * k * geom.waist_m) ** 2, math.sqrt(2.0) * k * geom.length_m)
     sizes = np.full(_N_BATCHES, n_samples // _N_BATCHES, dtype=int)
@@ -207,8 +196,7 @@ def chi_monte_carlo(geom: EnsembleGeometry, n_samples, seed) -> ChiEstimate:
                         count=_N_BATCHES)
     overall = float(np.dot(means, sizes) / sizes.sum())
     se = float(np.std(means, ddof=1) / math.sqrt(_N_BATCHES))
-    return ChiEstimate(value=1.0 + geom.n_atoms * overall,
-                       standard_error=geom.n_atoms * se)
+    return 1.0 + geom.n_atoms * overall, geom.n_atoms * se
 
 
 def _mean_kernel(a, b) -> float:
@@ -234,7 +222,7 @@ def _mean_kernel(a, b) -> float:
                      - math.exp(-4.0 * b) * wofz(1j * (2.0 * c + a) / root))).real)
 
 
-def chi_quadrature(geom: EnsembleGeometry) -> ChiEstimate:
+def chi_quadrature(geom: EnsembleGeometry) -> float:
     """Exact continuum (cloud-averaged) estimate of chi, 1 + N <K>.
 
     The Gaussian average of the pair kernel over both positions reduces to a
@@ -254,12 +242,11 @@ def chi_quadrature(geom: EnsembleGeometry) -> ChiEstimate:
     sampling noise.
     """
     if geom.n_atoms == 0:
-        return ChiEstimate(value=1.0, standard_error=0.0)
+        return 1.0
     k = geom.wavenumber_per_m
     a = (k * geom.waist_m) ** 2
     b = (k * geom.length_m) ** 2
-    return ChiEstimate(value=1.0 + geom.n_atoms * _mean_kernel(a, b),
-                       standard_error=0.0)
+    return 1.0 + geom.n_atoms * _mean_kernel(a, b)
 
 
 def branching_ratio(chi) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamError, ReadoutParams
-from .wavepacket import _MAX_POINTS, pc_integral
+from .wavepacket import _BLOCK, _MAX_POINTS, pc_integral
 
 CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
@@ -36,6 +36,9 @@ DEFAULT_TRIAL_WINDOW_NS = 1500  # detector-on period per trial
 
 _MAX_BINS = 10 ** 6     # bins of one conditional wavepacket (8 MB an array)
 _MAX_BACKGROUND = 1e8   # expected background counts of one synthetic log
+# trials of one log: 1/n_trials^2 >= 1e-300 stays a normal float, so no
+# product of two probabilities in the statistics rounds to 0
+_MAX_TRIALS = 10 ** 150
 
 
 @dataclass
@@ -331,17 +334,15 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
     per-line validator, which says why it is no event.  So the results, in
     line order, do not depend on the worker count or scheduling.
 
-    ``n_trials`` (when given) and ``trial_window_ns`` below 1, and a
-    ``trial_window_ns`` above 2**63 (times are int64), raise ParamError
-    naming the argument, before the file is read.
+    ``n_trials`` (when given) below 1 or above ``_MAX_TRIALS`` = 1e150,
+    and ``trial_window_ns`` below 1 or above 2**63 (times are int64),
+    raise ParamError naming the argument, before the file is read.
     """
-    for name, value in (("n_trials", n_trials),
-                        ("trial_window_ns", trial_window_ns)):
-        if value is not None and value < 1:
-            raise ParamError([name], f"{name} must be >= 1, got {value}")
-    if trial_window_ns > 2 ** 63:
-        raise ParamError(["trial_window_ns"],
-                         f"trial_window_ns must be <= 2**63, got {trial_window_ns}")
+    for name, value, most, bound in (
+            ("n_trials", n_trials, _MAX_TRIALS, "1e150"),
+            ("trial_window_ns", trial_window_ns, 2 ** 63, "2**63")):
+        if value is not None and not 1 <= value <= most:
+            raise ParamError([name], f"{name} must be in [1, {bound}], got {value}")
     tally = _Tally(n_trials, trial_window_ns)
     tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(path))
     for parse in _in_order(_strict_chunk, tasks):
@@ -529,8 +530,9 @@ def correlations(summary: CorrelationSummary) -> CorrelationSummary:
         s.quantum_g12 = s.g12 > 2
     if s.g12 is not None and s.g11 and s.g22:
         s.r_cs = s.g12 ** 2 / (s.g11 * s.g22)
-        parts = [(2 * (s.u_g12 or 0), s.g12), (s.u_g11, s.g11), (s.u_g22, s.g22)]
-        s.u_r_cs = _ratio_err(s.r_cs, parts) if s.g12 > 0 else None
+        # R = p12^2 / (p11 p22): p1 and p2 cancel, and so do their errors
+        s.u_r_cs = _ratio_err(s.r_cs, [(2 * s.u_p12, s.p12),
+                                       (s.u_p11, s.p11), (s.u_p22, s.p22)])
         s.cauchy_schwarz_violated = s.r_cs > 1
     return s
 
@@ -556,10 +558,10 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
     number of heralds; g12(t) = p_c(t) / p2(t) with p2(t) the unconditional
     per-bin field-2 probability.  ``bin_width_ns`` >= 1 (use 1 ns for
     wavepackets, wider bins for correlation traces).  ``herald_window``
-    (inclusive) and ``t_range`` (half-open; 1 to ``_MAX_BINS`` = 1e6 bins)
-    must lie in the trial window.  ParamError names the argument that does
-    not, ``n_trials`` if there are none, and ``herald_window`` if it holds
-    no herald.  Each field-2 event's trial is searched in the sorted herald
+    (inclusive) and ``t_range`` (half-open; 1 to ``_MAX_BINS`` = 1e6 bins,
+    the last ending below 2**63 ns) must lie in the trial window.
+    ParamError names the argument that does not, ``n_trials`` if there are
+    none, and ``herald_window`` if it holds no herald.  Each field-2 event's trial is searched in the sorted herald
     trials, so memory grows with the events and bins, not with n_trials.
     """
     if bin_width_ns < 1:
@@ -577,6 +579,9 @@ def conditional_wavepacket(store: EventStore, herald_window, bin_width_ns=1,
         raise ParamError(["t_range"], f"range of {n_bins} bins; need 1 to "
                          f"{_MAX_BINS}")
     hi = lo + n_bins * bin_width_ns
+    if hi >= 2 ** 63:       # the bin edges are int64
+        raise ParamError(["t_range"], f"last bin ends at {hi} ns; need "
+                         "bins that end below 2**63 ns")
     heralds, _ = _field_trials(store, 1, herald_window)
     if heralds.size == 0:
         raise ParamError(["herald_window"],
@@ -688,6 +693,10 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
 
 
 def _emission_cdf(params: ReadoutParams, n_ns):
-    """P_c over the first 1, 2, ..., ``n_ns`` ns, in one ``pc_integral``
-    call, made nondecreasing: late increments can fall below rounding."""
-    return np.maximum.accumulate(pc_integral(params, np.arange(1, n_ns + 1) * 1e-3))
+    """P_c over the first 1, 2, ..., ``n_ns`` ns, made nondecreasing: late
+    increments can fall below rounding.  ``pc_integral`` runs on
+    ``_BLOCK`` horizons at a time, which bounds its temporaries; each
+    point gets the bits of one call over them all."""
+    t = np.arange(1, n_ns + 1) * 1e-3
+    return np.maximum.accumulate(np.concatenate(
+        [pc_integral(params, t[lo:lo + _BLOCK]) for lo in range(0, n_ns, _BLOCK)]))

@@ -72,6 +72,22 @@ class TestValidationFailures:
         p.write_text("{not json")
         assert run(["wavepacket", "--config", str(p), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("text,cause", [
+        (b'{"i_r_mw_cm2": [95\xff]}', "can't decode byte 0xff"),
+        (b'{"i_r_mw_cm2": [' + b"9" * 5000 + b"]}",
+         "Exceeds the limit (4300 digits)")],
+        ids=["non-utf8", "int-5000-digits"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, text, cause):
+        # json.loads and the UTF-8 decode raise ValueError, not
+        # JSONDecodeError: each exited 1 with a traceback
+        p = tmp_path / "bad.json"
+        p.write_bytes(text)
+        out = tmp_path / "out"
+        assert run(["wavepacket", "--config", str(p), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and cause in err
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_cfg(tmp_path, {**PAPER_BLOCK, "i_r_mw_cm2": [95],
                                    "typo_key": 1})
@@ -978,6 +994,14 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
     ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=2 ** 62,
                    wavepacket_range_ns=[0, 2 ** 62 - 1]),
      f"wavepacket_range_ns: range of {2 ** 62 - 1} bins; need 1 to 1000000"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=2 ** 63,
+                   bin_width_ns=2 ** 62),
+     f"wavepacket_range_ns: last bin ends at {2 ** 63} ns; need bins that "
+     "end below 2**63 ns"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", n_trials=10 ** 150 + 1),
+     f"n_trials: n_trials must be in [1, 1e150], got {10 ** 150 + 1}"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", n_trials=1e200),
+     f"n_trials: n_trials must be in [1, 1e150], got {int(1e200)}"),
     ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
                     "window": {"t_end_ns": 1_000_000}},
      "window: need 2 <= n_points <= 1000000"),
@@ -1049,6 +1073,8 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
      "gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
 ], ids=["stats-no-trials", "stats-no-herald", "stats-no-herald-default",
         "stats-bins-above-bound", "stats-bins-1e12", "stats-bins-2**62",
+        "stats-last-bin-2**63", "stats-n-trials-1e150+1",
+        "stats-n-trials-1e200",
         "wavepacket-points-above-bound", "wavepacket-points-1e12",
         "wavepacket-t-end-1e155", "wavepacket-step-1e-300", "synth-pc-above-1",
         "synth-background-1e300", "synth-background-1e10",
@@ -1060,8 +1086,9 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
 def test_input_fault_names_config_key(tmp_path, capsys, monkeypatch, command,
                                       payload, message):
     # without these checks, stats exits 1 naming no key on a log with no
-    # trial or no herald, and on 1e12 or 2**62 bins (MemoryError, "array is
-    # too big"); wavepacket exits 1 on 1e12 points or more; chi's and
+    # trial or no herald, on 1e12 or 2**62 bins (MemoryError, "array is
+    # too big") and on 1e200 trials (ZeroDivisionError), and writes a last
+    # bin edge wrapped to -2**63; wavepacket exits 1 on 1e12 points or more; chi's and
     # fit's lines carry no key, fit's naming gamma_deph and i_sat instead;
     # synth exits 1 or runs out of memory on a background or read window
     # past its cap, chi exits 0 writing Infinity and NaN, and a fit

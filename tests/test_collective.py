@@ -10,9 +10,9 @@ from scipy.stats import ks_2samp
 
 import qmemread.collective as collective
 import qmemread.counting as counting
-from qmemread import (ChiEstimate, EnsembleGeometry, ParamError,
-                      branching_ratio, chi_closed_form, chi_monte_carlo,
-                      chi_quadrature, extraction_ceiling)
+from qmemread import (EnsembleGeometry, ParamError, branching_ratio,
+                      chi_closed_form, chi_monte_carlo, chi_quadrature,
+                      extraction_ceiling)
 from chi_oracle import (chi_quadrature_kernel, grid_chi_continuum,
                         pair_kernel, serial_chi_monte_carlo,
                         two_position_chi_monte_carlo, two_position_separations)
@@ -57,7 +57,7 @@ class TestGeometry:
         geom = EnsembleGeometry(n_atoms=5e303, waist_m=1e-9, length_m=1e-3,
                                 wavenumber_per_m=1e7)
         with pytest.warns(UserWarning, match="validity regime"):
-            chi = chi_closed_form(geom).value
+            chi = chi_closed_form(geom)
         assert math.isfinite(branching_ratio(chi))
         assert math.isfinite(extraction_ceiling(chi))
 
@@ -65,7 +65,7 @@ class TestGeometry:
         for kw in (1e-49, 1e49):
             geom = EnsembleGeometry(n_atoms=1.0, waist_m=kw, length_m=kw,
                                     wavenumber_per_m=1.0)
-            assert math.isfinite(chi_quadrature(geom).value)
+            assert math.isfinite(chi_quadrature(geom))
 
     def test_regime_flags(self):
         assert all(GEOM.regime_flags.values())
@@ -78,11 +78,10 @@ class TestClosedForm:
     def test_empty_ensemble(self):
         geom = EnsembleGeometry(n_atoms=0, waist_m=1e-4, length_m=1e-3,
                                 wavenumber_per_m=1e7)
-        est = chi_closed_form(geom)
-        assert est.value == 1.0 and est.standard_error == 0.0
+        assert chi_closed_form(geom) == 1.0
 
     def test_reference_geometry(self):
-        assert chi_closed_form(GEOM).value == pytest.approx(2.0, rel=1e-12)
+        assert chi_closed_form(GEOM) == pytest.approx(2.0, rel=1e-12)
 
     def test_atom_number_inversion(self):
         # N that the closed form assigns to chi = 2.7 at the same W, k
@@ -91,7 +90,7 @@ class TestClosedForm:
         assert n == pytest.approx(3.4e6, rel=1e-12)
         geom = EnsembleGeometry(n_atoms=n, waist_m=w, length_m=GEOM.length_m,
                                 wavenumber_per_m=k)
-        assert chi_closed_form(geom).value == pytest.approx(2.7, rel=1e-12)
+        assert chi_closed_form(geom) == pytest.approx(2.7, rel=1e-12)
 
     def test_warns_outside_regime(self):
         fat = EnsembleGeometry(n_atoms=100.0, waist_m=1e-6, length_m=1.0,
@@ -178,27 +177,27 @@ class TestContinuumClosedForm:
             ref = mean_kernel_mp(a, b)
             got = collective._mean_kernel(a, b)
             assert abs(got - ref) <= 1e-13 * ref, (a, b, got, ref)
-            assert chi_quadrature(geom).value == 1.0 + geom.n_atoms * got
+            assert chi_quadrature(geom) == 1.0 + geom.n_atoms * got
 
     def test_against_simpson_grid(self):
         # the 2 x 4001-point graded grid is good to 5.3e-4 in <K> on this
         # sweep; its worst point is the flat cloud kW = 30, L/W = 0.03, where
         # the coarse second run misses the integrand's peak at v = 2
         for geom in SWEEP:
-            quad = chi_quadrature(geom).value
+            quad = chi_quadrature(geom)
             grid = grid_chi_continuum(geom)
             assert abs(quad - grid) <= 1e-3 * (quad - 1.0), (geom, quad, grid)
 
     def test_reference_geometry_value(self):
-        assert chi_quadrature(GEOM).value == pytest.approx(1.49997525367,
-                                                           rel=0, abs=1e-11)
+        assert chi_quadrature(GEOM) == pytest.approx(1.49997525367,
+                                                     rel=0, abs=1e-11)
 
     def test_smallest_geometry_gives_full_kernel(self):
         # at the low edge of the domain, kW and kL near 1e-50, <K> is 1 to
         # rounding; below it (kW)^2 would underflow, and is rejected
         geom = EnsembleGeometry(n_atoms=3.0, waist_m=1e-57, length_m=2e-57,
                                 wavenumber_per_m=1e7)
-        assert chi_quadrature(geom).value == pytest.approx(4.0, rel=1e-15)
+        assert chi_quadrature(geom) == pytest.approx(4.0, rel=1e-15)
         with pytest.raises(ParamError) as info:
             EnsembleGeometry(n_atoms=3.0, waist_m=1e-160, length_m=2e-160,
                              wavenumber_per_m=1e-160)
@@ -207,16 +206,14 @@ class TestContinuumClosedForm:
     def test_empty_ensemble(self):
         geom = EnsembleGeometry(n_atoms=0, waist_m=1e-4, length_m=1e-3,
                                 wavenumber_per_m=1e7)
-        est = chi_quadrature(geom)
-        assert est.value == 1.0 and est.standard_error == 0.0
+        assert chi_quadrature(geom) == 1.0
 
 
 class TestMonteCarlo:
     def test_empty_ensemble(self):
         geom = EnsembleGeometry(n_atoms=0, waist_m=1e-4, length_m=1e-3,
                                 wavenumber_per_m=1e7)
-        est = chi_monte_carlo(geom, 1000, seed=0)
-        assert est.value == 1.0 and est.standard_error == 0.0
+        assert chi_monte_carlo(geom, 1000, seed=0) == (1.0, 0.0)
 
     def test_sample_count_precondition(self):
         with pytest.raises(ParamError):
@@ -232,33 +229,39 @@ class TestMonteCarlo:
 
     def test_deterministic_for_fixed_seed(self):
         a = chi_monte_carlo(GEOM, 20000, seed=123)
-        b = chi_monte_carlo(GEOM, 20000, seed=123)
-        assert a.value == b.value and a.standard_error == b.standard_error
-        c = chi_monte_carlo(GEOM, 20000, seed=124)
-        assert c.value != a.value
+        assert chi_monte_carlo(GEOM, 20000, seed=123) == a
+        assert chi_monte_carlo(GEOM, 20000, seed=124)[0] != a[0]
 
     def test_agrees_with_continuum_quadrature(self):
         # the sampler and the cloud-averaged quadrature estimate the same
         # population quantity; they must agree statistically
-        quad = chi_quadrature(GEOM)
-        mc = chi_monte_carlo(GEOM, 400_000, seed=31)
-        assert abs(mc.value - quad.value) <= 3.0 * mc.standard_error
+        mc, se = chi_monte_carlo(GEOM, 400_000, seed=31)
+        assert abs(mc - chi_quadrature(GEOM)) <= 3.0 * se
 
     def test_standard_error_scaling(self):
         # se ~ n^{-1/2}: regression slope -0.5 +- 0.1 on log-log.  One seed's
         # slope scatters by about 0.07 (15 % of seeds miss the bound), so
         # log se is averaged over eight seeds, which cuts that to about 0.025
         sizes = np.array([20_000, 80_000, 320_000])
-        log_se = [np.mean([math.log(chi_monte_carlo(GEOM, int(n), seed=s)
-                                    .standard_error) for s in range(77, 85)])
+        log_se = [np.mean([math.log(chi_monte_carlo(GEOM, int(n), seed=s)[1])
+                           for s in range(77, 85)])
                   for n in sizes]
         slope = np.polyfit(np.log(sizes), log_se, 1)[0]
         assert abs(slope + 0.5) <= 0.1
 
+    def test_estimates_are_plain_numbers(self):
+        # the exact estimates are floats, the sampler's a (chi, SE) pair of
+        # floats, the form of the oracles in chi_oracle
+        assert type(chi_closed_form(GEOM)) is float
+        assert type(chi_quadrature(GEOM)) is float
+        est = chi_monte_carlo(GEOM, 20_000, seed=1)
+        assert type(est) is tuple and [type(x) for x in est] == [float, float]
+
     def test_all_methods_at_least_one(self):
-        for est in (chi_closed_form(GEOM), chi_quadrature(GEOM),
-                    chi_monte_carlo(GEOM, 50_000, seed=5)):
-            assert est.value >= 1.0 - 3.0 * est.standard_error
+        for chi, se in ((chi_closed_form(GEOM), 0.0),
+                        (chi_quadrature(GEOM), 0.0),
+                        chi_monte_carlo(GEOM, 50_000, seed=5)):
+            assert chi >= 1.0 - 3.0 * se
 
 
 class TestSeparationLaw:
@@ -267,12 +270,12 @@ class TestSeparationLaw:
 
     def test_agrees_with_two_position_form_and_quadrature(self):
         # on SMALL the SE is about 0.4 % of chi - 1 at 1e6 pairs
-        est = chi_monte_carlo(SMALL, 1_000_000, seed=2718)
+        chi, chi_se = chi_monte_carlo(SMALL, 1_000_000, seed=2718)
         value, se = two_position_chi_monte_carlo(SMALL, 1_000_000, seed=2718)
-        quad = chi_quadrature(SMALL).value
-        assert est.standard_error <= 0.01 * (quad - 1.0)
-        assert abs(est.value - value) <= 5.0 * math.hypot(est.standard_error, se)
-        assert abs(est.value - quad) <= 5.0 * est.standard_error
+        quad = chi_quadrature(SMALL)
+        assert chi_se <= 0.01 * (quad - 1.0)
+        assert abs(chi - value) <= 5.0 * math.hypot(chi_se, se)
+        assert abs(chi - quad) <= 5.0 * chi_se
         assert abs(value - quad) <= 5.0 * se
 
     def test_draws_match_position_difference(self, monkeypatch):
@@ -310,22 +313,18 @@ class TestSerialOracle:
         # the package samples in 30 batches; the other counts run the same
         # split and reduction with other remainders and extremes
         monkeypatch.setattr(collective, "_N_BATCHES", n_batches)
-        est = chi_monte_carlo(geom, n_samples, seed)
-        value, se = serial_chi_monte_carlo(geom, n_samples, seed, n_batches)
-        assert est.value == value
-        assert est.standard_error == se
+        assert chi_monte_carlo(geom, n_samples, seed) == serial_chi_monte_carlo(
+            geom, n_samples, seed, n_batches)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bit_identical_for_any_worker_count(self, monkeypatch, workers):
         monkeypatch.setattr(counting, "_usable_cpus", lambda: workers)
-        est = chi_monte_carlo(SMALL, 20_000, 123)
-        assert (est.value, est.standard_error) == serial_chi_monte_carlo(
+        assert chi_monte_carlo(SMALL, 20_000, 123) == serial_chi_monte_carlo(
             SMALL, 20_000, 123, 30)
 
     def test_bit_identical_at_full_size(self):
-        est = chi_monte_carlo(GEOM, 1_000_000, seed=2718)
-        assert (est.value, est.standard_error) == serial_chi_monte_carlo(
-            GEOM, 1_000_000, 2718)
+        assert chi_monte_carlo(GEOM, 1_000_000, seed=2718) == \
+            serial_chi_monte_carlo(GEOM, 1_000_000, 2718)
 
     @pytest.mark.parametrize("shape", [(3,), (1000, 3), (4, 5, 3)])
     def test_pair_kernel_matches_array_form(self, shape):
@@ -353,7 +352,7 @@ class TestSerialOracle:
                 assert not t.is_alive()
         finally:
             sys.setswitchinterval(interval)
-        assert [(e.value, e.standard_error) for e in got] == [want] * 6
+        assert got == [want] * 6
 
     def test_workers_call_no_public_function(self, monkeypatch):
         # callers may wrap the public functions with recorders that are not
@@ -370,25 +369,6 @@ class TestSerialOracle:
             monkeypatch.setattr(collective, name, recorder)
         collective.chi_monte_carlo(GEOM, 30_000, seed=9)
         assert seen and set(seen) == {threading.get_ident()}
-
-
-class TestChiEstimateInvariant:
-    def test_rejects_sub_unity_value(self):
-        # an exact estimate (zero standard error) below 1 is wrong
-        with pytest.raises(ParamError):
-            ChiEstimate(value=0.5, standard_error=0.0)
-
-    def test_accepts_sampled_value_far_below_one(self):
-        # an unbiased sampler at chi ~ 1 lands 4 SE below 1 by chance
-        ChiEstimate(value=0.6, standard_error=0.1)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_sampled_value(self, value):
-        with pytest.raises(ParamError):
-            ChiEstimate(value=value, standard_error=0.1)
-
-    def test_allows_noisy_estimate_near_one(self):
-        ChiEstimate(value=0.95, standard_error=0.05)
 
 
 class TestBranching:

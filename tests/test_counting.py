@@ -14,6 +14,7 @@ from qmemread import (CorrelationSummary, ParamError, ReadoutParams,
                       ingest, integrate_Pc, mhz_to_angular, pc_at,
                       pc_integral, probabilities, synthesize_log, write_log)
 import qmemread.counting as counting
+import qmemread.wavepacket as wavepacket
 from qmemread.counting import CHANNELS, _emission_cdf
 
 GAMMA = mhz_to_angular(5.2)
@@ -200,6 +201,28 @@ class TestCorrelations:
                        p12=1e-4 * (1 + 1e-12))
         assert correlations(s2).cauchy_schwarz_violated is True
 
+    def test_r_cs_error_carries_only_the_joint_probabilities(self):
+        # R = p12^2 / (p11 p22): moving p1, p2 and their errors at fixed
+        # p11, p22, p12 moves g11, g22 and g12 but neither R nor its error
+        joint = dict(p11=4e-5, p22=9e-6, p12=6e-5, u_p11=2e-6, u_p22=1e-6,
+                     u_p12=3e-6)
+        outs = [correlations(self.base(p1=p1, p2=p2, u_p1=u1, u_p2=u2, **joint))
+                for p1, p2, u1, u2 in ((0.004, 0.002, 6e-5, 4e-5),
+                                       (0.01, 0.0005, 1e-4, 2e-5),
+                                       (0.002, 0.003, 1e-6, 5e-4))]
+        r = 6e-5 ** 2 / (4e-5 * 9e-6)
+        u = r * math.sqrt(4 * (3e-6 / 6e-5) ** 2 + (2e-6 / 4e-5) ** 2
+                          + (1e-6 / 9e-6) ** 2)
+        for out in outs:
+            assert out.r_cs == pytest.approx(r, rel=1e-12)
+            assert out.u_r_cs == pytest.approx(u, rel=1e-12)
+        assert len({out.g12 for out in outs}) == 3
+
+    def test_r_cs_error_none_without_coincidences(self):
+        out = correlations(self.base(p1=0.01, p2=0.01, p11=1e-4, p22=1e-4,
+                                     p12=0.0, u_p11=1e-5, u_p22=1e-5))
+        assert out.r_cs == 0.0 and out.u_r_cs is None
+
     def test_uncertainties_shrink_with_trials(self):
         design = SynthDesign(n_trials=10000, p1=0.05, background_per_ns=1e-5)
         small = probabilities(synthesize_log(PAPER_STYLE, design, seed=3),
@@ -226,6 +249,17 @@ class TestConditionalWavepacket:
         with pytest.raises(ParamError) as info:
             conditional_wavepacket(make_store([]), (0, 49), 1)
         assert info.value.fields == ("n_trials",)
+
+    @pytest.mark.parametrize("bin_width", [2 ** 62, 2 ** 63])
+    def test_bins_end_below_2_63(self, bin_width):
+        # a trial window of 2**63 ns holds every int64 time, but a bin edge
+        # at 2**63 is no int64: it wrapped to -2**63, or overflowed
+        store = make_store(["0,F1A,20", "0,F2A,60"], trial_window_ns=2 ** 63)
+        with pytest.raises(ParamError) as info:
+            conditional_wavepacket(store, (20, 20), bin_width)
+        assert info.value.fields == ("t_range",)
+        edge = conditional_wavepacket(store, (20, 20), 2 ** 63 - 1)
+        assert edge.t_hi_ns.tolist() == [2 ** 63 - 1]
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_bin_count_bound(self, monkeypatch, extra):
@@ -529,6 +563,27 @@ class TestExactSynthesis:
         cdf = _emission_cdf(params, 300)
         assert np.all(np.diff(cdf) >= 0)
         assert cdf[-1] == pytest.approx(pc_integral(params, 0.3), rel=1e-14)
+
+    def test_emission_cdf_memory_bounded_at_read_window_cap(self):
+        # evaluated in blocks, the 1e6 ns cap holds a few arrays of 8 MB,
+        # not one call's temporaries over every ns (384 MB)
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            cdf = _emission_cdf(PAPER_STYLE, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert cdf.size == 10 ** 6 and cdf[-1] == cdf.max()
+
+    def test_emission_cdf_blocks_match_one_call(self):
+        # 70 000 ns spans two block edges
+        n = 70_000
+        assert n > 2 * wavepacket._BLOCK
+        one_call = pc_integral(PAPER_STYLE, np.arange(1, n + 1) * 1e-3)
+        assert np.array_equal(_emission_cdf(PAPER_STYLE, n),
+                              np.maximum.accumulate(one_call))
 
     def test_heralded_emission_bins_follow_exact_probabilities(self):
         from scipy.stats import chi2

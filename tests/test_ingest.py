@@ -253,6 +253,19 @@ class TestDifferential:
             ingest(tmp_path / "missing.csv", **kwargs)
         assert info.value.fields == (key,)
 
+    @pytest.mark.parametrize("n_trials", [10 ** 150 + 1, int(1e200), 10 ** 400])
+    def test_trial_count_beyond_1e150_raises_before_reading(self, tmp_path,
+                                                            n_trials):
+        # past it, p1 = 1/n_trials can square to 0, or n_trials overflow a
+        # float, in the statistics
+        with pytest.raises(ParamError) as info:
+            ingest(tmp_path / "missing.csv", n_trials=n_trials)
+        assert info.value.fields == ("n_trials",)
+
+    def test_trial_count_of_1e150_is_read(self):
+        with log_file(["0,F1A,20"]) as path:
+            assert ingest(path, n_trials=10 ** 150).n_trials == 10 ** 150
+
     def test_window_beyond_int64_raises_before_reading(self):
         # read, the time >= 2**63 would pass the window check and overflow
         with log_file(["1,F1A,9999999999999999999"]) as path, \
