@@ -425,13 +425,15 @@ def cmd_synth(cfg, run, seed):
 
 def cmd_stats(cfg, run, seed):
     w1, herald = cfg["window1_ns"], cfg["herald_window_ns"]
-    with _named(herald_window="herald_window_ns" if herald else "window1_ns"):
+    t_range = cfg["wavepacket_range_ns"]    # the trial window by default
+    with _named(herald_window="herald_window_ns" if herald else "window1_ns",
+                t_range="wavepacket_range_ns" if t_range else "trial_window_ns"):
         store = ingest(cfg["log_path"], n_trials=cfg["n_trials"],
                        trial_window_ns=cfg["trial_window_ns"])
         summary = correlations(probabilities(store, w1, cfg["window2_ns"]))
         binned = conditional_wavepacket(store, herald or w1,
                                         bin_width_ns=cfg["bin_width_ns"],
-                                        t_range=cfg["wavepacket_range_ns"])
+                                        t_range=t_range)
     report = summary.to_json()
     report["ingest"] = {"n_records": store.n_records,
                         "n_validated": store.n_validated,

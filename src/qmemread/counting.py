@@ -138,13 +138,16 @@ def _member(values, sorted_set):
 
 
 def _key(trial, t_ns, channel, span):
-    """The store's sort key: rows in (trial, t, channel) order for t < span."""
+    """The store's sort key of events with t < ``span``: keys in (trial, t,
+    channel) order.  ``ingest`` builds them on its workers and
+    ``synthesize_log`` draws them, both with span = the trial window."""
     return (trial * span + t_ns) * 4 + channel
 
 
 def _store(keys, span, n_trials, window):
-    """The store of sorted keys, each key once (``n_duplicates`` counts the
-    repeats).  Works in the buffer of ``keys``, which it leaves undefined."""
+    """The store of sorted keys of span ``span``, each key once
+    (``n_duplicates`` counts the repeats).  Works in the buffer of
+    ``keys``, which it leaves undefined."""
     keep = _run_starts(keys)
     n = int(np.count_nonzero(keep))
     if n < keys.size:
@@ -158,23 +161,23 @@ def _store(keys, span, n_trials, window):
 
 
 def _sorted_store(tally):
-    """The store of the events ``ingest`` kept in ``tally``."""
-    trial, channel, t_ns = (np.concatenate(c) for c in zip(*tally.columns))
+    """The store of the events ``ingest`` kept in ``tally``: one column of
+    keys, or (trial, code, t) columns where a key could overflow int64."""
+    columns = [np.concatenate(c) for c in zip(*tally.columns)]
     tally.columns.clear()           # free the chunks' arrays before sorting
-    last = int(trial.max(initial=-1))
-    n_trials = int(last + 1 if tally.n_trials is None else tally.n_trials)
-    span = int(t_ns.max(initial=0)) + 1
-    if last >= (1 << 62) // (4 * span):
-        # the key could overflow int64: a three-key lexsort instead
+    window = int(tally.window)
+    if tally.span:
+        keys, = columns
+        keys.sort(kind="stable")    # nearly free on a log in store order
+        store = _store(keys, tally.span, tally.n_trials, window)
+    else:
+        trial, channel, t_ns = columns
         order = np.lexsort((channel, t_ns, trial))
         order = order[_run_starts(trial[order], t_ns[order], channel[order])]
-        store = EventStore(trial[order], channel[order], t_ns[order], n_trials,
-                           int(tally.window), trial.size - order.size)
-    else:
-        key = _key(trial, t_ns, channel, span)
-        del trial, channel, t_ns
-        key.sort(kind="stable")     # nearly free on a log in store order
-        store = _store(key, span, n_trials, int(tally.window))
+        store = EventStore(trial[order], channel[order], t_ns[order],
+                           tally.n_trials, window, trial.size - order.size)
+    store.n_trials = int(store.trial.max(initial=-1) + 1
+                         if tally.n_trials is None else tally.n_trials)
     if store.n_duplicates:
         warnings.warn(f"collapsed {store.n_duplicates} duplicate detection "
                       "record(s)", stacklevel=3)
@@ -186,12 +189,14 @@ def _sorted_store(tally):
 class _Tally:
     """What one ingest has read so far."""
 
-    def __init__(self, n_trials, window):
+    def __init__(self, n_trials, window, span):
         self.n_trials = n_trials
         self.window = window
+        self.span = span        # of the keys, or None: (trial, code, t)
         self.records = 0        # lines read
         self.validated = 0      # lines judged by _check_row
-        self.columns = [(np.empty(0, np.int64), np.empty(0, np.int8),
+        self.columns = [(np.empty(0, np.int64),) if span else
+                        (np.empty(0, np.int64), np.empty(0, np.int8),
                          np.empty(0, np.int64))]    # then one per chunk
         self.errors = []
         self.rejected = 0
@@ -255,12 +260,13 @@ def _digits(a, end, length):
     return value, ~bad
 
 
-def _strict_chunk(chunk, window, n_trials):
+def _strict_chunk(chunk, window, n_trials, span):
     """The lines of ``chunk`` (ended by ``\\n``, one ``\\r`` before it
-    dropped) parsed and checked as arrays: the (trial, code, t) columns of
-    the lines of the strict grammar that pass the window and ``n_trials``
-    checks, the line count, and the (index, text) of every other line, for
-    ``_check_row``.
+    dropped) parsed and checked as arrays: the lines of the strict grammar
+    that pass the window and ``n_trials`` checks as one column of store
+    keys of span ``span`` (or, if ``span`` is None, as trial, code and t
+    columns), the line count, and the (index, text) of every other line,
+    for ``_check_row``.
 
     Runs on a worker thread, so it reads no state and calls no public
     function of this module (those may be wrapped by callers that are not
@@ -288,17 +294,19 @@ def _strict_chunk(chunk, window, n_trials):
     ok = ok_trial & ok_t & (t < window)
     if n_trials is not None:
         ok &= trial < n_trials
-    code = (2 * field[shape] + side[shape]).astype(np.int8)
+    code = 2 * field[shape] + side[shape]
+    columns = ((_key(trial, t, code, span),) if span else
+               (trial, code.astype(np.int8), t))
 
     accepted = np.zeros(ends.size, dtype=bool)
     accepted[line[ok]] = True
     judged = [(i, text[starts[i]:ends[i]].removesuffix(b"\r")
                .decode("utf-8", errors="replace"))
               for i in np.flatnonzero(~accepted).tolist()]
-    return trial[ok], code[ok], t[ok], ends.size, judged
+    return [c[ok] for c in columns], ends.size, judged
 
 
-def _take_chunk(tally, trial, code, t, n_lines, judged):
+def _take_chunk(tally, columns, n_lines, judged):
     """Add a chunk parsed by ``_strict_chunk`` to the tally: copies of its
     kept columns, and its other lines, split at every comma, through
     ``_check_row`` in line order, numbered on from the lines read before.
@@ -307,9 +315,20 @@ def _take_chunk(tally, trial, code, t, n_lines, judged):
     resident."""
     first = tally.records + 1                       # the chunk's first line
     tally.records += n_lines
-    tally.columns.append((trial.copy(), code.copy(), t.copy()))
+    tally.columns.append(tuple(c.copy() for c in columns))
     for i, text in judged:
         _check_row(tally, first + i, text.split(","))
+
+
+def _short(count):
+    """``count`` for an error line: in full up to 20 characters, else as
+    the float it equals, else by its digit count."""
+    text = str(count)
+    if len(text) <= 20:
+        return text
+    if abs(count) < 1e308 and float(count) == count:
+        return f"{float(count):g}"
+    return f"a {len(text.lstrip('-'))}-digit integer"
 
 
 def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> EventStore:
@@ -334,6 +353,13 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
     per-line validator, which says why it is no event.  So the results, in
     line order, do not depend on the worker count or scheduling.
 
+    The worker packs each event into its store key (``_key``) with span
+    W = ``trial_window_ns``, and the calling thread sorts the keys and
+    decodes them (``_store``), as ``synthesize_log`` does.  Where the
+    largest admissible key, 4 W min(n_trials, 1e15) - 1 (a trial has at
+    most 15 digits), would not fit in int64, the worker keeps (trial,
+    channel, t) columns, which a three-key lexsort orders instead.
+
     ``n_trials`` (when given) below 1 or above ``_MAX_TRIALS`` = 1e150,
     and ``trial_window_ns`` below 1 or above 2**63 (times are int64),
     raise ParamError naming the argument, before the file is read.
@@ -342,9 +368,14 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
             ("n_trials", n_trials, _MAX_TRIALS, "1e150"),
             ("trial_window_ns", trial_window_ns, 2 ** 63, "2**63")):
         if value is not None and not 1 <= value <= most:
-            raise ParamError([name], f"{name} must be in [1, {bound}], got {value}")
-    tally = _Tally(n_trials, trial_window_ns)
-    tasks = ((chunk, trial_window_ns, n_trials) for chunk in _chunks(path))
+            raise ParamError([name], f"{name} must be in [1, {bound}], "
+                             f"got {_short(value)}")
+    span = math.ceil(trial_window_ns)       # above every time kept
+    trials = 10 ** 15 if n_trials is None else min(math.ceil(n_trials), 10 ** 15)
+    tally = _Tally(n_trials, trial_window_ns,
+                   span if 4 * span * trials <= 2 ** 63 else None)
+    tasks = ((chunk, trial_window_ns, n_trials, tally.span)
+             for chunk in _chunks(path))
     for parse in _in_order(_strict_chunk, tasks):
         _take_chunk(tally, *parse)
     return _sorted_store(tally)

@@ -996,12 +996,15 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
      f"wavepacket_range_ns: range of {2 ** 62 - 1} bins; need 1 to 1000000"),
     ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=2 ** 63,
                    bin_width_ns=2 ** 62),
-     f"wavepacket_range_ns: last bin ends at {2 ** 63} ns; need bins that "
+     f"trial_window_ns: last bin ends at {2 ** 63} ns; need bins that "
      "end below 2**63 ns"),
+    ("stats", dict(STATS_BASE, log_path="log.csv", trial_window_ns=2 ** 63,
+                   window2_ns=[50, 2 ** 63 - 1]),
+     f"trial_window_ns: range of {2 ** 63} bins; need 1 to 1000000"),
     ("stats", dict(STATS_BASE, log_path="log.csv", n_trials=10 ** 150 + 1),
-     f"n_trials: n_trials must be in [1, 1e150], got {10 ** 150 + 1}"),
+     "n_trials: n_trials must be in [1, 1e150], got a 151-digit integer"),
     ("stats", dict(STATS_BASE, log_path="log.csv", n_trials=1e200),
-     f"n_trials: n_trials must be in [1, 1e150], got {int(1e200)}"),
+     "n_trials: n_trials must be in [1, 1e150], got 1e+200"),
     ("wavepacket", {**PAPER_BLOCK, "i_r_mw_cm2": [95],
                     "window": {"t_end_ns": 1_000_000}},
      "window: need 2 <= n_points <= 1000000"),
@@ -1073,7 +1076,8 @@ SYNTH_DESIGN = {"n_trials": 1000, "p1": 0.1}
      "gamma_nat_mhz: need gamma_nat in [1e-20, 1e+20] rad/us"),
 ], ids=["stats-no-trials", "stats-no-herald", "stats-no-herald-default",
         "stats-bins-above-bound", "stats-bins-1e12", "stats-bins-2**62",
-        "stats-last-bin-2**63", "stats-n-trials-1e150+1",
+        "stats-last-bin-2**63", "stats-default-range-2**63-bins",
+        "stats-n-trials-1e150+1",
         "stats-n-trials-1e200",
         "wavepacket-points-above-bound", "wavepacket-points-1e12",
         "wavepacket-t-end-1e155", "wavepacket-step-1e-300", "synth-pc-above-1",

@@ -80,6 +80,18 @@ def assert_same_as_oracle(source_for, n_trials, window=WINDOW):
         assert got_warn == want_warn
 
 
+def lexsort_calls(path, n_trials, window):
+    """The np.lexsort calls of one ingest on each pool size of WORKERS."""
+    calls = []
+    for workers in WORKERS:
+        with _workers(workers), warnings.catch_warnings(), \
+                mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            warnings.simplefilter("ignore")
+            ingest(path, n_trials, window)
+        calls.append(lexsort.call_count)
+    return calls
+
+
 _valid = st.builds(lambda tr, ch, t: f"{tr},{ch},{t}",
                    st.integers(0, 60), st.sampled_from(CHANNELS),
                    st.integers(0, WINDOW - 1))
@@ -173,6 +185,35 @@ class TestDifferential:
                                         BIG_TRIAL + 1]
         assert store.t_ns.tolist() == [7, 0, last, last, 0]
         assert store.channel.tolist() == [1, 0, 0, 3, 0]
+
+    def test_fifteen_digit_trials_pack_at_the_default_window(self):
+        # the largest key, 4 * 1500 * 10**15 - 1, fits in int64 without
+        # n_trials, so a 15-digit trial takes the packed path
+        top = 10 ** 15 - 1
+        lines = [f"{top},F2B,1499", "0,F1A,0", f"{top},F1A,1499",
+                 f"{top},F2B,1499", f"{top - 1},F2A,20"]
+        with log_file(lines) as path:
+            assert_same_as_oracle(lambda: path, None, 1500)
+            assert lexsort_calls(path, None, 1500) == [0] * len(WORKERS)
+            with pytest.warns(UserWarning, match="1 duplicate"):
+                store = ingest(path)
+        assert store.n_trials == 10 ** 15
+        assert store.trial.tolist() == [0, top - 1, top, top]
+
+    @pytest.mark.parametrize("window", [2 ** 18, BIG_WINDOW])
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_largest_trial_count_that_packs(self, window, past):
+        # up to n_trials = 2**61 // window every key 4 * window * n_trials
+        # - 1 at most fits in int64 (at 2**18 the last one is 2**63 - 1);
+        # one trial more, and the sort falls back to lexsort
+        most = 2 ** 61 // window
+        lines = [f"{most - 1},F2B,{window - 1}", "0,F1A,0",
+                 f"{most},F1A,0", f"{most - 1},F1A,{window - 1}",
+                 f"{most - 1},F2B,{window - 1}"]
+        with log_file(lines) as path:
+            assert_same_as_oracle(lambda: path, most + past, window)
+            assert lexsort_calls(path, most + past, window) == [past] * len(
+                WORKERS)
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"])
     def test_clean_log_sends_only_the_header_to_the_validator(
