@@ -50,6 +50,9 @@ class ConfigError(ValueError):
 
 
 _CSV_ROWS = 1 << 14         # CSV rows formatted per block
+# chi notes a sampled estimate whose standard error exceeds this fraction of
+# the exact chi - 1: the sample then tells little beyond the quadrature
+_CHI_SE_NOTE = 0.1
 
 # user-facing fit parameter names -> internal keys
 _FIT_KEYS = {"gamma_deph_mhz": "gamma_deph", "i_sat_mw_cm2": "i_sat",
@@ -328,6 +331,10 @@ class _Run:
         if not self.quiet:
             print(msg)
 
+    def warn(self, msg):
+        if not self.quiet:
+            print(msg, file=sys.stderr)
+
     def cleanup(self):
         for p in self.outputs:
             try:
@@ -396,9 +403,10 @@ def cmd_chi(cfg, run, seed):
     cf = chi_closed_form(geom)
     with _named():
         mc, se = chi_monte_carlo(geom, cfg["n_samples"], seed)
+    quad = chi_quadrature(geom)
     report = {      # the exact estimates carry no sampling error
         "closed_form": {"chi": cf, "standard_error": 0.0},
-        "quadrature": {"chi": chi_quadrature(geom), "standard_error": 0.0},
+        "quadrature": {"chi": quad, "standard_error": 0.0},
         "monte_carlo": {"chi": mc, "standard_error": se,
                         "n_samples": cfg["n_samples"], "seed": seed},
         "branching_ratio": branching_ratio(cf),
@@ -406,6 +414,11 @@ def cmd_chi(cfg, run, seed):
         "regime_flags": geom.regime_flags,
     }
     run.note(_write_json(run.path("chi.json"), report))
+    if se > _CHI_SE_NOTE * (quad - 1.0):
+        run.warn(f"note: monte_carlo.standard_error {se:.3g} is above "
+                 f"{_CHI_SE_NOTE:.0%} of quadrature chi - 1 = "
+                 f"{quad - 1.0:.3g}: the sampled chi carries little "
+                 "information beyond the exact estimates")
 
 
 def cmd_synth(cfg, run, seed):

@@ -147,16 +147,18 @@ def _key(trial, t_ns, channel, span):
 def _store(keys, span, n_trials, window):
     """The store of sorted keys of span ``span``, each key once
     (``n_duplicates`` counts the repeats).  Works in the buffer of
-    ``keys``, which it leaves undefined."""
+    ``keys``, which becomes the store's ``t_ns``."""
     keep = _run_starts(keys)
     n = int(np.count_nonzero(keep))
     if n < keys.size:
         keys[:n] = keys[keep]
     dups, keys = keys.size - n, keys[:n]
-    channel = (keys & 3).astype(np.int8)
+    code = keys & 3
+    channel = code.astype(np.int8)
     keys >>= 2
-    trial, t_ns = np.divmod(keys, span)
-    return EventStore(trial=trial, channel=channel, t_ns=t_ns, n_trials=n_trials,
+    trial = keys // span            # numpy's scalar-divisor path, not divmod
+    keys -= np.multiply(trial, span, out=code)     # code's pages, reused
+    return EventStore(trial=trial, channel=channel, t_ns=keys, n_trials=n_trials,
                       trial_window_ns=window, n_duplicates=dups)
 
 

@@ -403,6 +403,37 @@ class TestChiCommand:
         saved = (out / "chi.json").read_text()
         assert saved == old_json(json.loads(saved))
 
+    def test_notes_an_uninformative_sample(self, tmp_path, capsys):
+        # README geometry: the sampled SE is about half of chi - 1, so one
+        # stderr note says so, --quiet silences it, and chi.json is the same
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 2e6, "waist_m": 1e-4, "length_m": 1e-3,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 20_000})
+
+        def chi(name, *flags):
+            out = tmp_path / name
+            assert run(["chi", "--config", cfg, "--out", str(out),
+                        "--seed", "5", *flags]) == 0
+            return (out / "chi.json").read_bytes(), capsys.readouterr().err
+        loud, note = chi("loud")
+        quiet, err = chi("quiet", "--quiet")
+        assert err == "" and quiet == loud
+        se = json.loads(loud)["monte_carlo"]["standard_error"]
+        assert note.count("\n") == 1 and note.startswith(
+            f"note: monte_carlo.standard_error {se:.3g} is above 10% of "
+            "quadrature chi - 1 = 0.5:")
+
+    def test_no_note_on_an_informative_sample(self, tmp_path, capsys):
+        # a 50-atom wavelength-scale cloud: SE about 3 % of chi - 1
+        cfg = write_cfg(tmp_path, {
+            "geometry": {"n_atoms": 50, "waist_m": 0.3e-6, "length_m": 1e-6,
+                         "wavenumber_per_m": 1e7},
+            "n_samples": 20_000})
+        assert run(["chi", "--config", cfg, "--out", str(tmp_path / "chi"),
+                    "--seed", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("n_batches", [0, 1, -3, 201, 30])
     def test_rejects_bad_batch_count(self, tmp_path, capsys, n_batches):
         # the sampler always runs 30 batches: n_batches is no chi key, and

@@ -2,10 +2,14 @@ import inspect
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import ks_2samp
 
 import qmemread.collective as collective
@@ -110,6 +114,35 @@ class TestPairKernel:
         r = np.linalg.norm(d, axis=1)
         expected = np.cos(k * d[:, 2]) * np.sin(k * r) / (k * r)
         assert np.allclose(pair_kernel(d, k), expected, rtol=1e-12)
+
+
+# k d_z of either sign and k |d| >= 0 up to 1e15, with k |d| = +-0 and
+# subnormal k |d| drawn often
+_KZ = st.floats(-1e15, 1e15)
+_KR = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(5e-324, 2.2e-308),
+                st.floats(0.0, 1e15))
+
+
+@st.composite
+def _kernel_args(draw):
+    """(kz, kr): 0-d, 1-d or N-d float64 arrays whose shapes broadcast."""
+    (kz_shape, kr_shape), _ = draw(hnp.mutually_broadcastable_shapes(
+        num_shapes=2, min_dims=0, max_dims=3, max_side=4))
+    return (draw(hnp.arrays(np.float64, kz_shape, elements=_KZ)),
+            draw(hnp.arrays(np.float64, kr_shape, elements=_KR)))
+
+
+class TestKernelForm:
+    @settings(max_examples=300, deadline=None)
+    @given(args=_kernel_args())
+    def test_bits_of_the_sinc_form_inputs_unchanged(self, args):
+        kz, kr = args
+        kz0, kr0 = kz.copy(), kr.copy()
+        want = np.cos(kz) * np.sinc(kr / np.pi)
+        got = collective._kernel(kz, kr)
+        assert got.dtype == np.float64 and got.shape == np.shape(want)
+        assert got.tobytes() == np.asarray(want).tobytes()
+        assert kz.tobytes() == kz0.tobytes() and kr.tobytes() == kr0.tobytes()
 
 
 class TestQuadratureKernel:
@@ -226,6 +259,21 @@ class TestMonteCarlo:
                                match="n_samples <= 1e\\+08") as exc:
                 chi_monte_carlo(GEOM, n_samples, seed=0)
             assert exc.value.fields == ("n_samples",)
+
+    def test_batch_holds_three_arrays(self):
+        # a batch keeps its two draws and one kernel output, plus a few
+        # arrays of _BLOCK pairs: 3.04 arrays of the batch at 1e6 pairs,
+        # where np.sinc's form peaked at 8
+        scales = ((2e3) ** 2, math.sqrt(2.0) * 1e4)
+        seed = np.random.SeedSequence(5)
+        collective._batch_mean(1000, seed, scales)
+        tracemalloc.start()
+        try:
+            collective._batch_mean(10**6, seed, scales)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * 10**6
 
     def test_deterministic_for_fixed_seed(self):
         a = chi_monte_carlo(GEOM, 20000, seed=123)
