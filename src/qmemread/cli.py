@@ -243,9 +243,8 @@ TABLES = {
 
 # library argument -> the config key that sets it
 _ARG_KEYS = {"window1": "window1_ns", "window2": "window2_ns",
-             "herald_window": "herald_window_ns",
-             "t_range": "wavepacket_range_ns", "horizon": "horizon_ns",
-             "i_r": "i_r_grid_mw_cm2", "delta": "delta_grid_mhz",
+             "horizon": "horizon_ns", "i_r": "i_r_grid_mw_cm2",
+             "delta": "delta_grid_mhz",
              "tau": "tau_ns", "gamma_nat": "gamma_nat_mhz",
              **{key: name for name, key in _FIT_KEYS.items()}}
 # ReadoutParams field -> the key of the params or intensity block that sets it

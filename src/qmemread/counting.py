@@ -15,6 +15,7 @@ closed-form wavepacket provides end-to-end pipeline tests.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import re
@@ -45,12 +46,13 @@ _MAX_TRIALS = 10 ** 150
 class EventStore:
     """Columnar store of detection events, sorted by (trial, t, channel).
 
-    ``parse_errors`` lists (line_number, reason) for rejected malformed
-    lines; ``n_rejected_channel`` counts well-formed rows with an unknown
-    channel; exact duplicate rows are collapsed into ``n_duplicates``.
-    ``ingest`` also sets ``n_records``, the lines of the file it read (the
-    numbering of ``parse_errors``), and ``n_validated``, the lines that are
-    not events, which the vectorised parse left to the per-line validator.
+    ``parse_errors`` lists (line_number, message) for rejected malformed
+    lines, which ``error_counts`` counts by reason; ``n_rejected_channel``
+    counts well-formed rows with an unknown channel; exact duplicate rows
+    are collapsed into ``n_duplicates``.  ``ingest`` also sets
+    ``n_records``, the lines of the file it read (the numbering of
+    ``parse_errors``), and ``n_validated``, the lines that are not events,
+    which the vectorised parse left to the per-line validator.
 
     The columns are read, never written, after construction.
     """
@@ -63,6 +65,8 @@ class EventStore:
     n_duplicates: int = 0
     n_rejected_channel: int = 0
     parse_errors: list = field(default_factory=list)
+    error_counts: dict = field(
+        default_factory=lambda: dict.fromkeys(_PARSE_ERRORS, 0))
     n_records: int = 0
     n_validated: int = 0
 
@@ -70,22 +74,11 @@ class EventStore:
         return self.trial.size
 
     def parse_errors_by_reason(self) -> dict:
-        """Count ``parse_errors`` by reason: ``field_count``,
-        ``non_integer``, ``negative_trial``, ``outside_window`` and
-        ``trial_out_of_range``; every key is present."""
-        counts = dict.fromkeys(_ERROR_REASONS.values(), 0)
-        for _line, message in self.parse_errors:
-            counts[next(reason for start, reason in _ERROR_REASONS.items()
-                        if message.startswith(start))] += 1
-        return counts
+        """Count ``parse_errors`` by the reason ``_check_row`` gave:
+        ``field_count``, ``non_integer``, ``negative_trial``,
+        ``outside_window`` and ``trial_out_of_range``; every key is present."""
+        return dict(self.error_counts)
 
-
-# parse-error reasons, keyed by how their messages in _check_row start
-_ERROR_REASONS = {"expected 3 fields": "field_count",
-                  "non-integer": "non_integer",
-                  "negative trial": "negative_trial",
-                  "time ": "outside_window",
-                  "trial ": "trial_out_of_range"}
 
 # Work per pool task.  Small tasks keep each worker thread's malloc arena
 # small: memory freed on a worker stays resident in its arena.
@@ -144,6 +137,12 @@ def _key(trial, t_ns, channel, span):
     return (trial * span + t_ns) * 4 + channel
 
 
+def _packs(span, n_trials):
+    """Whether every ``_key`` of trials below ``n_trials`` and span
+    ``span`` fits in int64: the largest, 4 span n_trials - 1, is below 2**63."""
+    return 4 * span * n_trials <= 2 ** 63
+
+
 def _store(keys, span, n_trials, window):
     """The store of sorted keys of span ``span``, each key once
     (``n_duplicates`` counts the repeats).  Works in the buffer of
@@ -162,71 +161,58 @@ def _store(keys, span, n_trials, window):
                       trial_window_ns=window, n_duplicates=dups)
 
 
-def _sorted_store(tally):
-    """The store of the events ``ingest`` kept in ``tally``: one column of
-    keys, or (trial, code, t) columns where a key could overflow int64."""
-    columns = [np.concatenate(c) for c in zip(*tally.columns)]
-    tally.columns.clear()           # free the chunks' arrays before sorting
-    window = int(tally.window)
-    if tally.span:
+def _sorted_store(chunks, span, n_trials, window):
+    """The store of the events of ``chunks``, the kept columns of each
+    chunk that ``_strict_chunk`` parsed: one column of keys of span
+    ``span``, or (trial, code, t) columns where ``span`` is None (a key
+    could overflow int64).  ``chunks`` is emptied."""
+    empty = (np.empty(0, np.int64), np.empty(0, np.int8), np.empty(0, np.int64))
+    columns = [np.concatenate(c) for c in zip(empty[:1] if span else empty,
+                                               *chunks)]
+    chunks.clear()                  # free the chunks' arrays before sorting
+    if span:
         keys, = columns
         keys.sort(kind="stable")    # nearly free on a log in store order
-        store = _store(keys, tally.span, tally.n_trials, window)
+        store = _store(keys, span, n_trials, window)
     else:
         trial, channel, t_ns = columns
         order = np.lexsort((channel, t_ns, trial))
         order = order[_run_starts(trial[order], t_ns[order], channel[order])]
         store = EventStore(trial[order], channel[order], t_ns[order],
-                           tally.n_trials, window, trial.size - order.size)
+                           n_trials, window, trial.size - order.size)
     store.n_trials = int(store.trial.max(initial=-1) + 1
-                         if tally.n_trials is None else tally.n_trials)
-    if store.n_duplicates:
-        warnings.warn(f"collapsed {store.n_duplicates} duplicate detection "
-                      "record(s)", stacklevel=3)
-    store.n_rejected_channel, store.parse_errors = tally.rejected, tally.errors
-    store.n_records, store.n_validated = tally.records, tally.validated
+                         if n_trials is None else n_trials)
     return store
 
 
-class _Tally:
-    """What one ingest has read so far."""
-
-    def __init__(self, n_trials, window, span):
-        self.n_trials = n_trials
-        self.window = window
-        self.span = span        # of the keys, or None: (trial, code, t)
-        self.records = 0        # lines read
-        self.validated = 0      # lines judged by _check_row
-        self.columns = [(np.empty(0, np.int64),) if span else
-                        (np.empty(0, np.int64), np.empty(0, np.int8),
-                         np.empty(0, np.int64))]    # then one per chunk
-        self.errors = []
-        self.rejected = 0
+# the reasons of parse errors, in the order _check_row tests them
+_PARSE_ERRORS = ("field_count", "non_integer", "negative_trial",
+                 "outside_window", "trial_out_of_range")
 
 
-def _check_row(tally, lineno, row):
-    """Say why line ``lineno`` of a log, split into the fields ``row``, is
-    no event (``ingest``'s array parse took every event): a trial or time
-    is 1 to 15 ASCII digits, and the channel is compared as written."""
-    tally.validated += 1
+def _check_row(row, lineno, window, n_trials):
+    """Why line ``lineno`` of a log, split into the fields ``row``, is no
+    event of trial window ``window`` and ``n_trials`` trials (``ingest``'s
+    array parse took every event): None for a blank line or a line-1
+    header, else (reason, message), the message None for an unknown
+    channel, which is counted, not listed.  A trial or time is 1 to 15
+    ASCII digits, and the channel is compared as written."""
     if len(row) == 1 and not row[0].strip():
-        return
+        return None
     if lineno == 1 and row[0].strip().lower() == "trial":
-        return
+        return None
     if len(row) != 3:
-        error = f"expected 3 fields, got {len(row)}"
-    elif not (_INTEGER.fullmatch(row[0]) and _INTEGER.fullmatch(row[2])):
-        error = "non-integer trial or time"
-    elif row[0].startswith("-"):
-        error = "negative trial index"
-    elif row[2].startswith("-") or int(row[2]) >= tally.window:
-        error = f"time {int(row[2])} outside trial window [0, {tally.window})"
-    elif row[1] not in _CODE:
-        tally.rejected += 1
-        return
-    else:                   # the vectorised parse took every other line
-        error = f"trial {int(row[0])} >= n_trials {tally.n_trials}"
-    tally.errors.append((lineno, error))
+        return "field_count", f"expected 3 fields, got {len(row)}"
+    if not (_INTEGER.fullmatch(row[0]) and _INTEGER.fullmatch(row[2])):
+        return "non_integer", "non-integer trial or time"
+    if row[0].startswith("-"):
+        return "negative_trial", "negative trial index"
+    if row[2].startswith("-") or int(row[2]) >= window:
+        return "outside_window", (f"time {int(row[2])} outside trial "
+                                  f"window [0, {window})")
+    if row[1] not in _CODE:
+        return "unknown_channel", None
+    return "trial_out_of_range", f"trial {int(row[0])} >= n_trials {n_trials}"
 
 
 def _chunks(path):
@@ -308,20 +294,6 @@ def _strict_chunk(chunk, window, n_trials, span):
     return [c[ok] for c in columns], ends.size, judged
 
 
-def _take_chunk(tally, columns, n_lines, judged):
-    """Add a chunk parsed by ``_strict_chunk`` to the tally: copies of its
-    kept columns, and its other lines, split at every comma, through
-    ``_check_row`` in line order, numbered on from the lines read before.
-    The copies are made here, on the calling thread: an array allocated on
-    a worker and kept to the end would pin that worker's malloc arena
-    resident."""
-    first = tally.records + 1                       # the chunk's first line
-    tally.records += n_lines
-    tally.columns.append(tuple(c.copy() for c in columns))
-    for i, text in judged:
-        _check_row(tally, first + i, text.split(","))
-
-
 def _short(count):
     """``count`` for an error line: in full up to 20 characters, else as
     the float it equals, else by its digit count."""
@@ -344,7 +316,8 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
     ``[0-9]{1,15},F[12][AB],[0-9]{1,15}`` with a time below
     ``trial_window_ns`` and a trial below ``n_trials``.  Other lines but
     blanks and a line-1 header are tallied in ``n_rejected_channel`` (an
-    unknown channel) or in ``parse_errors`` (with their line number).
+    unknown channel) or in ``parse_errors`` (with their line number) and
+    ``error_counts`` (by the reason ``_check_row`` gives).
     Duplicate rows are collapsed with a warning.
 
     The log is read in chunks of 256 KB cut at newlines, so memory grows
@@ -373,14 +346,36 @@ def ingest(path, n_trials=None, trial_window_ns=DEFAULT_TRIAL_WINDOW_NS) -> Even
             raise ParamError([name], f"{name} must be in [1, {bound}], "
                              f"got {_short(value)}")
     span = math.ceil(trial_window_ns)       # above every time kept
-    trials = 10 ** 15 if n_trials is None else min(math.ceil(n_trials), 10 ** 15)
-    tally = _Tally(n_trials, trial_window_ns,
-                   span if 4 * span * trials <= 2 ** 63 else None)
-    tasks = ((chunk, trial_window_ns, n_trials, tally.span)
-             for chunk in _chunks(path))
-    for parse in _in_order(_strict_chunk, tasks):
-        _take_chunk(tally, *parse)
-    return _sorted_store(tally)
+    if not _packs(span, min(math.ceil(n_trials or 10 ** 15), 10 ** 15)):
+        span = None                 # (trial, code, t) columns instead
+    tasks = ((chunk, trial_window_ns, n_trials, span) for chunk in _chunks(path))
+    chunks, errors, counts = [], [], dict.fromkeys(_PARSE_ERRORS, 0)
+    n_records = n_validated = rejected = 0
+    for kept, n_lines, judged in _in_order(_strict_chunk, tasks):
+        # copied here, on the calling thread: an array allocated on a
+        # worker and kept to the end would pin that worker's malloc arena
+        chunks.append(tuple(c.copy() for c in kept))
+        for i, text in judged:
+            lineno = n_records + 1 + i
+            verdict = _check_row(text.split(","), lineno, trial_window_ns,
+                                 n_trials)
+            if verdict is None:
+                continue
+            reason, message = verdict
+            if message is None:
+                rejected += 1
+            else:
+                counts[reason] += 1
+                errors.append((lineno, message))
+        n_records += n_lines
+        n_validated += len(judged)
+    store = _sorted_store(chunks, span, n_trials, int(trial_window_ns))
+    if store.n_duplicates:
+        warnings.warn(f"collapsed {store.n_duplicates} duplicate detection "
+                      "record(s)", stacklevel=2)
+    return dataclasses.replace(
+        store, n_rejected_channel=rejected, parse_errors=errors,
+        error_counts=counts, n_records=n_records, n_validated=n_validated)
 
 
 # byte rows of the writer: row k holds digit k of 000..999, or letter k of
@@ -662,7 +657,8 @@ class SynthDesign:
             bad.append("n_trials")
         if not (0 < self.p1 <= 1):
             bad.append("p1")
-        if not 2 <= self.window_ns <= 2 ** 61 // max(self.n_trials, 1):
+        if not (self.window_ns >= 2
+                and _packs(self.window_ns, max(self.n_trials, 1))):
             bad.append("window_ns")     # int64 keys for every cell
         if not (0 <= self.herald_t_ns < self.window_ns):
             bad.append("herald_t_ns")
@@ -691,13 +687,16 @@ class SynthDesign:
 def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventStore:
     """Generate a detection log from the closed-form wavepacket.
 
-    A heralded emission lands in each 1 ns bin of the read window with the
-    model's exact probability (``_emission_cdf``).  The background is one
-    Poisson(4 background_per_ns window_ns n_trials) total, uniform over
-    the (trial, t, channel) cells: an independent Poisson count per trial
-    and channel.  Events are drawn as store keys, sorted once, and a key
-    drawn twice is one event (``n_duplicates``).  Deterministic for a fixed
-    seed (draw order: heralds, herald channels, emissions, emission times,
+    Each trial is heralded with probability ``p1``: a Binomial(n_trials,
+    p1) herald count, placed on distinct uniform trials, so memory grows
+    with the heralds, not with n_trials.  A heralded emission lands in
+    each 1 ns bin of the read window with the model's exact probability
+    (``_emission_cdf``).  The background is one Poisson(4 background_per_ns
+    window_ns n_trials) total, uniform over the (trial, t, channel) cells:
+    an independent Poisson count per trial and channel.  Events are drawn
+    as store keys, sorted once, and a key drawn twice is one event
+    (``n_duplicates``).  Deterministic for a fixed seed (draw order: herald
+    count, herald trials, herald channels, emissions, emission times,
     field-2 channels, background total, background keys).  A P_c above 1
     raises ParamError naming ``scale_f``, before any draw.
     """
@@ -709,7 +708,10 @@ def synthesize_log(params: ReadoutParams, design: SynthDesign, seed) -> EventSto
         raise ParamError(["scale_f"], f"integrated wavepacket P_c = {total_pc:.4g}"
                          " > 1; reduce scale_f or the sampling window")
 
-    her_trials = np.flatnonzero(rng.random(design.n_trials) < design.p1)
+    her_trials = rng.choice(design.n_trials,
+                            rng.binomial(design.n_trials, design.p1),
+                            replace=False, shuffle=False)
+    her_trials.sort()
     her_chan = rng.integers(0, 2, her_trials.size)
     sig_trials = her_trials[rng.random(her_trials.size) < total_pc]
     u = rng.random(sig_trials.size) * total_pc

@@ -1,9 +1,12 @@
 """Weighted least-squares estimation of the readout model parameters.
 
 Any subset of {gamma_deph, i_sat, chi, scale_f} is fitted simultaneously
-against wavepacket, saturation and spectrum datasets, the global-fit
-methodology that pins the cooperativity from the joint intensity and
-detuning dependence rather than from any single curve.
+against wavepacket, saturation and spectrum datasets.  What pins the
+cooperativity is the wavepackets' time dependence: with all four
+parameters free and 3 % noise, the paper design (six wavepackets, two
+saturation curves) recovers chi with a relative-error IQR of 0.36 %, two
+saturation curves plus two spectra with 14.9 %, and the two spectra alone
+with 21.9 %.
 
 The optimizer is one ``scipy.optimize.least_squares`` call (trust-region
 reflective, TRF; Branch, Coleman & Li 1999) on smoothly transformed

@@ -22,6 +22,9 @@ CHANNELS = ("F1A", "F1B", "F2A", "F2B")
 _CODE = {name: i for i, name in enumerate(CHANNELS)}
 # a trial or a time: 1 to 15 ASCII digits; a sign makes it negative
 _INTEGER = re.compile(r"(-?)([0-9]{1,15})")
+# why a line is a parse error, in the order the grammar is checked
+REASONS = ("field_count", "non_integer", "negative_trial", "outside_window",
+           "trial_out_of_range")
 
 
 @contextlib.contextmanager
@@ -36,9 +39,10 @@ def log_file(lines):
 
 def oracle_ingest(path, n_trials=None, trial_window_ns=1500):
     """(trial, channel, t_ns, n_trials, n_duplicates, n_rejected_channel,
-    parse_errors, n_records) of the log file at ``path``, with the
-    duplicate warning it raises; ``n_records`` counts the lines of the
-    file."""
+    parse_errors, n_records, errors_by_reason) of the log file at
+    ``path``, with the duplicate warning it raises; ``n_records`` counts
+    the lines of the file, and ``errors_by_reason`` counts the parse
+    errors by the reason each line failed, every reason a key."""
     lines = Path(path).read_bytes().split(b"\n")
     if lines[-1] == b"":            # the file ends with a newline, or is empty
         lines.pop()
@@ -47,7 +51,7 @@ def oracle_ingest(path, n_trials=None, trial_window_ns=1500):
 
     trials, chans, times = [], [], []
     rejected = 0
-    errors = []
+    errors = []             # (line number, reason, message)
     n_records = 0
     for lineno, row in enumerate(rows, start=1):
         n_records = lineno
@@ -56,26 +60,30 @@ def oracle_ingest(path, n_trials=None, trial_window_ns=1500):
         if lineno == 1 and row[0].strip().lower() == "trial":
             continue
         if len(row) != 3:
-            errors.append((lineno, f"expected 3 fields, got {len(row)}"))
+            errors.append((lineno, "field_count",
+                           f"expected 3 fields, got {len(row)}"))
             continue
         tr, ch, t = (_INTEGER.fullmatch(row[0]), row[1],
                      _INTEGER.fullmatch(row[2]))
         if not (tr and t):
-            errors.append((lineno, "non-integer trial or time"))
+            errors.append((lineno, "non_integer",
+                           "non-integer trial or time"))
             continue
         if tr[1]:
-            errors.append((lineno, "negative trial index"))
+            errors.append((lineno, "negative_trial", "negative trial index"))
             continue
         if t[1] or int(t[0]) >= trial_window_ns:
-            errors.append((lineno, f"time {int(t[0])} outside trial window "
-                                   f"[0, {trial_window_ns})"))
+            errors.append((lineno, "outside_window",
+                           f"time {int(t[0])} outside trial window "
+                           f"[0, {trial_window_ns})"))
             continue
         tr, t = int(tr[0]), int(t[0])
         if ch not in _CODE:
             rejected += 1
             continue
         if n_trials is not None and tr >= n_trials:
-            errors.append((lineno, f"trial {tr} >= n_trials {n_trials}"))
+            errors.append((lineno, "trial_out_of_range",
+                           f"trial {tr} >= n_trials {n_trials}"))
             continue
         trials.append(tr)
         chans.append(_CODE[ch])
@@ -95,8 +103,12 @@ def oracle_ingest(path, n_trials=None, trial_window_ns=1500):
     trial, channel, t_ns = trial[keep], channel[keep], t_ns[keep]
     if n_trials is None:
         n_trials = int(trial[-1]) + 1 if trial.size else 0
-    return (trial, channel, t_ns, int(n_trials), dups, rejected, errors,
-            n_records)
+    by_reason = dict.fromkeys(REASONS, 0)
+    for _lineno, reason, _message in errors:
+        by_reason[reason] += 1
+    return (trial, channel, t_ns, int(n_trials), dups, rejected,
+            [(lineno, message) for lineno, _reason, message in errors],
+            n_records, by_reason)
 
 
 def oracle_write(trial, channel, t_ns) -> bytes:

@@ -658,6 +658,17 @@ class TestPipeline:
         assert (out_a / "synth_log.csv").read_bytes() == \
             (out_b / "synth_log.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_trials,p1", [(1e10, 1e-6), (1e12, 1e-9)])
+    def test_synth_memory_follows_the_heralds(self, tmp_path, n_trials, p1):
+        # a uniform per trial needed 74.5 GiB at 1e10 trials: exit 1
+        payload = {**SYNTH_BASE, "design": {"n_trials": n_trials, "p1": p1}}
+        out = tmp_path / "synth"
+        assert run(["synth", "--config", write_cfg(tmp_path, payload),
+                    "--out", str(out), "--seed", "4", "--quiet"]) == 0
+        meta = json.loads((out / "synth_meta.json").read_text())
+        assert meta["n_trials"] == n_trials
+        assert 0 < meta["n_events"] < 3 * n_trials * p1
+
     def test_synth_meta_reports_merged_counts(self, tmp_path):
         # about 30 background counts per trial and channel in 1500 ns, so
         # some share an ns and are merged into one logged event

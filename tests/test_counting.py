@@ -663,6 +663,48 @@ class TestExactSynthesis:
                                seed=2024)
         path = tmp_path / "log.csv"
         write_log(store, path)
-        assert len(store) == 716 and store.n_duplicates == 0
+        assert len(store) == 750 and store.n_duplicates == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "d11280e53bc72916b262257935599706c9f7d50f8939342b53686c596e91a65f")
+            "5dbf81e141e5ec2d77210a9b6fc4e1bc35ef1136077708d3cf7423c2c9966abc")
+
+    def test_heralds_are_a_binomial_count_on_distinct_uniform_trials(self):
+        # a Binomial(n, p1) count on a uniform subset of the trials is the
+        # Bernoulli(p1) process: each trial heralded alone with chance p1
+        from scipy.stats import chi2
+        params = PAPER_STYLE.replace(omega=0.0)     # heralds only
+        n, p1, seeds = 500, 0.1, 400
+        design = SynthDesign(n_trials=n, p1=p1)
+        counts, hits = [], np.zeros(n, dtype=np.int64)
+        for seed in range(seeds):
+            store = synthesize_log(params, design, seed=seed)
+            assert np.all(np.diff(store.trial) > 0)     # one per trial
+            counts.append(len(store))
+            hits[store.trial] += 1
+        counts = np.array(counts)
+        mean, var = n * p1, n * p1 * (1 - p1)
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / seeds)
+        # SE of a sample variance: sqrt((mu4 - var^2 (k-3)/(k-1)) / k)
+        mu4 = var * (1 + 3 * (n - 2) * p1 * (1 - p1))
+        assert abs(counts.var(ddof=1) - var) <= 5 * math.sqrt(
+            (mu4 - var ** 2 * (seeds - 3) / (seeds - 1)) / seeds)
+        # each trial's herald count over the seeds is Binomial(seeds, p1)
+        expect = seeds * p1
+        stat = float(np.sum((hits - expect) ** 2 / (expect * (1 - p1))))
+        assert chi2.sf(stat, n) > 1e-3
+
+    def test_herald_memory_does_not_grow_with_trials(self):
+        # about 1 000 heralds among 1e12 trials: a per-trial draw would
+        # need 8 TB
+        import tracemalloc
+        design = SynthDesign(n_trials=10 ** 12, p1=1e-9)
+        tracemalloc.start()
+        try:
+            store = synthesize_log(PAPER_STYLE, design, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        heralds = store.trial[store.channel < 2]
+        assert 800 <= heralds.size <= 1200
+        assert heralds.max() < design.n_trials
+        assert heralds.max() > design.n_trials // 2    # spread, not packed
+        assert peak < 4 * 2 ** 20

@@ -48,7 +48,7 @@ def _outcome(fn):
 def _as_tuple(store):
     return (store.trial, store.channel, store.t_ns, store.n_trials,
             store.n_duplicates, store.n_rejected_channel, store.parse_errors,
-            store.n_records)
+            store.n_records, store.parse_errors_by_reason())
 
 
 def _workers(n):
@@ -75,7 +75,8 @@ def assert_same_as_oracle(source_for, n_trials, window=WINDOW):
         assert np.array_equal(trial, w_trial)
         assert np.array_equal(channel, w_channel)
         assert np.array_equal(t_ns, w_t_ns)
-        # n_trials, duplicates, rejects, errors, records
+        # n_trials, duplicates, unknown channels, errors, records, and the
+        # errors by reason
         assert counts == w_counts
         assert got_warn == want_warn
 
@@ -229,9 +230,9 @@ class TestDifferential:
         seen = []
         check_row = counting._check_row
 
-        def counted(tally, lineno, row):
+        def counted(row, lineno, *args):
             seen.append((lineno, row))
-            return check_row(tally, lineno, row)
+            return check_row(row, lineno, *args)
 
         monkeypatch.setattr(counting, "_check_row", counted)
         back = ingest(path, n_trials=design.n_trials)
